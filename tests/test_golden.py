@@ -1,0 +1,67 @@
+"""Golden outputs: sha256 of CLI output files for fixed (config, seed).
+
+These pin today's behaviour byte for byte, so an engine refactor or a
+performance change can show it altered nothing.  Re-pin a digest only
+for an intended change of model semantics, and name that change in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from coexsim.cli import main
+
+# (argv without output paths, {option: sha256 of the file it writes})
+GOLDEN = {
+    "figure3_collision": (
+        ["simulate", "--config", "figure3_collision"],
+        {
+            "--out": "da4cef5f39797a4d5c5b8434cfc1064a87f355e2a7f4319464289d81363db942",
+            "--trace": "b60299c924b7ac61dbf9e54da216e55b5aa3aa352eecedd121039ca3c7d9b4e6",
+        },
+    ),
+    "figure4_compare_adaptive": (
+        ["simulate", "--config", "figure4_coexistence", "--runs", "2",
+         "--compare-adaptive", "--set", "simulate.duration_s=3"],
+        {
+            "--out": "26c630a2989c4dfd0c93a36b9f6ccfe0f99417a25c72236b0d98d47d35dcc8d4",
+        },
+    ),
+    # full-buffer hidden bases: long idle backoff runs, traced
+    "figure4_full_buffer": (
+        ["simulate", "--config", "figure4_coexistence", "--compare-adaptive",
+         "--set", "traffic.model=full_buffer", "--set", "simulate.duration_s=0.5",
+         "--set", "simulate.warmup_s=0.1"],
+        {
+            "--out": "57a2447126d60d1882f32c87f61d33ed4504e4cf307006c85c6b1aebf3bd2317",
+            "--trace": "162e9b14a492d76d0e7f4882affa8833d098de3289c4eff06792c6d2a4d2eaa0",
+        },
+    ),
+    "table1_inh": (
+        ["coverage", "--config", "table1_inh"],
+        {
+            "--out": "699cc69283979f5526aa3366d48a5f8b8ced97a6a7a174f643f324d33ea37976",
+            "--cdf-out": "dd4d01c00c6168c73662c2f835c569f1e48b9e10a17b21070d9610b584d5fcaf",
+        },
+    ),
+    "table1_diffusion": (
+        ["coverage", "--config", "table1_diffusion"],
+        {
+            "--out": "daebcd12084d5f5b84dc9b8b9e970c1f99476c356a4b1cc62dc189947c55b8f2",
+            "--cdf-out": "cfc2d837639427e24ea2bf0b4cbb0d39d304ef6b454599ba99d769a20aa34c58",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name, tmp_path):
+    argv, digests = GOLDEN[name]
+    paths = {opt: tmp_path / f"{opt.strip('-')}.out" for opt in digests}
+    for opt, path in paths.items():
+        argv = argv + [opt, str(path)]
+    assert main(argv) == 0
+    got = {opt: hashlib.sha256(path.read_bytes()).hexdigest()
+           for opt, path in paths.items()}
+    assert got == digests
