@@ -131,6 +131,23 @@ def lbt_step(
     return replace(state, phase=LbtPhase.IDLE, cw=state.cw_min), []
 
 
+def idle_slots(state: LbtState, n: int) -> LbtState:
+    """The state after ``n`` ``energy_below_slot`` events that start no burst.
+
+    Equal to ``n`` applications of ``lbt_step(state, "energy_below_slot",
+    ...)``; ``n`` must be below the backoff counter, so the slot that
+    ends the countdown is always delivered through ``lbt_step``.
+    """
+    if state.phase not in (LbtPhase.DEFER, LbtPhase.BACKOFF):
+        raise ProtocolViolation(f"idle slots are illegal in phase {state.phase.value}")
+    if not 0 <= n < state.backoff_counter:
+        raise ValueError(f"{n} idle slots do not fit a backoff counter of "
+                         f"{state.backoff_counter}")
+    if n == 0:
+        return state
+    return replace(state, phase=LbtPhase.BACKOFF, backoff_counter=state.backoff_counter - n)
+
+
 def ack_window_check(
     data_end_us: float,
     rssi_of_ack_at_enb_dbm: float | None,

@@ -167,6 +167,23 @@ def dcf_step(
     return _double_cw(state, rng), []
 
 
+def idle_slots(state: DcfState, n: int) -> DcfState:
+    """The state after ``n`` ``medium_idle_slot`` events that transmit nothing.
+
+    Equal to ``n`` applications of ``dcf_step(state, "medium_idle_slot",
+    ...)``; ``n`` must be below the backoff counter, so the slot that
+    ends the countdown is always delivered through ``dcf_step``.
+    """
+    if state.phase not in (DcfPhase.DEFER, DcfPhase.BACKOFF):
+        raise ProtocolViolation(f"medium_idle_slot is illegal in phase {state.phase.value}")
+    if not 0 <= n < state.backoff_counter:
+        raise ValueError(f"{n} idle slots do not fit a backoff counter of "
+                         f"{state.backoff_counter}")
+    if n == 0:
+        return state
+    return replace(state, phase=DcfPhase.BACKOFF, backoff_counter=state.backoff_counter - n)
+
+
 def nav_update(state: DcfState, duration_field_us: float, now_us: float) -> DcfState:
     """Fold a decoded duration field into the NAV (max rule)."""
     if duration_field_us < 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -467,7 +467,13 @@ class _WifiApController:
             elif "tx_rts" in actions:
                 self.start_rts()
             else:
-                self.sim.trace(self.node.id, "decrement", str(self.dcf.backoff_counter))
+                counter = self.dcf.backoff_counter
+                self.sim.trace(self.node.id, "decrement", str(counter))
+                skipped = self.sim.skip_idle_slots(
+                    self.node.id, self.timing.slot_us, counter - 1, self.dcf.nav_until_us
+                )
+                if skipped:
+                    self.dcf = mac_wifi.idle_slots(self.dcf, skipped)
                 self.sim.schedule_timer(self.node.id, self.timing.slot_us, "slot", self.gen)
         elif purpose == "ack_timeout":
             if gen != self.resp_gen:
@@ -584,6 +590,16 @@ class _WifiApController:
             self.dcf, _ = mac_wifi.dcf_step(self.dcf, "ack_received", self.timing, self.rng)
             self.sim.credit_frame(self.node.id, tx.frame_key)
             self.maybe_start()
+
+    def overheard(self, tx: Transmission) -> None:
+        # frames addressed elsewhere set the NAV and freeze the countdown
+        if tx.nav_duration_us > 0:
+            self.dcf = mac_wifi.nav_update(self.dcf, tx.nav_duration_us, self.sim.now_us)
+            if self.dcf.phase == DcfPhase.NAV_BLOCKED:
+                self.cancel_countdown()
+                self.sim.schedule_timer(
+                    self.node.id, self.dcf.nav_until_us - self.sim.now_us, "nav_expire", 0
+                )
 
     def make_cell_info(self) -> CellInfo:
         interval_us = self.timing.beacon_interval_ms * 1000.0
@@ -717,7 +733,13 @@ class _LteEnbController:
         if "start_burst" in actions:
             self.start_burst()
         else:
-            self.sim.trace(self.node.id, "decrement", str(self.lbt.backoff_counter))
+            counter = self.lbt.backoff_counter
+            self.sim.trace(self.node.id, "decrement", str(counter))
+            skipped = self.sim.skip_idle_slots(
+                self.node.id, self.cfg.slot_us, counter - 1, -math.inf
+            )
+            if skipped:
+                self.lbt = mac_lte.idle_slots(self.lbt, skipped)
             self.sim.schedule_timer(self.node.id, self.cfg.slot_us, "slot", self.gen)
 
     def start_burst(self) -> None:
@@ -792,20 +814,6 @@ class _LteUeController:
             self.sim.controllers[tx.src].burst_feedback(tx, success)
 
 
-# add NAV bookkeeping to the AP controller (shared with the STA behavior)
-def _ap_overheard(self, tx: Transmission) -> None:
-    if tx.nav_duration_us > 0:
-        self.dcf = mac_wifi.nav_update(self.dcf, tx.nav_duration_us, self.sim.now_us)
-        if self.dcf.phase == DcfPhase.NAV_BLOCKED:
-            self.cancel_countdown()
-            self.sim.schedule_timer(
-                self.node.id, self.dcf.nav_until_us - self.sim.now_us, "nav_expire", 0
-            )
-
-
-_WifiApController.overheard = _ap_overheard
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -827,6 +835,7 @@ class Simulator:
         self.trace_lines: list[str] | None = [] if collect_trace else None
 
         self.nodes: dict[str, Node] = {n.id: n for n in scenario.nodes}
+        self._attached = Counter(n.attach_to for n in scenario.nodes if n.attach_to)
         self._sorted_ids = sorted(self.nodes)
         self._node_index = {nid: i for i, nid in enumerate(self._sorted_ids)}
         self._traffic_rngs: dict = {}
@@ -911,7 +920,7 @@ class Simulator:
         return self._rate_cache[key]
 
     def attached_count(self, base_id: str) -> int:
-        return sum(1 for n in self.scenario.nodes if n.attach_to == base_id)
+        return self._attached.get(base_id, 0)
 
     # -- event plumbing ---------------------------------------------------
 
@@ -932,6 +941,38 @@ class Simulator:
             self.trace_lines.append(
                 f"{self.now_us:.3f},{node},{tech},{record},{detail}"
             )
+
+    def skip_idle_slots(self, node_id: str, slot_us: float, max_slots: int,
+                        nav_until_us: float) -> int:
+        """Consume the idle backoff slots that follow now; returns how many.
+
+        Called by a controller whose slot tick has just decremented its
+        counter to ``max_slots + 1``.  Walks the following slot
+        boundaries by repeated ``+= slot_us`` (the float path ``_push``
+        takes), advancing ``now_us`` and emitting each slot's
+        ``decrement`` record.  It stops before the first boundary at or
+        after the next queued event (equal times go to the queued event,
+        whose sequence number is older), after ``end_us``, inside the
+        NAV, or once ``max_slots`` slots are consumed, so the slot that
+        ends the countdown stays a real tick.  Slot ticks push nothing
+        but the next tick, so every other event keeps its (time, seq)
+        order and outputs do not change.
+        """
+        heap = self._heap
+        t = self.now_us + slot_us
+        if heap and t >= heap[0].time_us:
+            return 0
+        next_us = heap[0].time_us if heap else math.inf
+        end_us = self.end_us
+        tracing = self.trace_lines is not None
+        n = 0
+        while n < max_slots and t < next_us and t <= end_us and t >= nav_until_us:
+            n += 1
+            self.now_us = t
+            if tracing:
+                self.trace(node_id, "decrement", str(max_slots + 1 - n))
+            t += slot_us
+        return n
 
     # -- sensing ------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.mac_lte import (
     DeferWindow,
@@ -7,6 +8,7 @@ from coexsim.mac_lte import (
     LbtState,
     ack_window_check,
     begin_access,
+    idle_slots,
     lbt_step,
 )
 from coexsim.mac_wifi import ProtocolViolation
@@ -171,3 +173,44 @@ class TestStateValidation:
     def test_cw_form(self):
         with pytest.raises(ValueError):
             LbtState(cw=14)
+
+
+# reachable counting states: any cw of the 15..63 ladder, any counter in
+# [1, cw], any threshold and burst length
+@st.composite
+def counting_states(draw):
+    cw = draw(st.sampled_from([15, 31, 63]))
+    return LbtState(
+        phase=draw(st.sampled_from([LbtPhase.DEFER, LbtPhase.BACKOFF])),
+        cw=cw,
+        backoff_counter=draw(st.integers(min_value=1, max_value=cw)),
+        ed_threshold_dbm=draw(st.floats(min_value=-82, max_value=-62)),
+        burst_length_ms=draw(st.sampled_from([2.0, 4.0, 8.0])),
+    )
+
+
+class TestIdleSlots:
+    @given(counting_states(), st.data())
+    @settings(derandomize=True, max_examples=200)
+    def test_equals_repeated_energy_below_slot_steps(self, state, data):
+        n = data.draw(st.integers(min_value=0, max_value=state.backoff_counter - 1))
+        stepped = state
+        for _ in range(n):
+            stepped, actions = lbt_step(stepped, "energy_below_slot", rng())
+            assert actions == []
+        assert idle_slots(state, n) == stepped
+
+    @given(counting_states(), st.integers(min_value=0, max_value=128))
+    @settings(derandomize=True, max_examples=100)
+    def test_reaching_zero_rejected(self, state, extra):
+        with pytest.raises(ValueError):
+            idle_slots(state, state.backoff_counter + extra)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            idle_slots(LbtState(phase=LbtPhase.BACKOFF, backoff_counter=3), -1)
+
+    @pytest.mark.parametrize("phase", [LbtPhase.IDLE, LbtPhase.TX_BURST])
+    def test_illegal_outside_contention(self, phase):
+        with pytest.raises(ProtocolViolation):
+            idle_slots(LbtState(phase=phase, backoff_counter=5), 1)

@@ -9,6 +9,7 @@ from coexsim.mac_wifi import (
     ProtocolViolation,
     ack_schedule,
     dcf_step,
+    idle_slots,
     nav_clear,
     nav_update,
     start_access,
@@ -190,3 +191,49 @@ class TestStateValidation:
     def test_counter_bound_enforced(self):
         with pytest.raises(ValueError):
             DcfState(cw=15, backoff_counter=16)
+
+
+# reachable counting states: any cw of the 2^k - 1 ladder, any counter
+# in [1, cw], any NAV end, retry count and RTS setting
+@st.composite
+def counting_states(draw):
+    cw = draw(st.sampled_from([15, 31, 63, 127, 255, 511, 1023]))
+    return DcfState(
+        phase=draw(st.sampled_from([DcfPhase.DEFER, DcfPhase.BACKOFF])),
+        cw=cw,
+        backoff_counter=draw(st.integers(min_value=1, max_value=cw)),
+        nav_until_us=draw(st.floats(min_value=0, max_value=1e7)),
+        retry_count=draw(st.integers(min_value=0, max_value=7)),
+        use_rts=draw(st.booleans()),
+    )
+
+
+class TestIdleSlots:
+    @given(counting_states(), st.data())
+    @settings(derandomize=True, max_examples=200)
+    def test_equals_repeated_idle_slot_steps(self, state, data):
+        n = data.draw(st.integers(min_value=0, max_value=state.backoff_counter - 1))
+        stepped = state
+        for _ in range(n):
+            stepped, actions = dcf_step(stepped, "medium_idle_slot", MacTiming(), rng())
+            assert actions == []
+        assert idle_slots(state, n) == stepped
+
+    @given(counting_states(), st.integers(min_value=0, max_value=2048))
+    @settings(derandomize=True, max_examples=100)
+    def test_reaching_zero_rejected(self, state, extra):
+        with pytest.raises(ValueError):
+            idle_slots(state, state.backoff_counter + extra)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            idle_slots(DcfState(phase=DcfPhase.BACKOFF, backoff_counter=3), -1)
+
+    @pytest.mark.parametrize("phase", [p for p in DcfPhase
+                                       if p not in (DcfPhase.DEFER, DcfPhase.BACKOFF)])
+    def test_illegal_where_idle_slot_is(self, phase):
+        s = DcfState(phase=phase, backoff_counter=5)
+        with pytest.raises(ProtocolViolation):
+            dcf_step(s, "medium_idle_slot", MacTiming(), rng())
+        with pytest.raises(ProtocolViolation):
+            idle_slots(s, 1)

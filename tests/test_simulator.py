@@ -387,3 +387,86 @@ class TestBeaconSchedule:
         gaps = [b - a for a, b in zip(beacons, beacons[1:])]
         for gap in gaps:
             assert gap == pytest.approx(100_000, rel=0.2)
+
+
+class TestSkipIdleSlots:
+    SLOT = 9.0
+
+    def sim_at(self, now_us=1000.0, end_us=1e6):
+        # a fresh engine with an empty heap, parked at now_us
+        sim = Simulator(wifi_pair_scenario(), collect_trace=True)
+        sim.now_us = now_us
+        sim.end_us = end_us
+        return sim
+
+    def queue(self, sim, delay_us):
+        sim._push(delay_us, "timer", "sta1", ("noop", 0, ()))
+
+    def test_stops_before_queued_event_at_equal_time(self):
+        sim = self.sim_at()
+        self.queue(sim, 5 * self.SLOT)  # exactly on the fifth boundary
+        assert sim.skip_idle_slots("ap1", self.SLOT, 100, 0.0) == 4
+        assert sim.now_us == 1036.0
+
+    def test_slot_before_queued_event_is_consumed(self):
+        sim = self.sim_at()
+        self.queue(sim, 5 * self.SLOT + 1.0)
+        assert sim.skip_idle_slots("ap1", self.SLOT, 100, 0.0) == 5
+        assert sim.now_us == 1045.0
+
+    def test_zero_when_heap_top_within_one_slot(self):
+        for delay in (1.0, self.SLOT):
+            sim = self.sim_at()
+            self.queue(sim, delay)
+            assert sim.skip_idle_slots("ap1", self.SLOT, 100, 0.0) == 0
+            assert sim.now_us == 1000.0
+            assert sim.trace_lines == []
+
+    def test_never_passes_end(self):
+        for end_us, want in ((1036.0, 4), (1035.9, 3), (1005.0, 0)):
+            sim = self.sim_at(end_us=end_us)
+            assert sim.skip_idle_slots("ap1", self.SLOT, 100, 0.0) == want
+            assert sim.now_us <= end_us
+
+    def test_stops_inside_nav(self):
+        sim = self.sim_at()
+        assert sim.skip_idle_slots("ap1", self.SLOT, 100, 1009.5) == 0
+        sim = self.sim_at()
+        assert sim.skip_idle_slots("ap1", self.SLOT, 100, 1009.0) == 100
+
+    def test_bounded_by_counter_and_traces_each_slot(self):
+        sim = self.sim_at()
+        assert sim.skip_idle_slots("ap1", self.SLOT, 3, 0.0) == 3
+        assert sim.trace_lines == [
+            "1009.000,ap1,wifi,decrement,3",
+            "1018.000,ap1,wifi,decrement,2",
+            "1027.000,ap1,wifi,decrement,1",
+        ]
+        assert sim._heap == [] and sim._seq == 0
+
+    def test_float_path_matches_repeated_push(self):
+        # boundaries come from repeated addition, as chained _push calls do
+        sim = self.sim_at(now_us=0.1)
+        n = sim.skip_idle_slots("ap1", 0.7, 50, 0.0)
+        t = 0.1
+        for _ in range(n):
+            t += 0.7
+        assert n == 50 and sim.now_us == t
+
+
+def run_with_trace(scenario):
+    sim = Simulator(scenario, collect_trace=True)
+    return dataclasses.asdict(sim.run()), sim.trace_lines
+
+
+@pytest.mark.parametrize("make", [
+    lambda: two_bss_scenario(duration_s=0.1),
+    lambda: build_scenario(apply_overrides(load_config("figure4_coexistence"), [
+        "traffic.model=full_buffer", "simulate.duration_s=0.4", "simulate.adaptive_ed=true",
+    ])),
+])
+def test_slot_skipping_changes_no_output(make, monkeypatch):
+    # the same run with one heap event per slot, as before skipping existed
+    skipped = run_with_trace(make())
+    monkeypatch.setattr(Simulator, "skip_idle_slots", lambda self, *args: 0)
+    assert run_with_trace(make()) == skipped
