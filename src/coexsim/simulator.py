@@ -959,14 +959,11 @@ class Simulator:
         order and outputs do not change.
         """
         heap = self._heap
-        t = self.now_us + slot_us
-        if heap and t >= heap[0].time_us:
-            return 0
         next_us = heap[0].time_us if heap else math.inf
-        end_us = self.end_us
         tracing = self.trace_lines is not None
+        t = self.now_us + slot_us
         n = 0
-        while n < max_slots and t < next_us and t <= end_us and t >= nav_until_us:
+        while n < max_slots and t < next_us and t <= self.end_us and t >= nav_until_us:
             n += 1
             self.now_us = t
             if tracing:
