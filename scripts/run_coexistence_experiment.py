@@ -2,29 +2,19 @@
 """Adaptive-threshold coexistence experiment.
 
 Runs the hidden-base scenario over a seed sweep with adaptation off and
-on, prints the pooled median downlink file throughput per technology,
-and writes the per-run CSV under ./results/.
+on as one ``coexsim simulate --compare-adaptive`` batch, writes the
+per-run CSV under ./results/, and prints the pooled median downlink
+file throughput per technology from the CSV's pooled rows.
 
     python scripts/run_coexistence_experiment.py [--runs 10] [--seed 1]
 """
 
 import argparse
+import csv
 from pathlib import Path
 
-from coexsim.config import build_scenario, load_config
-from coexsim.simulator import Simulator, jain_index, summarize
-
-
-def pooled_medians(seeds, adaptive):
-    wifi, lte = [], []
-    for seed in seeds:
-        cfg = load_config("figure4_coexistence")
-        cfg["seed"] = seed
-        cfg["simulate"]["adaptive_ed"] = adaptive
-        metrics = Simulator(build_scenario(cfg)).run()
-        wifi += metrics.file_throughputs_mbps.get("sta1", [])
-        lte += metrics.file_throughputs_mbps.get("ue1", [])
-    return summarize(wifi), summarize(lte), len(wifi), len(lte)
+from coexsim.cli import main as cli_main
+from coexsim.simulator import jain_index
 
 
 def main() -> None:
@@ -34,9 +24,28 @@ def main() -> None:
     parser.add_argument("--outdir", default="results")
     args = parser.parse_args()
 
-    seeds = [args.seed + i for i in range(args.runs)]
-    wifi_off, lte_off, n_wo, n_lo = pooled_medians(seeds, False)
-    wifi_on, lte_on, n_wn, n_ln = pooled_medians(seeds, True)
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    out = outdir / "coexistence_comparison.csv"
+    rc = cli_main([
+        "simulate", "--config", "figure4_coexistence",
+        "--seed", str(args.seed), "--runs", str(args.runs),
+        "--compare-adaptive", "--out", str(out),
+    ])
+    if rc != 0:
+        raise SystemExit(rc)
+    with open(out, newline="", encoding="utf-8") as fh:
+        pooled = {(row["adaptive"], row["node"]): row
+                  for row in csv.DictReader(fh) if row["seed"] == "pooled"}
+
+    def median(adaptive, node):
+        row = pooled[(adaptive, node)]
+        return float(row["median_mbps"]), int(row["files"])
+
+    wifi_off, n_wo = median("false", "sta1")
+    lte_off, n_lo = median("false", "ue1")
+    wifi_on, n_wn = median("true", "sta1")
+    lte_on, n_ln = median("true", "ue1")
 
     print(f"adaptive off: wifi median {wifi_off:5.1f} Mbps ({n_wo} files), "
           f"lte median {lte_off:5.1f} Mbps ({n_lo} files)")
@@ -47,18 +56,6 @@ def main() -> None:
           f"sum {wifi_off + lte_off:.1f} -> {wifi_on + lte_on:.1f} Mbps, "
           f"fairness {jain_index([wifi_off, lte_off]):.3f} -> "
           f"{jain_index([wifi_on, lte_on]):.3f}")
-
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    from coexsim.cli import main as cli_main
-    out = outdir / "coexistence_comparison.csv"
-    rc = cli_main([
-        "simulate", "--config", "figure4_coexistence",
-        "--seed", str(args.seed), "--runs", str(args.runs),
-        "--compare-adaptive", "--out", str(out),
-    ])
-    if rc != 0:
-        raise SystemExit(rc)
     print(f"wrote {out}")
 
 

@@ -317,30 +317,23 @@ def _pooled_rows(rows, raw):
     return pooled
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, pooled: bool = True) -> int:
     cfg = load_with_overrides(args)
     base_seed = int(cfg.get("seed", 1))
     seeds = [base_seed + i for i in range(args.runs)]
     base_adaptive = bool((cfg.get("simulate") or {}).get("adaptive_ed", False))
     adaptive_values = [False, True] if args.compare_adaptive else [base_adaptive]
     rows, raw = _run_batch(cfg, seeds, adaptive_values, trace_path=args.trace)
-    if args.runs > 1 or args.compare_adaptive:
+    if pooled and (args.runs > 1 or args.compare_adaptive):
         rows = rows + _pooled_rows(rows, raw)
     write_rows(args.out, SIM_HEADER, rows)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    # one row per (seed, node); rows are sorted by seed so any parallel
-    # execution strategy would emit identical bytes
-    cfg = load_with_overrides(args)
-    base_seed = int(cfg.get("seed", 1))
-    seeds = [base_seed + i for i in range(args.runs)]
-    adaptive = bool((cfg.get("simulate") or {}).get("adaptive_ed", False))
-    rows, _ = _run_batch(cfg, seeds, [adaptive])
-    rows.sort(key=lambda r: (r[0], r[2]))
-    write_rows(args.out, SIM_HEADER, rows)
-    return EXIT_OK
+    """``simulate --runs N`` without the pooled rows: one row per (seed, node)."""
+    args.compare_adaptive, args.trace = False, None
+    return cmd_simulate(args, pooled=False)
 
 
 # -- argument parsing -------------------------------------------------------------------

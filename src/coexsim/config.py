@@ -12,6 +12,7 @@ import dataclasses
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .coordination import AdaptiveEdConfig, ChannelSelectConfig
@@ -26,6 +27,7 @@ from .simulator import (
     Scenario,
     TrafficConfig,
     WifiMacConfig,
+    generate_topology,
 )
 
 PRESET_NAMES = ("table1_inh", "table1_diffusion", "figure3_collision",
@@ -183,16 +185,15 @@ def build_scenario(cfg: dict) -> Scenario:
         relay=_build(RelayConfig, cfg.get("relay"), "relay"),
         link_gains=_build_links(cfg.get("links")),
     )
-    if cfg.get("clients"):
-        import numpy as np
-
-        from .simulator import generate_topology
-
-        scenario = generate_topology(
-            scenario, build_clients(cfg),
-            np.random.default_rng([scenario.seed, 42]),
-        )
-    scenario.validate()
+    clients = build_clients(cfg) if cfg.get("clients") else None
+    try:
+        if clients is not None:
+            scenario = generate_topology(
+                scenario, clients, np.random.default_rng([scenario.seed, 42]),
+            )
+        scenario.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return scenario
 
 

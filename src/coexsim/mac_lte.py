@@ -34,19 +34,6 @@ LBT_EVENTS = (
 
 
 @dataclass(frozen=True)
-class DeferWindow:
-    """Idle time the base must observe before counting backoff slots."""
-
-    duration_us: float = 25.0
-    sifs_us: float = 16.0
-    slot_us: float = 9.0
-
-    def __post_init__(self) -> None:
-        if self.duration_us < self.sifs_us + self.slot_us:
-            raise ValueError("defer duration must be at least one SIFS + one slot")
-
-
-@dataclass(frozen=True)
 class LbtState:
     phase: LbtPhase = LbtPhase.IDLE
     cw: int = 15
@@ -146,26 +133,3 @@ def idle_slots(state: LbtState, n: int) -> LbtState:
     if n == 0:
         return state
     return replace(state, phase=LbtPhase.BACKOFF, backoff_counter=state.backoff_counter - n)
-
-
-def ack_window_check(
-    data_end_us: float,
-    rssi_of_ack_at_enb_dbm: float | None,
-    ed_threshold_dbm: float,
-    defer: DeferWindow,
-) -> str:
-    """Decide the base's move in the post-data ACK window.
-
-    After a sensed transmission ends the base holds for SIFS + slot.  If
-    the responding ACK arrives above the ED threshold inside that window
-    the base defers for the ACK duration; otherwise it proceeds to
-    transmit, colliding with any sub-threshold ACK still in flight.
-    Returns ``"defer"`` or ``"transmit"``.
-    """
-    if data_end_us < 0 or defer.duration_us <= 0:
-        raise ValueError("invalid timing")
-    if rssi_of_ack_at_enb_dbm is None:
-        return "transmit"
-    if rssi_of_ack_at_enb_dbm >= ed_threshold_dbm:
-        return "defer"
-    return "transmit"

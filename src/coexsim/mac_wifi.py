@@ -204,11 +204,3 @@ def nav_clear(state: DcfState, now_us: float) -> DcfState:
     if state.phase == DcfPhase.NAV_BLOCKED and now_us >= state.nav_until_us:
         return replace(state, phase=DcfPhase.DEFER)
     return state
-
-
-def ack_schedule(data_end_us: float, timing: MacTiming) -> tuple[float, float]:
-    """Start and end times of the ACK that follows a data frame."""
-    if data_end_us < 0:
-        raise ValueError("data_end must be >= 0")
-    start = data_end_us + timing.sifs_us
-    return start, start + timing.ack_duration_us

@@ -27,6 +27,7 @@ import heapq
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -192,9 +193,21 @@ class Scenario:
         for node in self.nodes:
             if not self.building.contains(node.position):
                 raise ValueError(f"node {node.id} lies outside the building")
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        by_id = {n.id: n for n in self.nodes}
+        if len(by_id) != len(self.nodes):
             raise ValueError("node ids must be unique")
+        for node in self.nodes:
+            if node.attach_to is None:
+                continue
+            base = by_id.get(node.attach_to)
+            if (node.is_base or base is None or not base.is_base
+                    or base.technology != node.technology):
+                raise ValueError(f"{node.kind} {node.id} cannot attach to "
+                                 f"{node.attach_to!r}: clients attach to an existing "
+                                 f"{node.technology} base")
+        if self.lte_mac.defer_us < self.wifi_mac.timing.sifs_us + self.lte_mac.slot_us:
+            raise ValueError("lte_mac.defer_us must be at least wifi_mac.sifs_us "
+                             "+ lte_mac.slot_us")
 
 
 @dataclass
@@ -210,16 +223,18 @@ class Metrics:
     final_ed_thresholds: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """A queued call of ``handler(*args)`` at ``time_us``.
+
+    The heap orders events as tuples.  ``seq`` is unique, so the order is
+    (time, push order) and ``kind`` and ``handler`` are never compared.
+    """
+
     time_us: float
     seq: int
-    kind: str  # tx_start | tx_end | slot_tick | timer | file_arrival | adapt_tick
-    node: str
-    payload: tuple = ()
-
-    def __lt__(self, other: "SimEvent") -> bool:
-        return (self.time_us, self.seq) < (other.time_us, other.seq)
+    kind: str  # tx_end | slot_tick | timer | file_arrival | adapt_tick
+    handler: Callable[..., None]
+    args: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +374,51 @@ class FileJob:
     complete_us: float | None = None
 
 
-class _BaseQueues:
-    """Per-base downlink file queues."""
+# ---------------------------------------------------------------------------
+# MAC controllers
+# ---------------------------------------------------------------------------
 
-    def __init__(self) -> None:
+class _Controller:
+    """One node's MAC; the defaults ignore every call the engine makes."""
+
+    def __init__(self, sim: "Simulator", node: Node):
+        self.sim = sim
+        self.node = node
+        self.cfg = sim.scenario.wifi_mac if node.technology == "wifi" else sim.scenario.lte_mac
+        threshold = node.ed_threshold_dbm
+        self.ed_threshold_dbm = self.cfg.ed_threshold_dbm if threshold is None else threshold
+
+    def blocked(self) -> bool:
+        return self.sim.busy_cache[self.node.id]
+
+    def on_medium(self, busy: bool) -> None:
+        pass
+
+    def maybe_start(self) -> None:
+        pass
+
+    def handle_own_tx_end(self, tx: Transmission) -> None:
+        pass
+
+    def handle_rx(self, tx: Transmission, success: bool) -> None:
+        pass
+
+    def overheard(self, tx: Transmission) -> None:
+        pass
+
+
+class _BaseController(_Controller):
+    """A base: its downlink file queue and the cell it announces."""
+
+    node_type: NodeType
+    mac_spec: MacSpec
+
+    def __init__(self, sim: "Simulator", node: Node):
+        super().__init__(sim, node)
+        self.rng = sim.node_rng(node.id)
         self.files: deque[FileJob] = deque()
+        self.gen = 0          # invalidates stale contention timers
+        self.busy_us = 0.0    # own airtime in current beacon interval
 
     def head(self) -> FileJob | None:
         return self.files[0] if self.files else None
@@ -372,41 +427,53 @@ class _BaseQueues:
         while self.files and self.files[0].done_bits >= self.files[0].size_bits:
             self.files.popleft()
 
-# ---------------------------------------------------------------------------
-# MAC controllers
-# ---------------------------------------------------------------------------
+    def has_traffic(self) -> bool:
+        self.pop_if_done()
+        return bool(self.files)
 
-class _WifiApController:
+    def handle_own_tx_end(self, tx: Transmission) -> None:
+        self.busy_us += tx.end_us - tx.start_us
+
+    def make_cell_info(self) -> CellInfo:
+        interval_us = self.sim.scenario.wifi_mac.timing.beacon_interval_ms * 1000.0
+        util = min(1.0, self.busy_us / interval_us)
+        self.busy_us = 0.0
+        return CellInfo(
+            operator_cell_id=self.node.id,
+            channel=self.node.channel,
+            station_count=self.sim.attached_count(self.node.id),
+            channel_utilization=util,
+            node_type=self.node_type,
+            mac_spec=self.mac_spec,
+            tx_power_offset_db=0,
+        )
+
+
+class _WifiApController(_BaseController):
     """Drives the DCF machine for one AP's downlink queue plus beacons."""
 
+    node_type = NodeType.WIFI
+    mac_spec = MacSpec.DCF
+
     def __init__(self, sim: "Simulator", node: Node):
-        self.sim = sim
-        self.node = node
-        cfg = sim.scenario.wifi_mac
-        self.cfg = cfg
+        super().__init__(sim, node)
+        cfg = self.cfg
         self.timing = cfg.timing
-        threshold = node.ed_threshold_dbm
-        self.ed_threshold_dbm = cfg.ed_threshold_dbm if threshold is None else threshold
         self.dcf = DcfState(
             cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max,
             retry_limit=cfg.retry_limit, use_rts=cfg.rts_cts,
         )
-        self.rng = sim.node_rng(node.id)
-        self.queues = _BaseQueues()
-        self.gen = 0          # invalidates stale difs/slot timers
         self.resp_gen = 0     # invalidates stale ack/cts timeouts
         self.beacon_pending = False
         self.in_exchange = False  # RTS..ACK chain in flight
-        self.busy_us = 0.0        # own airtime in current beacon interval
+
+    def blocked(self) -> bool:
+        return super().blocked() or self.dcf.nav_until_us > self.sim.now_us
 
     # -- queue / access management ------------------------------------
 
-    def has_traffic(self) -> bool:
-        self.queues.pop_if_done()
-        return bool(self.queues.files)
-
     def next_chunk_bits(self) -> float:
-        job = self.queues.head()
+        job = self.head()
         remaining = job.size_bits - job.done_bits
         return min(self.cfg.frame_payload_bytes * 8.0, remaining)
 
@@ -418,14 +485,12 @@ class _WifiApController:
             self.sim.trace(self.node.id, "phase", "defer")
         contending = self.dcf.phase in (DcfPhase.DEFER, DcfPhase.BACKOFF)
         if contending or self.beacon_pending:
-            if not self.sim.node_blocked(self.node.id):
+            if not self.blocked():
                 self.arm_difs()
 
     def arm_difs(self) -> None:
         self.gen += 1
-        self.sim.schedule_timer(
-            self.node.id, self.timing.difs_us, "difs_done", self.gen
-        )
+        self.sim._push(self.timing.difs_us, "timer", self.on_difs, self.gen)
 
     def cancel_countdown(self) -> None:
         self.gen += 1
@@ -447,51 +512,48 @@ class _WifiApController:
 
     # -- timers ----------------------------------------------------------
 
-    def handle_timer(self, purpose: str, gen: int, payload: tuple) -> None:
-        if purpose in ("difs_done", "slot"):
-            if gen != self.gen or self.sim.node_blocked(self.node.id):
-                return
-            if purpose == "difs_done" and self.beacon_pending:
-                self.start_beacon()
-                return
-            if self.dcf.phase not in (DcfPhase.DEFER, DcfPhase.BACKOFF):
-                return
-            if purpose == "difs_done":
-                self.sim.schedule_timer(self.node.id, self.timing.slot_us, "slot", self.gen)
-                return
-            self.dcf, actions = mac_wifi.dcf_step(
-                self.dcf, "medium_idle_slot", self.timing, self.rng
-            )
-            if "tx_data" in actions:
-                self.start_data()
-            elif "tx_rts" in actions:
-                self.start_rts()
-            else:
-                counter = self.dcf.backoff_counter
-                self.sim.trace(self.node.id, "decrement", str(counter))
-                skipped = self.sim.skip_idle_slots(
-                    self.node.id, self.timing.slot_us, counter - 1, self.dcf.nav_until_us
-                )
-                if skipped:
-                    self.dcf = mac_wifi.idle_slots(self.dcf, skipped)
-                self.sim.schedule_timer(self.node.id, self.timing.slot_us, "slot", self.gen)
-        elif purpose == "ack_timeout":
-            if gen != self.resp_gen:
-                return
-            self.in_exchange = False
-            self.fail_exchange("ack_timeout")
-        elif purpose == "cts_timeout":
-            if gen != self.resp_gen:
-                return
-            self.in_exchange = False
-            self.fail_exchange("rts_cts_fail")
-        elif purpose == "nav_expire":
-            self.dcf = mac_wifi.nav_clear(self.dcf, self.sim.now_us)
-            self.maybe_start()
-        elif purpose == "send_data_after_cts":
-            self.transmit_data_frame()
+    def on_beacon_due(self) -> None:
+        self.beacon_pending = True
+        interval_us = self.timing.beacon_interval_ms * 1000.0
+        if self.sim.now_us + interval_us <= self.sim.end_us:
+            self.sim._push(interval_us, "timer", self.on_beacon_due)
+        self.maybe_start()
 
-    def fail_exchange(self, event: str) -> None:
+    def on_difs(self, gen: int) -> None:
+        if gen != self.gen or self.blocked():
+            return
+        if self.beacon_pending:
+            self.start_beacon()
+        elif self.dcf.phase in (DcfPhase.DEFER, DcfPhase.BACKOFF):
+            self.sim._push(self.timing.slot_us, "slot_tick", self.on_slot, self.gen)
+
+    def on_slot(self, gen: int) -> None:
+        if gen != self.gen or self.blocked():
+            return
+        if self.dcf.phase not in (DcfPhase.DEFER, DcfPhase.BACKOFF):
+            return
+        self.dcf, actions = mac_wifi.dcf_step(
+            self.dcf, "medium_idle_slot", self.timing, self.rng
+        )
+        if "tx_data" in actions:
+            self.start_data()
+        elif "tx_rts" in actions:
+            self.start_rts()
+        else:
+            counter = self.dcf.backoff_counter
+            self.sim.trace(self.node.id, "decrement", str(counter))
+            skipped = self.sim.skip_idle_slots(
+                self.node.id, self.timing.slot_us, counter - 1, self.dcf.nav_until_us
+            )
+            if skipped:
+                self.dcf = mac_wifi.idle_slots(self.dcf, skipped)
+            self.sim._push(self.timing.slot_us, "slot_tick", self.on_slot, self.gen)
+
+    def on_response_timeout(self, gen: int, event: str) -> None:
+        """No CTS (``rts_cts_fail``) or ACK (``ack_timeout``) came back."""
+        if gen != self.resp_gen:
+            return
+        self.in_exchange = False
         self.sim.metrics.retransmissions += 1
         self.dcf, actions = mac_wifi.dcf_step(self.dcf, event, self.timing, self.rng)
         if "drop_frame" in actions:
@@ -499,10 +561,14 @@ class _WifiApController:
             # head chunk stays owed; a fresh access attempt follows
         self.maybe_start()
 
+    def on_nav_expire(self) -> None:
+        self.dcf = mac_wifi.nav_clear(self.dcf, self.sim.now_us)
+        self.maybe_start()
+
     # -- transmissions -----------------------------------------------------
 
     def current_frame_key(self) -> tuple:
-        job = self.queues.head()
+        job = self.head()
         return (job.file_id, job.done_bits)
 
     def start_beacon(self) -> None:
@@ -520,7 +586,7 @@ class _WifiApController:
         self.cancel_countdown()
         self.in_exchange = True
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
-        job = self.queues.head()
+        job = self.head()
         data_us = self.data_duration_us()
         t = self.timing
         nav = (t.sifs_us + self.cfg.cts_duration_us + t.sifs_us + data_us
@@ -540,11 +606,11 @@ class _WifiApController:
 
     def data_duration_us(self) -> float:
         bits = self.next_chunk_bits()
-        rate = self.sim.link_rate(self.node.id, self.queues.head().client)
+        rate = self.sim.link_rate(self.node.id, self.head().client)
         return bits / rate + self.cfg.preamble_us
 
     def transmit_data_frame(self) -> None:
-        job = self.queues.head()
+        job = self.head()
         bits = self.next_chunk_bits()
         rate = self.sim.link_rate(self.node.id, job.client)
         duration = bits / rate + self.cfg.preamble_us
@@ -558,32 +624,31 @@ class _WifiApController:
         )
 
     def handle_own_tx_end(self, tx: Transmission) -> None:
-        self.busy_us += tx.end_us - tx.start_us
+        super().handle_own_tx_end(tx)
         if tx.kind == "beacon":
             self.maybe_start()
             return
+        t = self.timing
         if tx.kind == "rts":
             # await the CTS
             self.resp_gen += 1
-            t = self.timing
             wait = t.sifs_us + self.cfg.cts_duration_us + t.slot_us
-            self.sim.schedule_timer(self.node.id, wait, "cts_timeout", self.resp_gen)
+            self.sim._push(wait, "timer", self.on_response_timeout,
+                           self.resp_gen, "rts_cts_fail")
             return
         if tx.kind == "data":
             self.dcf, _ = mac_wifi.dcf_step(self.dcf, "tx_done", self.timing, self.rng)
             self.resp_gen += 1
-            t = self.timing
             wait = t.sifs_us + t.ack_duration_us + t.slot_us
-            self.sim.schedule_timer(self.node.id, wait, "ack_timeout", self.resp_gen)
+            self.sim._push(wait, "timer", self.on_response_timeout,
+                           self.resp_gen, "ack_timeout")
 
     def handle_rx(self, tx: Transmission, success: bool) -> None:
         if not success:
             return  # timeouts recover the exchange
         if tx.kind == "cts" and self.in_exchange:
             self.resp_gen += 1
-            self.sim.schedule_timer(
-                self.node.id, self.timing.sifs_us, "send_data_after_cts", self.resp_gen
-            )
+            self.sim._push(self.timing.sifs_us, "timer", self.transmit_data_frame)
         elif tx.kind == "ack" and self.in_exchange:
             self.resp_gen += 1
             self.in_exchange = False
@@ -597,63 +662,34 @@ class _WifiApController:
             self.dcf = mac_wifi.nav_update(self.dcf, tx.nav_duration_us, self.sim.now_us)
             if self.dcf.phase == DcfPhase.NAV_BLOCKED:
                 self.cancel_countdown()
-                self.sim.schedule_timer(
-                    self.node.id, self.dcf.nav_until_us - self.sim.now_us, "nav_expire", 0
-                )
-
-    def make_cell_info(self) -> CellInfo:
-        interval_us = self.timing.beacon_interval_ms * 1000.0
-        util = min(1.0, self.busy_us / interval_us)
-        self.busy_us = 0.0
-        return CellInfo(
-            operator_cell_id=self.node.id,
-            channel=self.node.channel,
-            station_count=self.sim.attached_count(self.node.id),
-            channel_utilization=util,
-            node_type=NodeType.WIFI,
-            mac_spec=MacSpec.DCF,
-            tx_power_offset_db=0,
-        )
+                self.sim._push(self.dcf.nav_until_us - self.sim.now_us, "timer",
+                               self.on_nav_expire)
 
 
-class _WifiStaController:
+class _WifiStaController(_Controller):
     """Responds with CTS/ACK and tracks the NAV."""
 
     def __init__(self, sim: "Simulator", node: Node):
-        self.sim = sim
-        self.node = node
-        self.cfg = sim.scenario.wifi_mac
+        super().__init__(sim, node)
         self.timing = self.cfg.timing
         self.dcf = DcfState(cw=self.cfg.cw_min, cw_min=self.cfg.cw_min,
                             cw_max=self.cfg.cw_max)
-        self.seen_frames: set = set()
 
-    def on_medium(self, busy: bool) -> None:
-        pass
+    def send_cts(self, dst: str, nav: float) -> None:
+        self.sim.start_transmission(
+            src=self.node.id, dst=dst, kind="cts",
+            duration_us=self.cfg.cts_duration_us, rate_mbps=0.0,
+            req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=0.0,
+            nav_duration_us=nav,
+        )
 
-    def maybe_start(self) -> None:
-        pass
-
-    def handle_timer(self, purpose: str, gen: int, payload: tuple) -> None:
-        if purpose == "send_cts":
-            dst, nav = payload
-            self.sim.start_transmission(
-                src=self.node.id, dst=dst, kind="cts",
-                duration_us=self.cfg.cts_duration_us, rate_mbps=0.0,
-                req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=0.0,
-                nav_duration_us=nav,
-            )
-        elif purpose == "send_ack":
-            dst, frame_key, bits = payload
-            self.sim.start_transmission(
-                src=self.node.id, dst=dst, kind="ack",
-                duration_us=self.timing.ack_duration_us, rate_mbps=0.0,
-                req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=bits,
-                frame_key=frame_key,
-            )
-
-    def handle_own_tx_end(self, tx: Transmission) -> None:
-        pass
+    def send_ack(self, dst: str, frame_key: tuple | None, bits: float) -> None:
+        self.sim.start_transmission(
+            src=self.node.id, dst=dst, kind="ack",
+            duration_us=self.timing.ack_duration_us, rate_mbps=0.0,
+            req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=bits,
+            frame_key=frame_key,
+        )
 
     def handle_rx(self, tx: Transmission, success: bool) -> None:
         if not success:
@@ -661,14 +697,10 @@ class _WifiStaController:
         if tx.kind == "rts":
             t = self.timing
             nav = tx.nav_duration_us - t.sifs_us - self.cfg.cts_duration_us
-            self.sim.schedule_timer(
-                self.node.id, t.sifs_us, "send_cts", 0, (tx.src, max(nav, 0.0))
-            )
+            self.sim._push(t.sifs_us, "timer", self.send_cts, tx.src, max(nav, 0.0))
         elif tx.kind == "data":
-            self.sim.schedule_timer(
-                self.node.id, self.timing.sifs_us, "send_ack", 0,
-                (tx.src, tx.frame_key, tx.bits),
-            )
+            self.sim._push(self.timing.sifs_us, "timer", self.send_ack,
+                           tx.src, tx.frame_key, tx.bits)
 
     def overheard(self, tx: Transmission) -> None:
         # frames addressed elsewhere set the NAV
@@ -677,41 +709,32 @@ class _WifiStaController:
             self.sim.trace(self.node.id, "nav", f"{self.dcf.nav_until_us:.1f}")
 
 
-class _LteEnbController:
+class _LteEnbController(_BaseController):
     """Cat-4 LBT contention plus fixed-length downlink bursts."""
 
+    node_type = NodeType.REL13_LAA
+    mac_spec = MacSpec.LBT_CAT4
+
     def __init__(self, sim: "Simulator", node: Node):
-        self.sim = sim
-        self.node = node
-        cfg = sim.scenario.lte_mac
-        self.cfg = cfg
-        threshold = node.ed_threshold_dbm
-        self.ed_threshold_dbm = cfg.ed_threshold_dbm if threshold is None else threshold
+        super().__init__(sim, node)
+        cfg = self.cfg
         self.lbt = LbtState(
             cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max,
             ed_threshold_dbm=self.ed_threshold_dbm,
             burst_length_ms=cfg.burst_ms, max_burst_ms=cfg.max_burst_ms,
         )
-        self.rng = sim.node_rng(node.id)
-        self.queues = _BaseQueues()
-        self.gen = 0
-        self.busy_us = 0.0
-
-    def has_traffic(self) -> bool:
-        self.queues.pop_if_done()
-        return bool(self.queues.files)
 
     def maybe_start(self) -> None:
         if self.lbt.phase == LbtPhase.IDLE and self.has_traffic():
             self.lbt = mac_lte.begin_access(self.lbt, self.rng)
             self.sim.trace(self.node.id, "phase", "defer")
         if self.lbt.phase in (LbtPhase.DEFER, LbtPhase.BACKOFF):
-            if not self.sim.node_blocked(self.node.id):
+            if not self.blocked():
                 self.arm_defer()
 
     def arm_defer(self) -> None:
         self.gen += 1
-        self.sim.schedule_timer(self.node.id, self.cfg.defer_us, "defer_done", self.gen)
+        self.sim._push(self.cfg.defer_us, "timer", self.on_idle_slot, self.gen)
 
     def on_medium(self, busy: bool) -> None:
         if busy:
@@ -722,10 +745,9 @@ class _LteEnbController:
             if self.lbt.phase in (LbtPhase.DEFER, LbtPhase.BACKOFF) or self.has_traffic():
                 self.maybe_start()
 
-    def handle_timer(self, purpose: str, gen: int, payload: tuple) -> None:
-        if purpose not in ("defer_done", "slot"):
-            return
-        if gen != self.gen or self.sim.node_blocked(self.node.id):
+    def on_idle_slot(self, gen: int) -> None:
+        """The defer period or one backoff slot has passed with the medium idle."""
+        if gen != self.gen or self.blocked():
             return
         if self.lbt.phase not in (LbtPhase.DEFER, LbtPhase.BACKOFF):
             return
@@ -740,12 +762,12 @@ class _LteEnbController:
             )
             if skipped:
                 self.lbt = mac_lte.idle_slots(self.lbt, skipped)
-            self.sim.schedule_timer(self.node.id, self.cfg.slot_us, "slot", self.gen)
+            self.sim._push(self.cfg.slot_us, "slot_tick", self.on_idle_slot, self.gen)
 
     def start_burst(self) -> None:
         self.gen += 1
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
-        job = self.queues.head()
+        job = self.head()
         rate = self.sim.link_rate(self.node.id, job.client)
         remaining = job.size_bits - job.done_bits
         max_bits = rate * self.cfg.burst_ms * 1000.0
@@ -758,12 +780,6 @@ class _LteEnbController:
             bits=bits, frame_key=(job.file_id, job.done_bits),
         )
 
-    def handle_own_tx_end(self, tx: Transmission) -> None:
-        self.busy_us += tx.end_us - tx.start_us
-
-    def handle_rx(self, tx: Transmission, success: bool) -> None:
-        pass
-
     def burst_feedback(self, tx: Transmission, success: bool) -> None:
         # HARQ-style outcome known at burst end
         if success:
@@ -775,43 +791,21 @@ class _LteEnbController:
             self.sim.trace(self.node.id, "action", "burst_retx")
         self.maybe_start()
 
-    def make_cell_info(self) -> CellInfo:
-        interval_us = self.sim.scenario.wifi_mac.timing.beacon_interval_ms * 1000.0
-        util = min(1.0, self.busy_us / interval_us)
-        self.busy_us = 0.0
-        return CellInfo(
-            operator_cell_id=self.node.id,
-            channel=self.node.channel,
-            station_count=self.sim.attached_count(self.node.id),
-            channel_utilization=util,
-            node_type=NodeType.REL13_LAA,
-            mac_spec=MacSpec.LBT_CAT4,
-            tx_power_offset_db=0,
-        )
 
-
-class _LteUeController:
+class _LteUeController(_Controller):
     """Pure receiver; HARQ feedback is delivered out of band."""
-
-    def __init__(self, sim: "Simulator", node: Node):
-        self.sim = sim
-        self.node = node
-
-    def on_medium(self, busy: bool) -> None:
-        pass
-
-    def maybe_start(self) -> None:
-        pass
-
-    def handle_timer(self, purpose: str, gen: int, payload: tuple) -> None:
-        pass
-
-    def handle_own_tx_end(self, tx: Transmission) -> None:
-        pass
 
     def handle_rx(self, tx: Transmission, success: bool) -> None:
         if tx.kind == "burst":
             self.sim.controllers[tx.src].burst_feedback(tx, success)
+
+
+_CONTROLLERS = {
+    "wifi_ap": _WifiApController,
+    "wifi_sta": _WifiStaController,
+    "lte_enb": _LteEnbController,
+    "lte_ue": _LteUeController,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -844,16 +838,9 @@ class Simulator:
         self.gains = self._build_gain_matrix()
         self._rate_cache: dict[tuple, tuple] = {}
 
-        self.controllers: dict[str, object] = {}
-        for node in scenario.nodes:
-            if node.kind == "wifi_ap":
-                self.controllers[node.id] = _WifiApController(self, node)
-            elif node.kind == "wifi_sta":
-                self.controllers[node.id] = _WifiStaController(self, node)
-            elif node.kind == "lte_enb":
-                self.controllers[node.id] = _LteEnbController(self, node)
-            else:
-                self.controllers[node.id] = _LteUeController(self, node)
+        self.controllers: dict[str, _Controller] = {
+            node.id: _CONTROLLERS[node.kind](self, node) for node in scenario.nodes
+        }
 
         self.active: dict[int, Transmission] = {}
         self.busy_cache: dict[str, bool] = {nid: False for nid in self._sorted_ids}
@@ -924,16 +911,13 @@ class Simulator:
 
     # -- event plumbing ---------------------------------------------------
 
-    def _push(self, delay_us: float, kind: str, node: str, payload: tuple = ()) -> None:
+    def _push(self, delay_us: float, kind: str, handler: Callable[..., None],
+              *args) -> None:
+        """Queue ``handler(*args)`` to run ``delay_us`` from now."""
         self._seq += 1
         heapq.heappush(
-            self._heap, SimEvent(self.now_us + delay_us, self._seq, kind, node, payload)
+            self._heap, SimEvent(self.now_us + delay_us, self._seq, kind, handler, args)
         )
-
-    def schedule_timer(self, node: str, delay_us: float, purpose: str, gen: int,
-                       payload: tuple = ()) -> None:
-        kind = "slot_tick" if purpose in ("slot",) else "timer"
-        self._push(delay_us, kind, node, (purpose, gen, payload))
 
     def trace(self, node: str, record: str, detail: str) -> None:
         if self.trace_lines is not None:
@@ -985,31 +969,13 @@ class Simulator:
             total += _lin(self.mean_rssi(tx.src, node_id))
         return _dbm(total)
 
-    def _threshold_of(self, node_id: str) -> float:
-        ctrl = self.controllers[node_id]
-        thr = getattr(ctrl, "ed_threshold_dbm", None)
-        if thr is not None:
-            return thr
-        node = self.nodes[node_id]
-        if node.technology == "wifi":
-            return self.scenario.wifi_mac.ed_threshold_dbm
-        return self.scenario.lte_mac.ed_threshold_dbm
-
-    def node_blocked(self, node_id: str) -> bool:
-        if self.busy_cache[node_id]:
-            return True
-        ctrl = self.controllers[node_id]
-        dcf = getattr(ctrl, "dcf", None)
-        if dcf is not None and dcf.nav_until_us > self.now_us:
-            return True
-        return False
-
     def recompute_busy(self) -> None:
         for nid in self._sorted_ids:
-            busy = self.sensed_power_dbm(nid) >= self._threshold_of(nid)
+            ctrl = self.controllers[nid]
+            busy = self.sensed_power_dbm(nid) >= ctrl.ed_threshold_dbm
             if busy != self.busy_cache[nid]:
                 self.busy_cache[nid] = busy
-                self.controllers[nid].on_medium(busy)
+                ctrl.on_medium(busy)
 
     def assert_politeness(self, node_id: str, threshold_dbm: float) -> None:
         sensed = self.sensed_power_dbm(node_id)
@@ -1049,7 +1015,7 @@ class Simulator:
         self.active[tx.tx_id] = tx
         self.tx_log.append((tx.start_us, tx.end_us, self.nodes[src].technology))
         self.trace(src, "tx_start", f"kind={kind};dst={dst};dur={duration_us:.1f}")
-        self._push(duration_us, "tx_end", src, (tx.tx_id,))
+        self._push(duration_us, "tx_end", self._finish_transmission, tx)
         self.recompute_busy()
         return tx
 
@@ -1130,7 +1096,7 @@ class Simulator:
     def credit_frame(self, base_id: str, frame_key: tuple | None,
                      bits: float | None = None) -> None:
         ctrl = self.controllers[base_id]
-        job = ctrl.queues.head()
+        job = ctrl.head()
         if job is None or frame_key is None:
             return
         file_id, offset = frame_key
@@ -1148,7 +1114,7 @@ class Simulator:
         if job.done_bits >= job.size_bits and math.isfinite(job.size_bits):
             job.complete_us = self.now_us
             self.completed_files.append(job)
-            ctrl.queues.pop_if_done()
+            ctrl.pop_if_done()
             self.trace(base_id, "file_done", f"client={job.client};id={job.file_id}")
 
     def _schedule_first_traffic(self) -> None:
@@ -1158,26 +1124,27 @@ class Simulator:
             if traffic.model == "full_buffer":
                 self._file_counter += 1
                 job = FileJob(self._file_counter, client.id, math.inf, 0.0)
-                self.controllers[client.attach_to].queues.files.append(job)
+                self.controllers[client.attach_to].files.append(job)
             else:
                 rng = self.traffic_rng(client.id)
                 delay_us = rng.exponential(1.0 / traffic.rate_for(client.id)) * 1e6
                 if delay_us <= self.end_us:
-                    self._push(delay_us, "file_arrival", client.id, ())
+                    self._push(delay_us, "file_arrival", self._handle_file_arrival,
+                               client.id)
 
-    def _handle_file_arrival(self, event: SimEvent) -> None:
-        client = self.nodes[event.node]
+    def _handle_file_arrival(self, client_id: str) -> None:
+        client = self.nodes[client_id]
         traffic = self.scenario.traffic
         self._file_counter += 1
         job = FileJob(self._file_counter, client.id,
                       traffic.size_bits_for(client.id), self.now_us)
         base_ctrl = self.controllers[client.attach_to]
-        base_ctrl.queues.files.append(job)
+        base_ctrl.files.append(job)
         self.trace(client.id, "file_arrival", f"id={job.file_id}")
         rng = self.traffic_rng(client.id)
         delay_us = rng.exponential(1.0 / traffic.rate_for(client.id)) * 1e6
         if self.now_us + delay_us <= self.end_us:
-            self._push(delay_us, "file_arrival", client.id, ())
+            self._push(delay_us, "file_arrival", self._handle_file_arrival, client.id)
         base_ctrl.maybe_start()
 
     # -- relaying and adaptation ------------------------------------------------
@@ -1192,11 +1159,11 @@ class Simulator:
         latency_us = self.scenario.relay.latency_ms * 1000.0
         for other_id in self.relay_tables:
             if other_id != base_id:
-                self._push(latency_us, "timer", other_id,
-                           ("relay_deliver", 0, (base_id, ies)))
+                self._push(latency_us, "timer", self._handle_relay_deliver,
+                           other_id, base_id, ies)
         interval_us = self.scenario.wifi_mac.timing.beacon_interval_ms * 1000.0
         if self.now_us + interval_us <= self.end_us:
-            self._push(interval_us, "timer", base_id, ("relay_publish", 0, ()))
+            self._push(interval_us, "timer", self._handle_relay_publish, base_id)
 
     def _handle_relay_deliver(self, base_id: str, src_base: str, ies) -> None:
         cell = decode_pseudo_beacon(ies)
@@ -1237,7 +1204,7 @@ class Simulator:
             self.recompute_busy()
         period_us = cfg.update_period_s * 1e6
         if self.now_us + period_us <= self.end_us:
-            self._push(period_us, "adapt_tick", base_id, ())
+            self._push(period_us, "adapt_tick", self._handle_adapt_tick, base_id)
 
     # -- main loop ------------------------------------------------------------
 
@@ -1251,13 +1218,14 @@ class Simulator:
         interval_us = scenario.wifi_mac.timing.beacon_interval_ms * 1000.0
         for idx, ap in enumerate(aps):
             first = interval_us * (idx + 1) / (len(aps) + 1)
-            self._push(first, "timer", ap.id, ("beacon_due", 0, ()))
+            self._push(first, "timer", self.controllers[ap.id].on_beacon_due)
         for base in bases:
-            self._push(0.0, "timer", base.id, ("relay_publish", 0, ()))
+            self._push(0.0, "timer", self._handle_relay_publish, base.id)
             if scenario.adaptive_ed:
                 cfg = (scenario.adapt_wifi if base.technology == "wifi"
                        else scenario.adapt_lte)
-                self._push(cfg.update_period_s * 1e6, "adapt_tick", base.id, ())
+                self._push(cfg.update_period_s * 1e6, "adapt_tick",
+                           self._handle_adapt_tick, base.id)
         for nid in self._sorted_ids:
             self.controllers[nid].maybe_start()
 
@@ -1275,32 +1243,7 @@ class Simulator:
         return self._finalize()
 
     def _dispatch(self, event: SimEvent) -> None:
-        if event.kind == "tx_end":
-            tx = self.active.get(event.payload[0])
-            if tx is not None:
-                self._finish_transmission(tx)
-            return
-        if event.kind == "file_arrival":
-            self._handle_file_arrival(event)
-            return
-        if event.kind == "adapt_tick":
-            self._handle_adapt_tick(event.node)
-            return
-        # slot_tick / timer
-        purpose, gen, payload = event.payload
-        if purpose == "relay_publish":
-            self._handle_relay_publish(event.node)
-        elif purpose == "relay_deliver":
-            self._handle_relay_deliver(event.node, payload[0], payload[1])
-        elif purpose == "beacon_due":
-            ctrl = self.controllers[event.node]
-            ctrl.beacon_pending = True
-            interval_us = self.scenario.wifi_mac.timing.beacon_interval_ms * 1000.0
-            if self.now_us + interval_us <= self.end_us:
-                self._push(interval_us, "timer", event.node, ("beacon_due", 0, ()))
-            ctrl.maybe_start()
-        else:
-            self.controllers[event.node].handle_timer(purpose, gen, payload)
+        event.handler(*event.args)
 
     # -- metrics ---------------------------------------------------------------
 
@@ -1364,16 +1307,7 @@ class Simulator:
         m.file_throughputs_mbps = throughputs
         m.delivered_bits = dict(sorted(self.delivered_after_warmup.items()))
         m.final_ed_thresholds = {
-            nid: self._threshold_of(nid)
+            nid: self.controllers[nid].ed_threshold_dbm
             for nid in self._sorted_ids if self.nodes[nid].is_base
         }
         return m
-
-
-def run(scenario: Scenario, collect_trace: bool = False):
-    """Run one scenario; returns Metrics (and the trace lines if collected)."""
-    sim = Simulator(scenario, collect_trace=collect_trace)
-    metrics = sim.run()
-    if collect_trace:
-        return metrics, sim.trace_lines
-    return metrics

@@ -196,3 +196,40 @@ class TestSimulate:
         path.write_text(yaml.safe_dump(cfg))
         rc = main(["simulate", "--config", str(path)])
         assert rc == 3
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+TWO_BASES = [
+    {"id": "ap1", "kind": "wifi_ap", "position": [10.0, 10.0]},
+    {"id": "enb1", "kind": "lte_enb", "position": [40.0, 100.0]},
+]
+
+
+class TestScenarioConfigErrors:
+    @pytest.mark.parametrize("nodes, overrides", [
+        # attached to no node at all
+        (TWO_BASES + [{"id": "sta1", "kind": "wifi_sta", "position": [10.0, 20.0],
+                       "attach_to": "nosuch"}], ["traffic.model=full_buffer"]),
+        # attached to a base of the other technology
+        (TWO_BASES + [{"id": "ue1", "kind": "lte_ue", "position": [10.0, 20.0],
+                       "attach_to": "ap1"}], ["traffic.model=full_buffer"]),
+        (TWO_BASES + [{"id": "sta1", "kind": "wifi_sta", "position": [10.0, 130.0],
+                       "attach_to": "ap1"}], []),
+        (TWO_BASES, ["clients.mode=bogus"]),
+        (TWO_BASES, ["lte_mac.defer_us=1"]),
+    ], ids=["unknown_base", "other_technology", "outside_building",
+            "client_mode", "defer_below_sifs_plus_slot"])
+    def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
+        argv = ["simulate", "--config", write_config(tmp_path, {
+            "nodes": nodes, "simulate": {"duration_s": 0.05}})]
+        for item in overrides:
+            argv += ["--set", item]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:")

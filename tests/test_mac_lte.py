@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexsim.mac_lte import (
-    DeferWindow,
     LbtPhase,
     LbtState,
-    ack_window_check,
     begin_access,
     idle_slots,
     lbt_step,
@@ -16,15 +14,6 @@ from coexsim.mac_wifi import ProtocolViolation
 
 def rng():
     return np.random.default_rng(77)
-
-
-class TestDeferWindow:
-    def test_minimum_enforced(self):
-        with pytest.raises(ValueError):
-            DeferWindow(duration_us=20.0, sifs_us=16.0, slot_us=9.0)
-
-    def test_default_is_sifs_plus_slot(self):
-        assert DeferWindow().duration_us == 25.0
 
 
 class TestLbtStep:
@@ -149,20 +138,6 @@ def test_politeness_monotone_in_threshold():
         if grant_lo is not None:
             assert grant_hi is not None
             assert grant_lo >= grant_hi
-
-
-class TestAckWindowCheck:
-    def test_audible_ack_defers(self):
-        assert ack_window_check(1000.0, -70.0, -72.0, DeferWindow()) == "defer"
-
-    def test_inaudible_ack_transmits(self):
-        assert ack_window_check(1000.0, -80.0, -72.0, DeferWindow()) == "transmit"
-
-    def test_no_ack_transmits(self):
-        assert ack_window_check(1000.0, None, -72.0, DeferWindow()) == "transmit"
-
-    def test_boundary_inclusive(self):
-        assert ack_window_check(0.0, -72.0, -72.0, DeferWindow()) == "defer"
 
 
 class TestStateValidation:

@@ -7,7 +7,6 @@ from coexsim.mac_wifi import (
     DcfState,
     MacTiming,
     ProtocolViolation,
-    ack_schedule,
     dcf_step,
     idle_slots,
     nav_clear,
@@ -157,30 +156,6 @@ class TestNav:
         s = nav_update(DcfState(), 100.0, 0.0)
         assert nav_clear(s, 50.0).phase == DcfPhase.NAV_BLOCKED
         assert nav_clear(s, 100.0).phase == DcfPhase.DEFER
-
-
-class TestAckSchedule:
-    def test_standard_timing(self):
-        t = MacTiming(sifs_us=16, ack_duration_us=44)
-        assert ack_schedule(1000.0, t) == (1016.0, 1060.0)
-
-    def test_tiny_sifs(self):
-        t = MacTiming(sifs_us=1e-9, ack_duration_us=44)
-        start, _ = ack_schedule(500.0, t)
-        assert start == pytest.approx(500.0, abs=1e-6)
-
-    @given(st.floats(min_value=0, max_value=1e7), st.floats(min_value=1, max_value=1e4))
-    @settings(derandomize=True, max_examples=100)
-    def test_monotone_shift(self, data_end, shift):
-        t = MacTiming()
-        a_start, a_end = ack_schedule(data_end, t)
-        b_start, b_end = ack_schedule(data_end + shift, t)
-        assert b_start - a_start == pytest.approx(shift, rel=1e-9)
-        assert b_end - a_end == pytest.approx(shift, rel=1e-9)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ack_schedule(-1.0, MacTiming())
 
 
 class TestStateValidation:

@@ -190,6 +190,30 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="unique"):
             Scenario(nodes=nodes).validate()
 
+    def test_defer_below_sifs_plus_slot(self):
+        with pytest.raises(ValueError, match="defer_us"):
+            wifi_pair_scenario(lte_mac=LteMacConfig(defer_us=24.9)).validate()
+
+    def test_default_defer_is_sifs_plus_slot(self):
+        sc = wifi_pair_scenario()
+        assert sc.lte_mac.defer_us == sc.wifi_mac.timing.sifs_us + sc.lte_mac.slot_us
+        sc.validate()
+
+    def test_client_attaches_to_own_technology_base(self):
+        sc = wifi_pair_scenario()
+        sc.nodes.append(Node(id="enb1", kind="lte_enb", position=Position(25, 80)))
+        sc.nodes.append(Node(id="ue1", kind="lte_ue", position=Position(25, 90),
+                             attach_to="ap1"))
+        with pytest.raises(ValueError, match="ue1"):
+            sc.validate()
+
+    def test_base_cannot_attach(self):
+        sc = wifi_pair_scenario()
+        sc.nodes.append(Node(id="ap2", kind="wifi_ap", position=Position(25, 80),
+                             attach_to="ap1"))
+        with pytest.raises(ValueError, match="ap2"):
+            sc.validate()
+
 
 def two_bss_scenario(duration_s=0.2, seed=21):
     # two co-located Wi-Fi cells that hear each other far above threshold
@@ -400,7 +424,7 @@ class TestSkipIdleSlots:
         return sim
 
     def queue(self, sim, delay_us):
-        sim._push(delay_us, "timer", "sta1", ("noop", 0, ()))
+        sim._push(delay_us, "timer", lambda: None)
 
     def test_stops_before_queued_event_at_equal_time(self):
         sim = self.sim_at()
