@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .config import ConfigError
+from .config import ConfigError, Node
 from .coordination import adapt_ed_threshold, channel_metric, filter_scan, select_channel
 from .propagation import sample_link_gains
 from .relay import (
@@ -39,7 +39,7 @@ from .relay import (
     ies_to_hex,
 )
 from .sensing import EdConfig, ed_success_factors, ed_success_prob, fractional_ed_coverage
-from .simulator import Node, Simulator, summarize
+from .simulator import Simulator, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,7 +166,7 @@ def cmd_select(args) -> int:
     channels = cfg.get("channels")
     if not channels:
         raise ConfigError("select needs a candidate channels list")
-    kept = filter_scan(scan, select_cfg, running_on)
+    kept = filter_scan(scan, select_cfg)
     metrics = []
     for channel in channels:
         entries = [e for e in kept if e.cell.channel == channel]

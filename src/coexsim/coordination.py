@@ -71,18 +71,13 @@ def _is_cross_technology(entry: ScanEntry, running_on: str) -> bool:
     return not is_wifi_neighbor
 
 
-def filter_scan(
-    scan: list[ScanEntry],
-    cfg: ChannelSelectConfig,
-    running_on: str = "wifi_ap",
-) -> list[ScanEntry]:
+def filter_scan(scan: list[ScanEntry], cfg: ChannelSelectConfig) -> list[ScanEntry]:
     """Drop weak neighbors; relayed LTE entries get the TX power offset.
 
     The offset corrects the helper beacon's RSSI to the advertised
     cell's own transmit level, so the comparison (and everything
     downstream) sees the adjusted value.
     """
-    del running_on  # the offset rule depends on the entry, not the host
     kept = []
     for entry in scan:
         effective = entry.rssi_dbm

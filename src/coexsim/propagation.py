@@ -49,10 +49,6 @@ class Building:
     def contains(self, pos: Position) -> bool:
         return 0.0 <= pos.x <= self.width_m and 0.0 <= pos.y <= self.depth_m
 
-    @property
-    def area_m2(self) -> float:
-        return self.width_m * self.depth_m
-
 
 @dataclass
 class PropagationModel:

@@ -26,16 +26,17 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import mac_lte, mac_wifi
-from .coordination import AdaptiveEdConfig, adapt_ed_threshold
+from .config import Node, PhyConfig, Scenario
+from .coordination import adapt_ed_threshold
 from .mac_lte import LbtPhase, LbtState
-from .mac_wifi import DcfPhase, DcfState, MacTiming
-from .propagation import Building, Position, PropagationModel, sample_link_gains
+from .mac_wifi import DcfPhase, DcfState
+from .propagation import sample_link_gains
 from .relay import (
     CellInfo,
     MacSpec,
@@ -49,165 +50,6 @@ from .relay import (
 
 class SimulationError(RuntimeError):
     """An engine invariant was violated; the run is not trustworthy."""
-
-
-# ---------------------------------------------------------------------------
-# configuration dataclasses
-# ---------------------------------------------------------------------------
-
-WIFI_RATE_TABLE = [
-    (5.0, 6.0), (6.0, 9.0), (7.0, 12.0), (9.0, 18.0),
-    (12.0, 24.0), (16.0, 36.0), (20.0, 48.0), (22.0, 54.0),
-]
-LTE_RATE_TABLE = [
-    (-5.0, 2.0), (0.0, 7.0), (5.0, 14.0), (9.0, 21.0),
-    (13.0, 28.0), (17.0, 36.0), (21.0, 43.0), (25.0, 50.0),
-]
-
-
-@dataclass(frozen=True)
-class Node:
-    id: str
-    kind: str  # wifi_ap | wifi_sta | lte_enb | lte_ue
-    position: Position
-    tx_power_dbm: float = 20.0
-    ed_threshold_dbm: float | None = None  # None -> technology default
-    channel: int = 36
-    attach_to: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("wifi_ap", "wifi_sta", "lte_enb", "lte_ue"):
-            raise ValueError(f"unknown node kind {self.kind!r}")
-
-    @property
-    def technology(self) -> str:
-        return "wifi" if self.kind.startswith("wifi") else "lte"
-
-    @property
-    def is_base(self) -> bool:
-        return self.kind in ("wifi_ap", "lte_enb")
-
-
-@dataclass
-class TrafficConfig:
-    model: str = "file_transfer"  # file_transfer | full_buffer
-    file_size_bytes: int = 2_000_000
-    arrival_rate_per_client: float = 1.0  # files per second
-    arrival_rate_overrides: dict = field(default_factory=dict)  # client id -> rate
-    file_size_overrides: dict = field(default_factory=dict)  # client id -> bytes
-
-    def __post_init__(self) -> None:
-        if self.model not in ("file_transfer", "full_buffer"):
-            raise ValueError(f"unknown traffic model {self.model!r}")
-        if self.model == "file_transfer":
-            if self.file_size_bytes <= 0 or self.arrival_rate_per_client <= 0:
-                raise ValueError("file size and arrival rate must be positive")
-
-    def rate_for(self, client_id: str) -> float:
-        return float(self.arrival_rate_overrides.get(client_id,
-                                                     self.arrival_rate_per_client))
-
-    def size_bits_for(self, client_id: str) -> float:
-        return 8.0 * float(self.file_size_overrides.get(client_id,
-                                                        self.file_size_bytes))
-
-
-@dataclass
-class WifiMacConfig:
-    timing: MacTiming = field(default_factory=MacTiming)
-    cw_min: int = 15
-    cw_max: int = 1023
-    retry_limit: int = 7
-    rts_cts: bool = True
-    frame_payload_bytes: int = 1500
-    preamble_us: float = 20.0
-    rts_duration_us: float = 47.0
-    cts_duration_us: float = 39.0
-    beacon_duration_us: float = 180.0
-    ed_threshold_dbm: float = -62.0
-    decode_floor_dbm: float = -87.5
-
-
-@dataclass
-class LteMacConfig:
-    ed_threshold_dbm: float = -72.0
-    cw_min: int = 15
-    cw_max: int = 63
-    burst_ms: float = 8.0
-    max_burst_ms: float = 8.0
-    defer_us: float = 25.0
-    slot_us: float = 9.0
-    decode_floor_dbm: float = -100.0
-
-
-@dataclass
-class PhyConfig:
-    noise_floor_dbm: float = -94.0
-    rate_margin_db: float = 3.0
-    capture_threshold_db: float = 10.0
-    control_sinr_db: float = 5.0
-    fading_branches: int = 4
-    measurement_floor_dbm: float = -100.0
-    wifi_rates: list = field(default_factory=lambda: list(WIFI_RATE_TABLE))
-    lte_rates: list = field(default_factory=lambda: list(LTE_RATE_TABLE))
-
-
-@dataclass
-class ClientGenConfig:
-    mode: str = "fixed"  # fixed | poisson
-    per_base: float = 1.0
-
-
-@dataclass
-class RelayConfig:
-    enabled: bool = True
-    latency_ms: float = 100.0
-
-
-@dataclass
-class Scenario:
-    building: Building = field(default_factory=Building)
-    nodes: list = field(default_factory=list)
-    propagation: PropagationModel = field(default_factory=PropagationModel)
-    traffic: TrafficConfig = field(default_factory=TrafficConfig)
-    channels: list = field(default_factory=lambda: [36])
-    seed: int = 1
-    duration_s: float = 1.0
-    warmup_s: float = 0.0
-    adaptive_ed: bool = False
-    wifi_mac: WifiMacConfig = field(default_factory=WifiMacConfig)
-    lte_mac: LteMacConfig = field(default_factory=LteMacConfig)
-    phy: PhyConfig = field(default_factory=PhyConfig)
-    adapt_wifi: AdaptiveEdConfig = field(
-        default_factory=lambda: AdaptiveEdConfig(t_default_dbm=-62.0)
-    )
-    adapt_lte: AdaptiveEdConfig = field(
-        default_factory=lambda: AdaptiveEdConfig(t_default_dbm=-72.0)
-    )
-    relay: RelayConfig = field(default_factory=RelayConfig)
-    link_gains: dict = field(default_factory=dict)  # {(a, b): gain_db}, symmetric
-
-    def validate(self) -> None:
-        if not any(n.is_base for n in self.nodes):
-            raise ValueError("scenario needs at least one base")
-        for node in self.nodes:
-            if not self.building.contains(node.position):
-                raise ValueError(f"node {node.id} lies outside the building")
-        by_id = {n.id: n for n in self.nodes}
-        if len(by_id) != len(self.nodes):
-            raise ValueError("node ids must be unique")
-        for node in self.nodes:
-            if node.attach_to is None:
-                continue
-            base = by_id.get(node.attach_to)
-            if (node.is_base or base is None or not base.is_base
-                    or base.technology != node.technology):
-                raise ValueError(f"{node.kind} {node.id} cannot attach to "
-                                 f"{node.attach_to!r}: clients attach to an existing "
-                                 f"{node.technology} base")
-        if self.lte_mac.defer_us < self.wifi_mac.timing.sifs_us + self.lte_mac.slot_us:
-            raise ValueError("lte_mac.defer_us must be at least wifi_mac.sifs_us "
-                             "+ lte_mac.slot_us")
 
 
 @dataclass
@@ -302,47 +144,6 @@ def jain_index(values) -> float:
     return sum(vals) ** 2 / (len(vals) * total_sq)
 
 
-def generate_topology(scenario: Scenario, clients: ClientGenConfig,
-                      rng: np.random.Generator) -> Scenario:
-    """Place generated clients around the configured bases.
-
-    Bases keep their configured positions; each base receives a fixed
-    or Poisson-distributed number of clients placed uniformly over the
-    building and attached to it.
-    """
-    bases = [n for n in scenario.nodes if n.is_base]
-    if not bases:
-        raise ValueError("scenario needs at least one base")
-    for base in bases:
-        if not scenario.building.contains(base.position):
-            raise ValueError(f"base {base.id} lies outside the building")
-    out = [n for n in scenario.nodes]
-    for base in bases:
-        if clients.mode == "fixed":
-            count = int(clients.per_base)
-        elif clients.mode == "poisson":
-            count = int(rng.poisson(clients.per_base))
-        else:
-            raise ValueError(f"unknown client generation mode {clients.mode!r}")
-        kind = "wifi_sta" if base.kind == "wifi_ap" else "lte_ue"
-        for i in range(count):
-            pos = Position(
-                float(rng.uniform(0.0, scenario.building.width_m)),
-                float(rng.uniform(0.0, scenario.building.depth_m)),
-            )
-            out.append(
-                Node(
-                    id=f"{base.id}_c{i}",
-                    kind=kind,
-                    position=pos,
-                    tx_power_dbm=base.tx_power_dbm,
-                    channel=base.channel,
-                    attach_to=base.id,
-                )
-            )
-    return replace(scenario, nodes=out)
-
-
 # ---------------------------------------------------------------------------
 # transmissions and files
 # ---------------------------------------------------------------------------
@@ -385,14 +186,6 @@ class _Controller:
         self.sim = sim
         self.node = node
         self.cfg = sim.scenario.wifi_mac if node.technology == "wifi" else sim.scenario.lte_mac
-        threshold = node.ed_threshold_dbm
-        self.ed_threshold_dbm = self.cfg.ed_threshold_dbm if threshold is None else threshold
-
-    def blocked(self) -> bool:
-        return self.sim.busy_cache[self.node.id]
-
-    def on_medium(self, busy: bool) -> None:
-        pass
 
     def maybe_start(self) -> None:
         pass
@@ -408,17 +201,22 @@ class _Controller:
 
 
 class _BaseController(_Controller):
-    """A base: its downlink file queue and the cell it announces."""
+    """A base: carrier sensing, its downlink file queue and the cell it announces."""
 
     node_type: NodeType
     mac_spec: MacSpec
 
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
+        threshold = node.ed_threshold_dbm
+        self.ed_threshold_dbm = self.cfg.ed_threshold_dbm if threshold is None else threshold
         self.rng = sim.node_rng(node.id)
         self.files: deque[FileJob] = deque()
         self.gen = 0          # invalidates stale contention timers
         self.busy_us = 0.0    # own airtime in current beacon interval
+
+    def blocked(self) -> bool:
+        return self.sim.busy_cache[self.node.id]
 
     def head(self) -> FileJob | None:
         return self.files[0] if self.files else None
@@ -672,8 +470,7 @@ class _WifiStaController(_Controller):
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
         self.timing = self.cfg.timing
-        self.dcf = DcfState(cw=self.cfg.cw_min, cw_min=self.cfg.cw_min,
-                            cw_max=self.cfg.cw_max)
+        self.nav_until_us = 0.0
 
     def send_cts(self, dst: str, nav: float) -> None:
         self.sim.start_transmission(
@@ -703,10 +500,11 @@ class _WifiStaController(_Controller):
                            tx.src, tx.frame_key, tx.bits)
 
     def overheard(self, tx: Transmission) -> None:
-        # frames addressed elsewhere set the NAV
+        # frames addressed elsewhere set the NAV (max rule)
         if tx.nav_duration_us > 0:
-            self.dcf = mac_wifi.nav_update(self.dcf, tx.nav_duration_us, self.sim.now_us)
-            self.sim.trace(self.node.id, "nav", f"{self.dcf.nav_until_us:.1f}")
+            self.nav_until_us = max(self.nav_until_us,
+                                    self.sim.now_us + tx.nav_duration_us)
+            self.sim.trace(self.node.id, "nav", f"{self.nav_until_us:.1f}")
 
 
 class _LteEnbController(_BaseController):
@@ -843,7 +641,8 @@ class Simulator:
         }
 
         self.active: dict[int, Transmission] = {}
-        self.busy_cache: dict[str, bool] = {nid: False for nid in self._sorted_ids}
+        self._base_ids = [nid for nid in self._sorted_ids if self.nodes[nid].is_base]
+        self.busy_cache: dict[str, bool] = {nid: False for nid in self._base_ids}
         self.tx_log: list[tuple[float, float, str]] = []  # (start, end, tech)
         self.completed_files: list[FileJob] = []
         self.delivered_after_warmup: dict[str, float] = {}
@@ -970,7 +769,8 @@ class Simulator:
         return _dbm(total)
 
     def recompute_busy(self) -> None:
-        for nid in self._sorted_ids:
+        """Carrier-sense at every base; clients never contend, so never sense."""
+        for nid in self._base_ids:
             ctrl = self.controllers[nid]
             busy = self.sensed_power_dbm(nid) >= ctrl.ed_threshold_dbm
             if busy != self.busy_cache[nid]:
@@ -994,7 +794,7 @@ class Simulator:
                            frame_key: tuple | None = None) -> Transmission:
         self._tx_counter += 1
         fades = {}
-        branches = max(1, self.scenario.phy.fading_branches)
+        branches = self.scenario.phy.fading_branches
         for nid in self._sorted_ids:
             factor = float(np.mean(self.rng_fades.exponential(1.0, size=branches)))
             fades[nid] = 10.0 * math.log10(factor)
@@ -1308,6 +1108,6 @@ class Simulator:
         m.delivered_bits = dict(sorted(self.delivered_after_warmup.items()))
         m.final_ed_thresholds = {
             nid: self.controllers[nid].ed_threshold_dbm
-            for nid in self._sorted_ids if self.nodes[nid].is_base
+            for nid in self._base_ids
         }
         return m

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from coexsim.cli import main
-from coexsim.config import apply_overrides, build_scenario, load_config
+from coexsim.config import Node, apply_overrides, build_scenario, load_config
 from coexsim.coordination import (
     AdaptiveEdConfig,
     ChannelMetric,
@@ -35,7 +35,7 @@ from coexsim.relay import (
     parse_ies,
 )
 from coexsim.sensing import EdConfig, ed_success_prob, fractional_ed_coverage, uplink_ed_failure
-from coexsim.simulator import Node, Simulator, jain_index, summarize
+from coexsim.simulator import Simulator, jain_index, summarize
 
 
 @contextlib.contextmanager

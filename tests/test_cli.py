@@ -222,8 +222,17 @@ class TestScenarioConfigErrors:
                        "attach_to": "ap1"}], []),
         (TWO_BASES, ["clients.mode=bogus"]),
         (TWO_BASES, ["lte_mac.defer_us=1"]),
+        (TWO_BASES, ["wifi_mac.cw_min=14"]),
+        (TWO_BASES, ["wifi_mac.cw_max=1000"]),
+        (TWO_BASES, ["lte_mac.cw_max=60"]),
+        (TWO_BASES, ["lte_mac.burst_ms=10"]),
+        (TWO_BASES, ["lte_mac.slot_us=-1"]),
+        (TWO_BASES, ["relay.latency_ms=-5"]),
+        (TWO_BASES, ["phy.fading_branches=0"]),
     ], ids=["unknown_base", "other_technology", "outside_building",
-            "client_mode", "defer_below_sifs_plus_slot"])
+            "client_mode", "defer_below_sifs_plus_slot", "wifi_cw_min_form",
+            "wifi_cw_max_form", "lte_cw_max_form", "burst_above_cap",
+            "negative_lte_slot", "negative_relay_latency", "no_fading_branches"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
         argv = ["simulate", "--config", write_config(tmp_path, {
             "nodes": nodes, "simulate": {"duration_s": 0.05}})]

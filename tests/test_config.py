@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
+import coexsim
 from coexsim.config import (
     ConfigError,
     apply_overrides,
@@ -86,3 +92,12 @@ class TestScenarioAssembly:
     def test_symmetric_link_gains(self):
         scenario = build_scenario(load_config("figure4_coexistence"))
         assert scenario.link_gains[("ap1", "enb1")] == -101.8
+
+
+class TestDependencyDirection:
+    def test_config_does_not_import_the_engine(self):
+        src = Path(coexsim.__file__).resolve().parent.parent
+        code = "import coexsim.config, sys; sys.exit('coexsim.simulator' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(src)))
+        assert result.returncode == 0, result.stderr or "coexsim.config imported the engine"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coexsim.config import Node
 from coexsim.propagation import Building, Position, PropagationModel, sample_fast_fade
 from coexsim.sensing import (
     CoverageResult,
@@ -14,7 +15,6 @@ from coexsim.sensing import (
     fractional_ed_coverage,
     uplink_ed_failure,
 )
-from coexsim.simulator import Node
 
 
 def reference_base():

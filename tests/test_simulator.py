@@ -4,20 +4,24 @@ import math
 import numpy as np
 import pytest
 
-from coexsim.config import apply_overrides, build_scenario, load_config
-from coexsim.propagation import Building, Position
-from coexsim.simulator import (
+from coexsim.config import (
     ClientGenConfig,
     LteMacConfig,
-    Metrics,
     Node,
     PhyConfig,
     Scenario,
-    SimulationError,
-    Simulator,
     TrafficConfig,
     WifiMacConfig,
+    apply_overrides,
+    build_scenario,
     generate_topology,
+    load_config,
+)
+from coexsim.propagation import Building, Position
+from coexsim.simulator import (
+    Metrics,
+    SimulationError,
+    Simulator,
     jain_index,
     percentile,
     rate_from_sinr,
