@@ -60,6 +60,9 @@ class Node:
     def __post_init__(self) -> None:
         if self.kind not in ("wifi_ap", "wifi_sta", "lte_enb", "lte_ue"):
             raise ValueError(f"unknown node kind {self.kind!r}")
+        if self.ed_threshold_dbm is not None and not self.is_base:
+            raise ValueError(f"{self.kind} {self.id}: only bases sense, so only bases "
+                             "take ed_threshold_dbm")
 
     @property
     def technology(self) -> str:
@@ -153,6 +156,13 @@ class ClientGenConfig:
     mode: str = "fixed"  # fixed | poisson
     per_base: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("fixed", "poisson"):
+            raise ValueError(f"unknown client generation mode {self.mode!r}")
+        if self.per_base < 0 or (self.mode == "fixed"
+                                 and not float(self.per_base).is_integer()):
+            raise ValueError("per_base must be >= 0, and a whole number under mode: fixed")
+
 
 @dataclass
 class RelayConfig:
@@ -222,10 +232,8 @@ def generate_topology(scenario: Scenario, clients: ClientGenConfig,
     for base in (n for n in scenario.nodes if n.is_base):
         if clients.mode == "fixed":
             count = int(clients.per_base)
-        elif clients.mode == "poisson":
-            count = int(rng.poisson(clients.per_base))
         else:
-            raise ValueError(f"unknown client generation mode {clients.mode!r}")
+            count = int(rng.poisson(clients.per_base))
         kind = "wifi_sta" if base.kind == "wifi_ap" else "lte_ue"
         for i in range(count):
             pos = Position(

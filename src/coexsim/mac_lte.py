@@ -1,10 +1,10 @@
 """Cat-4 style listen-before-talk state machine for the unlicensed-LTE base.
 
-ED-only sensing at a runtime-adjustable threshold, a defer period of at
-least one SIFS plus one slot, exponential-backoff contention and
-fixed-length transmission bursts.  Like the DCF machine, this is a pure
-transition function; the caller owns all clocks and must only deliver
-``energy_below_slot`` once the defer window has elapsed idle.
+A defer period of at least one SIFS plus one slot, then
+exponential-backoff contention.  Like the DCF machine, this is a pure
+transition function; the caller owns all clocks, the ED threshold and
+the burst length, and must only deliver ``energy_below_slot`` once the
+defer window has elapsed idle.  HARQ feedback ends a burst.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class LbtPhase(str, Enum):
 LBT_EVENTS = (
     "energy_above",
     "energy_below_slot",
-    "burst_done",
     "collision_feedback",
     "success_feedback",
 )
@@ -38,25 +37,20 @@ class LbtState:
     phase: LbtPhase = LbtPhase.IDLE
     cw: int = 15
     backoff_counter: int = 0
-    ed_threshold_dbm: float = -72.0
-    burst_length_ms: float = 8.0
     cw_min: int = 15
     cw_max: int = 63
-    max_burst_ms: float = 8.0
 
     def __post_init__(self) -> None:
         if not (self.cw_min <= self.cw <= self.cw_max):
             raise ValueError(f"cw {self.cw} outside [{self.cw_min}, {self.cw_max}]")
         if (self.cw + 1) & self.cw:
             raise ValueError("cw must have the 2^k - 1 form")
-        if self.burst_length_ms > self.max_burst_ms:
-            raise ValueError("burst length exceeds the regulatory cap")
 
 
-def begin_access(state: LbtState, rng: np.random.Generator) -> LbtState:
+def start_access(state: LbtState, rng: np.random.Generator) -> LbtState:
     """Draw a fresh backoff and enter the defer phase."""
     if state.phase not in (LbtPhase.IDLE, LbtPhase.DEFER):
-        raise ProtocolViolation(f"cannot begin access from phase {state.phase.value}")
+        raise ProtocolViolation(f"cannot start access from phase {state.phase.value}")
     counter = int(rng.integers(0, state.cw + 1))
     return replace(state, phase=LbtPhase.DEFER, backoff_counter=counter)
 
@@ -73,8 +67,7 @@ def lbt_step(
 ) -> tuple[LbtState, list[str]]:
     """Advance the LBT machine by one event; returns (state, actions).
 
-    ``start_burst`` asks the caller to occupy the channel for
-    ``state.burst_length_ms``.
+    ``start_burst`` asks the caller to send its downlink burst.
     """
     if event not in LBT_EVENTS:
         raise ProtocolViolation(f"unknown event {event!r}")
@@ -101,11 +94,6 @@ def lbt_step(
         if phase == LbtPhase.IDLE:
             return state, []
         raise ProtocolViolation(f"energy_below_slot is illegal in phase {phase.value}")
-
-    if event == "burst_done":
-        if phase != LbtPhase.TX_BURST:
-            raise ProtocolViolation(f"burst_done is illegal in phase {phase.value}")
-        return replace(state, phase=LbtPhase.IDLE), []
 
     if event == "collision_feedback":
         if phase not in (LbtPhase.TX_BURST, LbtPhase.IDLE):

@@ -9,7 +9,7 @@ simulator or a test harness.  Illegal (phase, event) pairs raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,6 @@ class DcfPhase(str, Enum):
     BACKOFF = "backoff"
     TX_DATA = "tx_data"
     AWAIT_ACK = "await_ack"
-    TX_ACK = "tx_ack"
     NAV_BLOCKED = "nav_blocked"
 
 
@@ -106,7 +105,6 @@ def _double_cw(state: DcfState, rng: np.random.Generator) -> DcfState:
 def dcf_step(
     state: DcfState,
     event: str,
-    timing: MacTiming,
     rng: np.random.Generator,
 ) -> tuple[DcfState, list[str]]:
     """Advance the DCF machine by one event; returns (state, actions).
@@ -141,11 +139,9 @@ def dcf_step(
         raise ProtocolViolation(f"medium_idle_slot is illegal in phase {phase.value}")
 
     if event == "tx_done":
-        if phase == DcfPhase.TX_DATA:
-            return replace(state, phase=DcfPhase.AWAIT_ACK), []
-        if phase == DcfPhase.TX_ACK:
-            return replace(state, phase=DcfPhase.IDLE), []
-        raise ProtocolViolation(f"tx_done is illegal in phase {phase.value}")
+        if phase != DcfPhase.TX_DATA:
+            raise ProtocolViolation(f"tx_done is illegal in phase {phase.value}")
+        return replace(state, phase=DcfPhase.AWAIT_ACK), []
 
     if event == "ack_received":
         if phase != DcfPhase.AWAIT_ACK:

@@ -201,7 +201,15 @@ class _Controller:
 
 
 class _BaseController(_Controller):
-    """A base: carrier sensing, its downlink file queue and the cell it announces."""
+    """A base: carrier sensing, the backoff countdown DCF and LBT share,
+    its downlink file queue and the cell it announces.
+
+    A subclass sets ``machine`` to its state machine's module and holds
+    the machine's state in ``mac``, names its ``IDLE`` and ``CONTENDING``
+    phases and its ``BUSY_EVENT`` and ``SLOT_EVENT``, sets ``slot_us`` and
+    ``wait_us`` (DIFS or the LBT defer), and defines ``step``,
+    ``end_countdown`` (transmit) and ``on_wait`` (is the wait a slot?).
+    """
 
     node_type: NodeType
     mac_spec: MacSpec
@@ -246,18 +254,70 @@ class _BaseController(_Controller):
             tx_power_offset_db=0,
         )
 
+    # -- the backoff countdown --------------------------------------------
+
+    def contending(self) -> bool:
+        return self.mac.phase in self.CONTENDING
+
+    def wants_medium(self) -> bool:
+        return self.contending()
+
+    def nav_until_us(self) -> float:
+        """Idle slots are never skipped inside the NAV, which ends here."""
+        return -math.inf
+
+    def maybe_start(self) -> None:
+        if self.mac.phase == self.IDLE and self.has_traffic():
+            self.mac = self.machine.start_access(self.mac, self.rng)
+            self.sim.trace(self.node.id, "phase", "defer")
+        if self.wants_medium() and not self.blocked():
+            self.gen += 1
+            self.sim._push(self.wait_us, "timer", self.on_wait, self.gen)
+
+    def cancel_countdown(self) -> None:
+        self.gen += 1
+
+    def on_medium(self, busy: bool) -> None:
+        if busy:
+            self.cancel_countdown()
+            if self.contending():
+                self.step(self.BUSY_EVENT)
+        elif self.contending() or self.has_traffic():
+            self.maybe_start()
+
+    def on_slot(self, gen: int) -> None:
+        """One slot passed idle: transmit, or decrement and skip idle slots."""
+        if gen != self.gen or self.blocked() or not self.contending():
+            return
+        actions = self.step(self.SLOT_EVENT)
+        if actions:
+            self.end_countdown(actions)
+            return
+        counter = self.mac.backoff_counter
+        self.sim.trace(self.node.id, "decrement", str(counter))
+        skipped = self.sim.skip_idle_slots(
+            self.node.id, self.slot_us, counter - 1, self.nav_until_us()
+        )
+        if skipped:
+            self.mac = self.machine.idle_slots(self.mac, skipped)
+        self.sim._push(self.slot_us, "slot_tick", self.on_slot, self.gen)
+
 
 class _WifiApController(_BaseController):
     """Drives the DCF machine for one AP's downlink queue plus beacons."""
 
     node_type = NodeType.WIFI
     mac_spec = MacSpec.DCF
+    machine = mac_wifi
+    IDLE, CONTENDING = DcfPhase.IDLE, (DcfPhase.DEFER, DcfPhase.BACKOFF)
+    BUSY_EVENT, SLOT_EVENT = "medium_busy", "medium_idle_slot"
 
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
         cfg = self.cfg
         self.timing = cfg.timing
-        self.dcf = DcfState(
+        self.slot_us, self.wait_us = cfg.timing.slot_us, cfg.timing.difs_us
+        self.mac = DcfState(
             cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max,
             retry_limit=cfg.retry_limit, use_rts=cfg.rts_cts,
         )
@@ -266,7 +326,23 @@ class _WifiApController(_BaseController):
         self.in_exchange = False  # RTS..ACK chain in flight
 
     def blocked(self) -> bool:
-        return super().blocked() or self.dcf.nav_until_us > self.sim.now_us
+        return super().blocked() or self.mac.nav_until_us > self.sim.now_us
+
+    def nav_until_us(self) -> float:
+        return self.mac.nav_until_us
+
+    def step(self, event: str) -> list[str]:
+        self.mac, actions = mac_wifi.dcf_step(self.mac, event, self.rng)
+        return actions
+
+    def end_countdown(self, actions: list[str]) -> None:
+        if "tx_rts" in actions:
+            self.start_rts()
+        else:
+            self.start_data()
+
+    def wants_medium(self) -> bool:
+        return self.contending() or self.beacon_pending
 
     # -- queue / access management ------------------------------------
 
@@ -276,37 +352,12 @@ class _WifiApController(_BaseController):
         return min(self.cfg.frame_payload_bytes * 8.0, remaining)
 
     def maybe_start(self) -> None:
-        if self.in_exchange:
-            return
-        if self.dcf.phase == DcfPhase.IDLE and self.has_traffic():
-            self.dcf = mac_wifi.start_access(self.dcf, self.rng)
-            self.sim.trace(self.node.id, "phase", "defer")
-        contending = self.dcf.phase in (DcfPhase.DEFER, DcfPhase.BACKOFF)
-        if contending or self.beacon_pending:
-            if not self.blocked():
-                self.arm_difs()
-
-    def arm_difs(self) -> None:
-        self.gen += 1
-        self.sim._push(self.timing.difs_us, "timer", self.on_difs, self.gen)
-
-    def cancel_countdown(self) -> None:
-        self.gen += 1
-
-    # -- medium transitions ---------------------------------------------
+        if not self.in_exchange:
+            super().maybe_start()
 
     def on_medium(self, busy: bool) -> None:
-        if busy:
-            self.cancel_countdown()
-            if self.dcf.phase in (DcfPhase.DEFER, DcfPhase.BACKOFF):
-                self.dcf, _ = mac_wifi.dcf_step(
-                    self.dcf, "medium_busy", self.timing, self.rng
-                )
-        else:
-            if self.dcf.phase == DcfPhase.NAV_BLOCKED:
-                return
-            if self.dcf.phase in (DcfPhase.DEFER, DcfPhase.BACKOFF) or self.has_traffic():
-                self.maybe_start()
+        if busy or self.mac.phase != DcfPhase.NAV_BLOCKED:
+            super().on_medium(busy)
 
     # -- timers ----------------------------------------------------------
 
@@ -317,35 +368,14 @@ class _WifiApController(_BaseController):
             self.sim._push(interval_us, "timer", self.on_beacon_due)
         self.maybe_start()
 
-    def on_difs(self, gen: int) -> None:
+    def on_wait(self, gen: int) -> None:
+        """DIFS passed idle; DIFS is no slot, so the first decrement is a slot later."""
         if gen != self.gen or self.blocked():
             return
         if self.beacon_pending:
             self.start_beacon()
-        elif self.dcf.phase in (DcfPhase.DEFER, DcfPhase.BACKOFF):
-            self.sim._push(self.timing.slot_us, "slot_tick", self.on_slot, self.gen)
-
-    def on_slot(self, gen: int) -> None:
-        if gen != self.gen or self.blocked():
-            return
-        if self.dcf.phase not in (DcfPhase.DEFER, DcfPhase.BACKOFF):
-            return
-        self.dcf, actions = mac_wifi.dcf_step(
-            self.dcf, "medium_idle_slot", self.timing, self.rng
-        )
-        if "tx_data" in actions:
-            self.start_data()
-        elif "tx_rts" in actions:
-            self.start_rts()
-        else:
-            counter = self.dcf.backoff_counter
-            self.sim.trace(self.node.id, "decrement", str(counter))
-            skipped = self.sim.skip_idle_slots(
-                self.node.id, self.timing.slot_us, counter - 1, self.dcf.nav_until_us
-            )
-            if skipped:
-                self.dcf = mac_wifi.idle_slots(self.dcf, skipped)
-            self.sim._push(self.timing.slot_us, "slot_tick", self.on_slot, self.gen)
+        elif self.contending():
+            self.sim._push(self.slot_us, "slot_tick", self.on_slot, self.gen)
 
     def on_response_timeout(self, gen: int, event: str) -> None:
         """No CTS (``rts_cts_fail``) or ACK (``ack_timeout``) came back."""
@@ -353,14 +383,13 @@ class _WifiApController(_BaseController):
             return
         self.in_exchange = False
         self.sim.metrics.retransmissions += 1
-        self.dcf, actions = mac_wifi.dcf_step(self.dcf, event, self.timing, self.rng)
-        if "drop_frame" in actions:
+        if "drop_frame" in self.step(event):
             self.sim.trace(self.node.id, "action", "drop_frame")
             # head chunk stays owed; a fresh access attempt follows
         self.maybe_start()
 
     def on_nav_expire(self) -> None:
-        self.dcf = mac_wifi.nav_clear(self.dcf, self.sim.now_us)
+        self.mac = mac_wifi.nav_clear(self.mac, self.sim.now_us)
         self.maybe_start()
 
     # -- transmissions -----------------------------------------------------
@@ -435,7 +464,7 @@ class _WifiApController(_BaseController):
                            self.resp_gen, "rts_cts_fail")
             return
         if tx.kind == "data":
-            self.dcf, _ = mac_wifi.dcf_step(self.dcf, "tx_done", self.timing, self.rng)
+            self.step("tx_done")
             self.resp_gen += 1
             wait = t.sifs_us + t.ack_duration_us + t.slot_us
             self.sim._push(wait, "timer", self.on_response_timeout,
@@ -450,17 +479,17 @@ class _WifiApController(_BaseController):
         elif tx.kind == "ack" and self.in_exchange:
             self.resp_gen += 1
             self.in_exchange = False
-            self.dcf, _ = mac_wifi.dcf_step(self.dcf, "ack_received", self.timing, self.rng)
+            self.step("ack_received")
             self.sim.credit_frame(self.node.id, tx.frame_key)
             self.maybe_start()
 
     def overheard(self, tx: Transmission) -> None:
         # frames addressed elsewhere set the NAV and freeze the countdown
         if tx.nav_duration_us > 0:
-            self.dcf = mac_wifi.nav_update(self.dcf, tx.nav_duration_us, self.sim.now_us)
-            if self.dcf.phase == DcfPhase.NAV_BLOCKED:
+            self.mac = mac_wifi.nav_update(self.mac, tx.nav_duration_us, self.sim.now_us)
+            if self.mac.phase == DcfPhase.NAV_BLOCKED:
                 self.cancel_countdown()
-                self.sim._push(self.dcf.nav_until_us - self.sim.now_us, "timer",
+                self.sim._push(self.mac.nav_until_us - self.sim.now_us, "timer",
                                self.on_nav_expire)
 
 
@@ -512,58 +541,29 @@ class _LteEnbController(_BaseController):
 
     node_type = NodeType.REL13_LAA
     mac_spec = MacSpec.LBT_CAT4
+    machine = mac_lte
+    IDLE, CONTENDING = LbtPhase.IDLE, (LbtPhase.DEFER, LbtPhase.BACKOFF)
+    BUSY_EVENT, SLOT_EVENT = "energy_above", "energy_below_slot"
 
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
         cfg = self.cfg
-        self.lbt = LbtState(
-            cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max,
-            ed_threshold_dbm=self.ed_threshold_dbm,
-            burst_length_ms=cfg.burst_ms, max_burst_ms=cfg.max_burst_ms,
-        )
+        self.slot_us, self.wait_us = cfg.slot_us, cfg.defer_us
+        self.mac = LbtState(cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max)
 
-    def maybe_start(self) -> None:
-        if self.lbt.phase == LbtPhase.IDLE and self.has_traffic():
-            self.lbt = mac_lte.begin_access(self.lbt, self.rng)
-            self.sim.trace(self.node.id, "phase", "defer")
-        if self.lbt.phase in (LbtPhase.DEFER, LbtPhase.BACKOFF):
-            if not self.blocked():
-                self.arm_defer()
+    def step(self, event: str) -> list[str]:
+        self.mac, actions = mac_lte.lbt_step(self.mac, event, self.rng)
+        return actions
 
-    def arm_defer(self) -> None:
-        self.gen += 1
-        self.sim._push(self.cfg.defer_us, "timer", self.on_idle_slot, self.gen)
+    def end_countdown(self, actions: list[str]) -> None:
+        self.start_burst()
 
-    def on_medium(self, busy: bool) -> None:
-        if busy:
-            self.gen += 1
-            if self.lbt.phase in (LbtPhase.DEFER, LbtPhase.BACKOFF):
-                self.lbt, _ = mac_lte.lbt_step(self.lbt, "energy_above", self.rng)
-        else:
-            if self.lbt.phase in (LbtPhase.DEFER, LbtPhase.BACKOFF) or self.has_traffic():
-                self.maybe_start()
-
-    def on_idle_slot(self, gen: int) -> None:
-        """The defer period or one backoff slot has passed with the medium idle."""
-        if gen != self.gen or self.blocked():
-            return
-        if self.lbt.phase not in (LbtPhase.DEFER, LbtPhase.BACKOFF):
-            return
-        self.lbt, actions = mac_lte.lbt_step(self.lbt, "energy_below_slot", self.rng)
-        if "start_burst" in actions:
-            self.start_burst()
-        else:
-            counter = self.lbt.backoff_counter
-            self.sim.trace(self.node.id, "decrement", str(counter))
-            skipped = self.sim.skip_idle_slots(
-                self.node.id, self.cfg.slot_us, counter - 1, -math.inf
-            )
-            if skipped:
-                self.lbt = mac_lte.idle_slots(self.lbt, skipped)
-            self.sim._push(self.cfg.slot_us, "slot_tick", self.on_idle_slot, self.gen)
+    def on_wait(self, gen: int) -> None:
+        """The defer period passed idle; it counts as the first slot."""
+        self.on_slot(gen)
 
     def start_burst(self) -> None:
-        self.gen += 1
+        self.cancel_countdown()
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
         job = self.head()
         rate = self.sim.link_rate(self.node.id, job.client)
@@ -581,11 +581,11 @@ class _LteEnbController(_BaseController):
     def burst_feedback(self, tx: Transmission, success: bool) -> None:
         # HARQ-style outcome known at burst end
         if success:
-            self.lbt, _ = mac_lte.lbt_step(self.lbt, "success_feedback", self.rng)
+            self.step("success_feedback")
             self.sim.credit_frame(self.node.id, tx.frame_key, bits=tx.bits)
         else:
             self.sim.metrics.retransmissions += 1
-            self.lbt, _ = mac_lte.lbt_step(self.lbt, "collision_feedback", self.rng)
+            self.step("collision_feedback")
             self.sim.trace(self.node.id, "action", "burst_retx")
         self.maybe_start()
 

@@ -21,8 +21,8 @@ from coexsim.coordination import (
     adapt_ed_threshold,
     select_channel,
 )
-from coexsim.mac_lte import LbtPhase, LbtState, begin_access as lbt_begin, lbt_step
-from coexsim.mac_wifi import DcfState, MacTiming, dcf_step, start_access
+from coexsim.mac_lte import LbtPhase, LbtState, start_access as lbt_begin, lbt_step
+from coexsim.mac_wifi import DcfState, dcf_step, start_access
 from coexsim.propagation import Building, Position, PropagationModel, sample_fast_fade
 from coexsim.relay import (
     BeaconDecodeError,
@@ -217,7 +217,6 @@ def test_criterion_8_property_suites():
             except BeaconDecodeError:
                 pass
         # DCF/LBT legal-event fuzz with cw bounds
-        timing = MacTiming()
         for _ in range(300):
             s = start_access(DcfState(retry_limit=10_000), rng)
             for _ in range(40):
@@ -226,12 +225,11 @@ def test_criterion_8_property_suites():
                     "backoff": ["medium_busy", "medium_idle_slot"],
                     "tx_data": ["tx_done", "rts_cts_fail"],
                     "await_ack": ["ack_received", "ack_timeout", "rts_cts_fail"],
-                    "tx_ack": ["tx_done"],
                     "idle": ["medium_busy"],
                     "nav_blocked": ["medium_busy"],
                 }[s.phase.value]
                 event = legal[int(rng.integers(0, len(legal)))]
-                s, _ = dcf_step(s, event, timing, rng)
+                s, _ = dcf_step(s, event, rng)
                 assert s.cw_min <= s.cw <= s.cw_max and (s.cw + 1) & s.cw == 0
             l = lbt_begin(LbtState(), rng)
             for _ in range(40):
@@ -239,8 +237,7 @@ def test_criterion_8_property_suites():
                     LbtPhase.IDLE: ["energy_above", "energy_below_slot"],
                     LbtPhase.DEFER: ["energy_above", "energy_below_slot"],
                     LbtPhase.BACKOFF: ["energy_above", "energy_below_slot"],
-                    LbtPhase.TX_BURST: ["burst_done", "collision_feedback",
-                                        "success_feedback"],
+                    LbtPhase.TX_BURST: ["collision_feedback", "success_feedback"],
                 }[l.phase]
                 event = legal[int(rng.integers(0, len(legal)))]
                 l, _ = lbt_step(l, event, rng)

@@ -8,9 +8,12 @@ method would leave ``sim.run`` or ``sim.init`` unmeasured and skew
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from coexsim.simulator import SimEvent
+from coexsim import mac_lte, mac_wifi
+from coexsim.config import apply_overrides, build_scenario, load_config
+from coexsim.simulator import SimEvent, Simulator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,3 +46,18 @@ def test_every_span_target_resolves(monkeypatch):
 def test_dispatch_probe_reads_event_kind():
     # the traced run counts slot ticks by ``event.kind`` in Simulator._dispatch
     assert "kind" in SimEvent._fields
+
+
+def test_state_machine_steps_called_through_their_modules(monkeypatch):
+    # the spans wrap ``mac_wifi.dcf_step`` and ``mac_lte.lbt_step`` in their
+    # modules; a controller holding its own reference would go unmeasured
+    calls = Counter()
+    for module, name in ((mac_wifi, "dcf_step"), (mac_lte, "lbt_step")):
+        def counting(*args, _name=name, _step=getattr(module, name)):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(module, name, counting)
+    cfg = apply_overrides(load_config("figure4_coexistence"),
+                          ["traffic.model=full_buffer", "simulate.duration_s=0.2"])
+    Simulator(build_scenario(cfg)).run()
+    assert calls["dcf_step"] > 0 and calls["lbt_step"] > 0

@@ -229,10 +229,17 @@ class TestScenarioConfigErrors:
         (TWO_BASES, ["lte_mac.slot_us=-1"]),
         (TWO_BASES, ["relay.latency_ms=-5"]),
         (TWO_BASES, ["phy.fading_branches=0"]),
+        (TWO_BASES, ["clients.per_base=-2"]),
+        (TWO_BASES, ["clients.per_base=1.7"]),
+        # only bases sense, so a client threshold would be ignored
+        (TWO_BASES + [{"id": "sta1", "kind": "wifi_sta", "position": [10.0, 20.0],
+                       "attach_to": "ap1", "ed_threshold_dbm": -70.0}], []),
     ], ids=["unknown_base", "other_technology", "outside_building",
             "client_mode", "defer_below_sifs_plus_slot", "wifi_cw_min_form",
             "wifi_cw_max_form", "lte_cw_max_form", "burst_above_cap",
-            "negative_lte_slot", "negative_relay_latency", "no_fading_branches"])
+            "negative_lte_slot", "negative_relay_latency", "no_fading_branches",
+            "negative_clients_per_base", "fractional_fixed_clients",
+            "client_ed_threshold"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
         argv = ["simulate", "--config", write_config(tmp_path, {
             "nodes": nodes, "simulate": {"duration_s": 0.05}})]

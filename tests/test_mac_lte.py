@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from coexsim.mac_lte import (
     LbtPhase,
     LbtState,
-    begin_access,
     idle_slots,
     lbt_step,
+    start_access,
 )
 from coexsim.mac_wifi import ProtocolViolation
 
@@ -54,14 +54,9 @@ class TestLbtStep:
         assert s2.cw == 31
         assert s2.phase == LbtPhase.DEFER
 
-    def test_burst_done_goes_idle(self):
-        s = LbtState(phase=LbtPhase.TX_BURST)
-        s2, _ = lbt_step(s, "burst_done", rng())
-        assert s2.phase == LbtPhase.IDLE
-
     def test_illegal_pair_raises(self):
         with pytest.raises(ProtocolViolation):
-            lbt_step(LbtState(phase=LbtPhase.IDLE), "burst_done", rng())
+            lbt_step(LbtState(phase=LbtPhase.DEFER), "success_feedback", rng())
 
     def test_unknown_event_raises(self):
         with pytest.raises(ProtocolViolation):
@@ -86,10 +81,10 @@ def test_cw_bounds_under_random_legal_streams():
                         "success_feedback"],
         LbtPhase.DEFER: ["energy_above", "energy_below_slot"],
         LbtPhase.BACKOFF: ["energy_above", "energy_below_slot"],
-        LbtPhase.TX_BURST: ["burst_done", "collision_feedback", "success_feedback"],
+        LbtPhase.TX_BURST: ["collision_feedback", "success_feedback"],
     }
     for _ in range(200):
-        s = begin_access(LbtState(), gen)
+        s = start_access(LbtState(), gen)
         for _ in range(60):
             events = legal_by_phase[s.phase]
             event = events[int(gen.integers(0, len(events)))]
@@ -107,8 +102,7 @@ def first_grant_slot(energy_trace, threshold, counter, defer_slots=3):
     ``defer_slots`` consecutive below-threshold slots before countdown
     slots count.
     """
-    s = LbtState(phase=LbtPhase.DEFER, backoff_counter=counter,
-                 ed_threshold_dbm=threshold)
+    s = LbtState(phase=LbtPhase.DEFER, backoff_counter=counter)
     gen = rng()
     idle_run = 0
     for i, energy in enumerate(energy_trace):
@@ -141,17 +135,13 @@ def test_politeness_monotone_in_threshold():
 
 
 class TestStateValidation:
-    def test_burst_cap(self):
-        with pytest.raises(ValueError):
-            LbtState(burst_length_ms=10.0, max_burst_ms=8.0)
-
     def test_cw_form(self):
         with pytest.raises(ValueError):
             LbtState(cw=14)
 
 
 # reachable counting states: any cw of the 15..63 ladder, any counter in
-# [1, cw], any threshold and burst length
+# [1, cw]
 @st.composite
 def counting_states(draw):
     cw = draw(st.sampled_from([15, 31, 63]))
@@ -159,8 +149,6 @@ def counting_states(draw):
         phase=draw(st.sampled_from([LbtPhase.DEFER, LbtPhase.BACKOFF])),
         cw=cw,
         backoff_counter=draw(st.integers(min_value=1, max_value=cw)),
-        ed_threshold_dbm=draw(st.floats(min_value=-82, max_value=-62)),
-        burst_length_ms=draw(st.sampled_from([2.0, 4.0, 8.0])),
     )
 
 

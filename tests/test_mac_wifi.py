@@ -32,37 +32,37 @@ class TestTiming:
 class TestDcfStep:
     def test_idle_slot_decrements(self):
         s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=3)
-        s2, actions = dcf_step(s, "medium_idle_slot", MacTiming(), rng())
+        s2, actions = dcf_step(s, "medium_idle_slot", rng())
         assert s2.backoff_counter == 2
         assert actions == []
 
     def test_ack_timeout_doubles_cw(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=15)
-        s2, _ = dcf_step(s, "ack_timeout", MacTiming(), rng())
+        s2, _ = dcf_step(s, "ack_timeout", rng())
         assert s2.cw == 31
         assert 0 <= s2.backoff_counter <= 31
         assert s2.retry_count == 1
 
     def test_counter_expiry_emits_data(self):
         s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=1)
-        s2, actions = dcf_step(s, "medium_idle_slot", MacTiming(), rng())
+        s2, actions = dcf_step(s, "medium_idle_slot", rng())
         assert s2.phase == DcfPhase.TX_DATA
         assert actions == ["tx_data"]
 
     def test_counter_expiry_emits_rts_when_enabled(self):
         s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=1, use_rts=True)
-        _, actions = dcf_step(s, "medium_idle_slot", MacTiming(), rng())
+        _, actions = dcf_step(s, "medium_idle_slot", rng())
         assert actions == ["tx_rts"]
 
     def test_busy_freezes_counter(self):
         s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=5)
-        s2, _ = dcf_step(s, "medium_busy", MacTiming(), rng())
+        s2, _ = dcf_step(s, "medium_busy", rng())
         assert s2.phase == DcfPhase.DEFER
         assert s2.backoff_counter == 5
 
     def test_ack_received_back_to_idle(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=255, retry_count=3)
-        s2, actions = dcf_step(s, "ack_received", MacTiming(), rng())
+        s2, actions = dcf_step(s, "ack_received", rng())
         assert s2.phase == DcfPhase.IDLE
         assert s2.cw == s.cw_min
         assert s2.retry_count == 0
@@ -70,19 +70,19 @@ class TestDcfStep:
 
     def test_cw_caps_at_max(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=1023, cw_max=1023, retry_limit=20)
-        s2, _ = dcf_step(s, "ack_timeout", MacTiming(), rng())
+        s2, _ = dcf_step(s, "ack_timeout", rng())
         assert s2.cw == 1023
 
     def test_retry_limit_drops_frame(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=1023, retry_count=7, retry_limit=7)
-        s2, actions = dcf_step(s, "ack_timeout", MacTiming(), rng())
+        s2, actions = dcf_step(s, "ack_timeout", rng())
         assert actions == ["drop_frame"]
         assert s2.cw == s2.cw_min
         assert s2.retry_count == 0
 
     def test_rts_cts_fail_doubles(self):
         s = DcfState(phase=DcfPhase.TX_DATA, cw=31)
-        s2, _ = dcf_step(s, "rts_cts_fail", MacTiming(), rng())
+        s2, _ = dcf_step(s, "rts_cts_fail", rng())
         assert s2.cw == 63
 
 
@@ -91,7 +91,7 @@ LEGAL = {
     ("idle", "medium_busy"), ("nav_blocked", "medium_busy"),
     ("defer", "medium_busy"), ("backoff", "medium_busy"),
     ("defer", "medium_idle_slot"), ("backoff", "medium_idle_slot"),
-    ("tx_data", "tx_done"), ("tx_ack", "tx_done"),
+    ("tx_data", "tx_done"),
     ("await_ack", "ack_received"), ("await_ack", "ack_timeout"),
     ("tx_data", "rts_cts_fail"), ("await_ack", "rts_cts_fail"),
 }
@@ -105,15 +105,15 @@ LEGAL = {
 def test_transition_table_exhaustive(phase, event):
     s = DcfState(phase=phase, backoff_counter=3)
     if (phase.value, event) in LEGAL:
-        dcf_step(s, event, MacTiming(), rng())
+        dcf_step(s, event, rng())
     else:
         with pytest.raises(ProtocolViolation):
-            dcf_step(s, event, MacTiming(), rng())
+            dcf_step(s, event, rng())
 
 
 def test_unknown_event_rejected():
     with pytest.raises(ProtocolViolation):
-        dcf_step(DcfState(), "solar_flare", MacTiming(), rng())
+        dcf_step(DcfState(), "solar_flare", rng())
 
 
 def test_cw_bounds_under_random_legal_streams():
@@ -127,7 +127,7 @@ def test_cw_bounds_under_random_legal_streams():
             if not legal:
                 break
             event = legal[int(gen.integers(0, len(legal)))]
-            s, _ = dcf_step(s, event, MacTiming(), gen)
+            s, _ = dcf_step(s, event, gen)
             assert s.cw_min <= s.cw <= s.cw_max
             assert (s.cw + 1) & s.cw == 0
             assert 0 <= s.backoff_counter <= s.cw
@@ -190,7 +190,7 @@ class TestIdleSlots:
         n = data.draw(st.integers(min_value=0, max_value=state.backoff_counter - 1))
         stepped = state
         for _ in range(n):
-            stepped, actions = dcf_step(stepped, "medium_idle_slot", MacTiming(), rng())
+            stepped, actions = dcf_step(stepped, "medium_idle_slot", rng())
             assert actions == []
         assert idle_slots(state, n) == stepped
 
@@ -209,6 +209,6 @@ class TestIdleSlots:
     def test_illegal_where_idle_slot_is(self, phase):
         s = DcfState(phase=phase, backoff_counter=5)
         with pytest.raises(ProtocolViolation):
-            dcf_step(s, "medium_idle_slot", MacTiming(), rng())
+            dcf_step(s, "medium_idle_slot", rng())
         with pytest.raises(ProtocolViolation):
             idle_slots(s, 1)
