@@ -27,7 +27,6 @@ import numpy as np
 from . import config as cfgmod
 from .config import ConfigError, Node
 from .coordination import adapt_ed_threshold, channel_metric, filter_scan, select_channel
-from .propagation import sample_link_gains
 from .relay import (
     BeaconDecodeError,
     CellInfo,
@@ -38,7 +37,7 @@ from .relay import (
     hex_to_ies,
     ies_to_hex,
 )
-from .sensing import EdConfig, ed_success_factors, ed_success_prob, fractional_ed_coverage
+from .sensing import EdConfig, coverage_of, ed_success_factors, ed_success_prob, sample_rssi_dbm
 from .simulator import Simulator, summarize
 
 EXIT_OK = 0
@@ -91,30 +90,10 @@ def cmd_coverage(args) -> int:
     rows = []
     cdf_rows = []
     for model in spec.models:
-        row = [model.variant]
-        for threshold in spec.thresholds_dbm:
-            for cell_name, sensitivity in spec.cells:
-                cov = fractional_ed_coverage(
-                    spec.building, base, model,
-                    EdConfig(threshold_dbm=threshold, min_sensitivity_dbm=sensitivity),
-                    n_samples=spec.samples,
-                    rng=np.random.default_rng([seed, 7]),
-                    include_shadow=spec.include_shadow,
-                    margin_db=spec.margin_db,
-                )
-                row.append(cov.ed_fraction)
-        for cell_name, sensitivity in spec.cells:
-            cov = fractional_ed_coverage(
-                spec.building, base, model,
-                EdConfig(threshold_dbm=-np.inf, min_sensitivity_dbm=sensitivity),
-                n_samples=spec.samples,
-                rng=np.random.default_rng([seed, 7]),
-                include_shadow=spec.include_shadow,
-                margin_db=spec.margin_db,
-            )
-            row.append(cov.cell_fraction)
-        rows.append(row)
-        cdf_rows.extend(_rssi_cdf_rows(spec, model, seed))
+        # each helper draws its own sample, so the table sample is freed
+        # before the CDF sample is drawn
+        rows.append(_coverage_row(spec, base, model, seed))
+        cdf_rows.extend(_rssi_cdf_rows(spec, base, model, seed))
     write_rows(args.out, header, rows)
     cdf_path = args.cdf_out
     if cdf_path is None and args.out not in (None, "-"):
@@ -124,19 +103,35 @@ def cmd_coverage(args) -> int:
     return EXIT_OK
 
 
-def _rssi_cdf_rows(spec, model, seed):
-    rng = np.random.default_rng([seed, 8])
-    xs = rng.uniform(0.0, spec.building.width_m, spec.samples)
-    ys = rng.uniform(0.0, spec.building.depth_m, spec.samples)
-    dists = np.hypot(xs - spec.base_position.x, ys - spec.base_position.y)
-    gains = sample_link_gains(np.maximum(dists, 1.0), model, rng,
-                              include_shadow=spec.include_shadow)
-    rssis = spec.tx_power_dbm + gains - spec.margin_db
-    lo = np.floor(rssis.min() / spec.cdf_bin_db) * spec.cdf_bin_db
-    hi = np.ceil(rssis.max() / spec.cdf_bin_db) * spec.cdf_bin_db
+def _sample(spec, base, model, stream):
+    return sample_rssi_dbm(spec.building, base, model, spec.samples,
+                           np.random.default_rng(stream), spec.include_shadow,
+                           spec.margin_db)
+
+
+def _coverage_row(spec, base, model, seed):
+    """One model's table row, every fraction counted from one draw."""
+    rssis = _sample(spec, base, model, [seed, 7])
+    row = [model.variant]
+    for threshold in spec.thresholds_dbm:
+        for _, sensitivity in spec.cells:
+            ed = EdConfig(threshold_dbm=threshold, min_sensitivity_dbm=sensitivity)
+            row.append(coverage_of(rssis, ed).ed_fraction)
+    for _, sensitivity in spec.cells:
+        ed = EdConfig(threshold_dbm=-np.inf, min_sensitivity_dbm=sensitivity)
+        row.append(coverage_of(rssis, ed).cell_fraction)
+    return row
+
+
+def _rssi_cdf_rows(spec, base, model, seed):
+    rssis = _sample(spec, base, model, [seed, 8])
+    rssis.sort()
+    lo = np.floor(rssis[0] / spec.cdf_bin_db) * spec.cdf_bin_db
+    hi = np.ceil(rssis[-1] / spec.cdf_bin_db) * spec.cdf_bin_db
     levels = np.arange(lo, hi + spec.cdf_bin_db, spec.cdf_bin_db)
-    return [(model.variant, float(level), float(np.mean(rssis <= level)))
-            for level in levels]
+    fractions = np.searchsorted(rssis, levels, side="right") / rssis.size
+    return [(model.variant, float(level), float(fraction))
+            for level, fraction in zip(levels, fractions)]
 
 
 # -- edprob ---------------------------------------------------------------------

@@ -210,10 +210,10 @@ class Scenario:
                 continue
             base = by_id.get(node.attach_to)
             if (node.is_base or base is None or not base.is_base
-                    or base.technology != node.technology):
+                    or base.technology != node.technology or base.channel != node.channel):
                 raise ValueError(f"{node.kind} {node.id} cannot attach to "
                                  f"{node.attach_to!r}: clients attach to an existing "
-                                 f"{node.technology} base")
+                                 f"{node.technology} base on their channel {node.channel}")
         if self.lte_mac.defer_us < self.wifi_mac.timing.sifs_us + self.lte_mac.slot_us:
             raise ValueError("lte_mac.defer_us must be at least wifi_mac.sifs_us "
                              "+ lte_mac.slot_us")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import Building, Position, PropagationModel, sample_link_gains
+from .propagation import Building, PropagationModel, sample_link_gains
 
 
 @dataclass
@@ -77,6 +77,53 @@ def ed_success_factors(mean_rssi_dbm, threshold_dbm: float) -> list[float]:
     return [float(math.exp(-(10.0 ** ((threshold_dbm - r) / 10.0)))) for r in rssis]
 
 
+def sample_rssi_dbm(
+    building: Building,
+    base,
+    model: PropagationModel,
+    n_samples: int,
+    rng: np.random.Generator,
+    include_shadow: bool = True,
+    margin_db: float = 0.0,
+) -> np.ndarray:
+    """Mean RSSI (dBm) at client points drawn uniformly over a building.
+
+    The RSSI is the base's transmit power plus path gain and shadowing
+    (no fast fading), less ``margin_db``, an optional multipath
+    allowance.  ``base`` needs ``.position`` (a ``Position``) and
+    ``.tx_power_dbm`` attributes.
+    """
+    if n_samples < 1000:
+        raise ValueError("n_samples must be >= 1000")
+    pos = base.position
+    if not building.contains(pos):
+        raise ValueError("base position lies outside the building")
+    xs = rng.uniform(0.0, building.width_m, n_samples)
+    ys = rng.uniform(0.0, building.depth_m, n_samples)
+    dists = np.maximum(np.hypot(xs - pos.x, ys - pos.y), 1.0)
+    gains = sample_link_gains(dists, model, rng, include_shadow=include_shadow)
+    return base.tx_power_dbm + gains - margin_db
+
+
+def coverage_of(rssis: np.ndarray, ed: EdConfig) -> CoverageResult:
+    """Cell and ED coverage fractions of an RSSI sample.
+
+    A point belongs to the cell when its RSSI reaches
+    ``ed.min_sensitivity_dbm``; the ED fraction is the share of cell
+    points whose RSSI also reaches the threshold.
+    """
+    in_cell = rssis >= ed.min_sensitivity_dbm
+    n_cell = int(np.count_nonzero(in_cell))
+    if n_cell == 0:
+        raise ValueError("degenerate cell: no sampled point reaches the decode floor")
+    above = np.count_nonzero(in_cell & (rssis >= ed.threshold_dbm))
+    return CoverageResult(
+        cell_fraction=n_cell / rssis.size,
+        ed_fraction=above / n_cell,
+        samples=rssis.size,
+    )
+
+
 def fractional_ed_coverage(
     building: Building,
     base,
@@ -87,42 +134,11 @@ def fractional_ed_coverage(
     include_shadow: bool = True,
     margin_db: float = 0.0,
 ) -> CoverageResult:
-    """Monte-Carlo cell and ED coverage fractions over a building.
-
-    Client positions are sampled uniformly over the building.  A point
-    belongs to the cell when its mean RSSI (path gain plus shadowing,
-    no fast fading) reaches ``ed.min_sensitivity_dbm``; the ED fraction
-    is the share of cell points whose RSSI also reaches the threshold.
-    ``margin_db`` is an optional multipath allowance subtracted from the
-    RSSI before both comparisons.
-
-    ``base`` needs ``.position`` and ``.tx_power_dbm`` attributes.
-    """
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
-    pos = base.position
-    if not building.contains(Position(pos[0], pos[1]) if not isinstance(pos, Position) else pos):
-        raise ValueError("base position lies outside the building")
-    bx = pos.x if isinstance(pos, Position) else pos[0]
-    by = pos.y if isinstance(pos, Position) else pos[1]
+    """Monte-Carlo cell and ED coverage fractions of one ``sample_rssi_dbm`` draw."""
     rng = rng if rng is not None else np.random.default_rng(0)
-
-    xs = rng.uniform(0.0, building.width_m, n_samples)
-    ys = rng.uniform(0.0, building.depth_m, n_samples)
-    dists = np.hypot(xs - bx, ys - by)
-    gains = sample_link_gains(dists, model, rng, include_shadow=include_shadow)
-    rssis = base.tx_power_dbm + gains - margin_db
-
-    in_cell = rssis >= ed.min_sensitivity_dbm
-    n_cell = int(np.count_nonzero(in_cell))
-    if n_cell == 0:
-        raise ValueError("degenerate cell: no sampled point reaches the decode floor")
-    above = np.count_nonzero(in_cell & (rssis >= ed.threshold_dbm))
-    return CoverageResult(
-        cell_fraction=n_cell / n_samples,
-        ed_fraction=above / n_cell,
-        samples=n_samples,
-    )
+    rssis = sample_rssi_dbm(building, base, model, n_samples, rng,
+                            include_shadow, margin_db)
+    return coverage_of(rssis, ed)
 
 
 def uplink_ed_failure(coverage: CoverageResult) -> float:

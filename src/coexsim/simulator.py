@@ -162,7 +162,7 @@ class Transmission:
     nav_duration_us: float = 0.0
     frame_key: tuple | None = None
     fades_db: dict = field(default_factory=dict)
-    overlaps: list = field(default_factory=list)  # (other Transmission, start, end)
+    overlaps: list = field(default_factory=list)  # (co-channel Transmission, start, end)
 
 
 @dataclass
@@ -262,10 +262,6 @@ class _BaseController(_Controller):
     def wants_medium(self) -> bool:
         return self.contending()
 
-    def nav_until_us(self) -> float:
-        """Idle slots are never skipped inside the NAV, which ends here."""
-        return -math.inf
-
     def maybe_start(self) -> None:
         if self.mac.phase == self.IDLE and self.has_traffic():
             self.mac = self.machine.start_access(self.mac, self.rng)
@@ -295,9 +291,7 @@ class _BaseController(_Controller):
             return
         counter = self.mac.backoff_counter
         self.sim.trace(self.node.id, "decrement", str(counter))
-        skipped = self.sim.skip_idle_slots(
-            self.node.id, self.slot_us, counter - 1, self.nav_until_us()
-        )
+        skipped = self.sim.skip_idle_slots(self.node.id, self.slot_us, counter - 1)
         if skipped:
             self.mac = self.machine.idle_slots(self.mac, skipped)
         self.sim._push(self.slot_us, "slot_tick", self.on_slot, self.gen)
@@ -310,6 +304,7 @@ class _WifiApController(_BaseController):
     mac_spec = MacSpec.DCF
     machine = mac_wifi
     IDLE, CONTENDING = DcfPhase.IDLE, (DcfPhase.DEFER, DcfPhase.BACKOFF)
+    EXCHANGE = (DcfPhase.TX_DATA, DcfPhase.AWAIT_ACK)  # an RTS..ACK chain in flight
     BUSY_EVENT, SLOT_EVENT = "medium_busy", "medium_idle_slot"
 
     def __init__(self, sim: "Simulator", node: Node):
@@ -323,13 +318,9 @@ class _WifiApController(_BaseController):
         )
         self.resp_gen = 0     # invalidates stale ack/cts timeouts
         self.beacon_pending = False
-        self.in_exchange = False  # RTS..ACK chain in flight
 
     def blocked(self) -> bool:
         return super().blocked() or self.mac.nav_until_us > self.sim.now_us
-
-    def nav_until_us(self) -> float:
-        return self.mac.nav_until_us
 
     def step(self, event: str) -> list[str]:
         self.mac, actions = mac_wifi.dcf_step(self.mac, event, self.rng)
@@ -352,7 +343,7 @@ class _WifiApController(_BaseController):
         return min(self.cfg.frame_payload_bytes * 8.0, remaining)
 
     def maybe_start(self) -> None:
-        if not self.in_exchange:
+        if self.mac.phase not in self.EXCHANGE:
             super().maybe_start()
 
     def on_medium(self, busy: bool) -> None:
@@ -381,7 +372,6 @@ class _WifiApController(_BaseController):
         """No CTS (``rts_cts_fail``) or ACK (``ack_timeout``) came back."""
         if gen != self.resp_gen:
             return
-        self.in_exchange = False
         self.sim.metrics.retransmissions += 1
         if "drop_frame" in self.step(event):
             self.sim.trace(self.node.id, "action", "drop_frame")
@@ -411,7 +401,6 @@ class _WifiApController(_BaseController):
 
     def start_rts(self) -> None:
         self.cancel_countdown()
-        self.in_exchange = True
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
         job = self.head()
         data_us = self.data_duration_us()
@@ -427,7 +416,6 @@ class _WifiApController(_BaseController):
 
     def start_data(self) -> None:
         self.cancel_countdown()
-        self.in_exchange = True
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
         self.transmit_data_frame()
 
@@ -473,14 +461,13 @@ class _WifiApController(_BaseController):
     def handle_rx(self, tx: Transmission, success: bool) -> None:
         if not success:
             return  # timeouts recover the exchange
-        if tx.kind == "cts" and self.in_exchange:
+        if tx.kind == "cts" and self.mac.phase in self.EXCHANGE:
             self.resp_gen += 1
             self.sim._push(self.timing.sifs_us, "timer", self.transmit_data_frame)
-        elif tx.kind == "ack" and self.in_exchange:
+        elif tx.kind == "ack" and self.mac.phase in self.EXCHANGE:
             self.resp_gen += 1
-            self.in_exchange = False
             self.step("ack_received")
-            self.sim.credit_frame(self.node.id, tx.frame_key)
+            self.sim.credit_frame(self.node.id, tx.frame_key, tx.bits)
             self.maybe_start()
 
     def overheard(self, tx: Transmission) -> None:
@@ -582,7 +569,7 @@ class _LteEnbController(_BaseController):
         # HARQ-style outcome known at burst end
         if success:
             self.step("success_feedback")
-            self.sim.credit_frame(self.node.id, tx.frame_key, bits=tx.bits)
+            self.sim.credit_frame(self.node.id, tx.frame_key, tx.bits)
         else:
             self.sim.metrics.retransmissions += 1
             self.step("collision_feedback")
@@ -725,8 +712,7 @@ class Simulator:
                 f"{self.now_us:.3f},{node},{tech},{record},{detail}"
             )
 
-    def skip_idle_slots(self, node_id: str, slot_us: float, max_slots: int,
-                        nav_until_us: float) -> int:
+    def skip_idle_slots(self, node_id: str, slot_us: float, max_slots: int) -> int:
         """Consume the idle backoff slots that follow now; returns how many.
 
         Called by a controller whose slot tick has just decremented its
@@ -735,9 +721,9 @@ class Simulator:
         takes), advancing ``now_us`` and emitting each slot's
         ``decrement`` record.  It stops before the first boundary at or
         after the next queued event (equal times go to the queued event,
-        whose sequence number is older), after ``end_us``, inside the
-        NAV, or once ``max_slots`` slots are consumed, so the slot that
-        ends the countdown stays a real tick.  Slot ticks push nothing
+        whose sequence number is older), after ``end_us``, or once
+        ``max_slots`` slots are consumed, so the slot that ends the
+        countdown stays a real tick.  Slot ticks push nothing
         but the next tick, so every other event keeps its (time, seq)
         order and outputs do not change.
         """
@@ -746,7 +732,7 @@ class Simulator:
         tracing = self.trace_lines is not None
         t = self.now_us + slot_us
         n = 0
-        while n < max_slots and t < next_us and t <= self.end_us and t >= nav_until_us:
+        while n < max_slots and t < next_us and t <= self.end_us:
             n += 1
             self.now_us = t
             if tracing:
@@ -857,30 +843,28 @@ class Simulator:
             self.trace(dst, "rx_fail", f"below_floor;from={tx.src}")
             return False
         noise_lin = _lin(phy.noise_floor_dbm)
-        overlapped = [o for o in tx.overlaps
-                      if self.nodes[o[0].src].channel == self.nodes[dst].channel]
         max_interference = 0.0
-        if overlapped:
-            bounds = sorted({b for _, s, e in overlapped for b in (s, e)})
+        if tx.overlaps:
+            bounds = sorted({b for _, s, e in tx.overlaps for b in (s, e)})
             for a, b in zip(bounds, bounds[1:]):
                 seg = 0.0
-                for other, s, e in overlapped:
+                for other, s, e in tx.overlaps:
                     if s <= a and e >= b:
                         seg += _lin(self.mean_rssi(other.src, dst)
                                     + other.fades_db[dst])
                 max_interference = max(max_interference, seg)
         sinr_db = signal_db - _dbm(noise_lin + max_interference)
         required = tx.req_sinr_db
-        if overlapped:
+        if tx.overlaps:
             required = max(required, phy.capture_threshold_db)
         success = sinr_db >= required
         if not success:
             clean_sinr = signal_db - phy.noise_floor_dbm
-            if overlapped and clean_sinr >= tx.req_sinr_db:
+            if tx.overlaps and clean_sinr >= tx.req_sinr_db:
                 self.metrics.collision_count += 1
                 detail = f"from={tx.src};kind={tx.kind}"
                 if tx.kind == "ack":
-                    for other, _, _ in overlapped:
+                    for other, _, _ in tx.overlaps:
                         if (other.kind == "burst"
                                 and tx.start_us <= other.start_us < tx.end_us):
                             self.metrics.ack_window_collisions += 1
@@ -893,8 +877,7 @@ class Simulator:
 
     # -- traffic ---------------------------------------------------------------
 
-    def credit_frame(self, base_id: str, frame_key: tuple | None,
-                     bits: float | None = None) -> None:
+    def credit_frame(self, base_id: str, frame_key: tuple | None, bits: float) -> None:
         ctrl = self.controllers[base_id]
         job = ctrl.head()
         if job is None or frame_key is None:
@@ -902,14 +885,10 @@ class Simulator:
         file_id, offset = frame_key
         if job.file_id != file_id or job.done_bits != offset:
             return  # duplicate delivery of an already-credited frame
-        credit = bits if bits is not None else min(
-            self.scenario.wifi_mac.frame_payload_bytes * 8.0,
-            job.size_bits - job.done_bits,
-        )
-        job.done_bits += credit
+        job.done_bits += bits
         if self.now_us >= self.warmup_us:
             self.delivered_after_warmup[job.client] = (
-                self.delivered_after_warmup.get(job.client, 0.0) + credit
+                self.delivered_after_warmup.get(job.client, 0.0) + bits
             )
         if job.done_bits >= job.size_bits and math.isfinite(job.size_bits):
             job.complete_us = self.now_us
@@ -926,25 +905,23 @@ class Simulator:
                 job = FileJob(self._file_counter, client.id, math.inf, 0.0)
                 self.controllers[client.attach_to].files.append(job)
             else:
-                rng = self.traffic_rng(client.id)
-                delay_us = rng.exponential(1.0 / traffic.rate_for(client.id)) * 1e6
-                if delay_us <= self.end_us:
-                    self._push(delay_us, "file_arrival", self._handle_file_arrival,
-                               client.id)
+                self._schedule_arrival(client.id)
+
+    def _schedule_arrival(self, client_id: str) -> None:
+        """Queue the client's next file arrival if it falls inside the run."""
+        rate = self.scenario.traffic.rate_for(client_id)
+        delay_us = self.traffic_rng(client_id).exponential(1.0 / rate) * 1e6
+        if self.now_us + delay_us <= self.end_us:
+            self._push(delay_us, "file_arrival", self._handle_file_arrival, client_id)
 
     def _handle_file_arrival(self, client_id: str) -> None:
-        client = self.nodes[client_id]
-        traffic = self.scenario.traffic
         self._file_counter += 1
-        job = FileJob(self._file_counter, client.id,
-                      traffic.size_bits_for(client.id), self.now_us)
-        base_ctrl = self.controllers[client.attach_to]
+        job = FileJob(self._file_counter, client_id,
+                      self.scenario.traffic.size_bits_for(client_id), self.now_us)
+        base_ctrl = self.controllers[self.nodes[client_id].attach_to]
         base_ctrl.files.append(job)
-        self.trace(client.id, "file_arrival", f"id={job.file_id}")
-        rng = self.traffic_rng(client.id)
-        delay_us = rng.exponential(1.0 / traffic.rate_for(client.id)) * 1e6
-        if self.now_us + delay_us <= self.end_us:
-            self._push(delay_us, "file_arrival", self._handle_file_arrival, client.id)
+        self.trace(client_id, "file_arrival", f"id={job.file_id}")
+        self._schedule_arrival(client_id)
         base_ctrl.maybe_start()
 
     # -- relaying and adaptation ------------------------------------------------

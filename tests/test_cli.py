@@ -4,6 +4,7 @@ import math
 import pytest
 import yaml
 
+from coexsim import sensing
 from coexsim.cli import main
 
 SCAN_CFG = {
@@ -82,6 +83,24 @@ class TestCoverage:
         assert rc == 0
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[1]) == 1.0 and float(row[2]) == 1.0
+
+    def test_one_draw_per_model_for_table_and_cdf(self, tmp_path, monkeypatch):
+        # every table fraction of a model is counted from one draw, and its
+        # CDF from a second one
+        calls = []
+        draw = sensing.sample_link_gains
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].variant)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(sensing, "sample_link_gains", counting)
+        rc = main(["coverage", "--config", "table1_inh",
+                   "--set", "coverage.samples=2000",
+                   "--set", "coverage.models=[{model: inh}, {model: diffusion}]",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 0
+        assert calls == ["inh", "inh", "diffusion", "diffusion"]
 
     def test_unknown_key_named(self, capsys):
         rc = main(["coverage", "--config", "table1_inh",
@@ -234,12 +253,15 @@ class TestScenarioConfigErrors:
         # only bases sense, so a client threshold would be ignored
         (TWO_BASES + [{"id": "sta1", "kind": "wifi_sta", "position": [10.0, 20.0],
                        "attach_to": "ap1", "ed_threshold_dbm": -70.0}], []),
+        # a client hears only its own channel, so it must be on its base's
+        (TWO_BASES + [{"id": "sta1", "kind": "wifi_sta", "position": [10.0, 20.0],
+                       "attach_to": "ap1", "channel": 40}], []),
     ], ids=["unknown_base", "other_technology", "outside_building",
             "client_mode", "defer_below_sifs_plus_slot", "wifi_cw_min_form",
             "wifi_cw_max_form", "lte_cw_max_form", "burst_above_cap",
             "negative_lte_slot", "negative_relay_latency", "no_fading_branches",
             "negative_clients_per_base", "fractional_fixed_clients",
-            "client_ed_threshold"])
+            "client_ed_threshold", "client_off_base_channel"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
         argv = ["simulate", "--config", write_config(tmp_path, {
             "nodes": nodes, "simulate": {"duration_s": 0.05}})]
