@@ -7,10 +7,13 @@ CHANGES.md.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from coexsim.cli import main
+
+TWO_BSS_RTS = str(Path(__file__).resolve().parent / "two_bss_rts.yaml")
 
 # (argv without output paths, {option: sha256 of the file it writes})
 GOLDEN = {
@@ -36,6 +39,14 @@ GOLDEN = {
         {
             "--out": "57a2447126d60d1882f32c87f61d33ed4504e4cf307006c85c6b1aebf3bd2317",
             "--trace": "162e9b14a492d76d0e7f4882affa8833d098de3289c4eff06792c6d2a4d2eaa0",
+        },
+    ),
+    # two APs that decode each other's RTS/CTS below ED: NAV deferral, traced
+    "two_bss_rts": (
+        ["simulate", "--config", TWO_BSS_RTS],
+        {
+            "--out": "5f3038aa502696d1a9108b4c203f7e7489cad0f6f5404852d57a2b25172498c1",
+            "--trace": "0e7bfff410b26120ddfcfb242de5c6d91308a7494d6154512d315729adce7549",
         },
     ),
     "table1_inh": (
