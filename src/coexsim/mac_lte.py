@@ -4,7 +4,9 @@ A defer period of at least one SIFS plus one slot, then
 exponential-backoff contention.  Like the DCF machine, this is a pure
 transition function; the caller owns all clocks, the ED threshold and
 the burst length, and must only deliver ``energy_below_slot`` once the
-defer window has elapsed idle.  HARQ feedback ends a burst.
+defer window has elapsed idle.  HARQ feedback ends a burst.  The
+backoff draw and idle-slot runs are ``mac_wifi.start_access`` and
+``mac_wifi.idle_slots``, which serve both machines.
 """
 
 from __future__ import annotations
@@ -45,14 +47,6 @@ class LbtState:
             raise ValueError(f"cw {self.cw} outside [{self.cw_min}, {self.cw_max}]")
         if (self.cw + 1) & self.cw:
             raise ValueError("cw must have the 2^k - 1 form")
-
-
-def start_access(state: LbtState, rng: np.random.Generator) -> LbtState:
-    """Draw a fresh backoff and enter the defer phase."""
-    if state.phase not in (LbtPhase.IDLE, LbtPhase.DEFER):
-        raise ProtocolViolation(f"cannot start access from phase {state.phase.value}")
-    counter = int(rng.integers(0, state.cw + 1))
-    return replace(state, phase=LbtPhase.DEFER, backoff_counter=counter)
 
 
 def _redraw(state: LbtState, rng: np.random.Generator, cw: int) -> LbtState:
@@ -104,20 +98,3 @@ def lbt_step(
     if phase not in (LbtPhase.TX_BURST, LbtPhase.IDLE):
         raise ProtocolViolation(f"success_feedback is illegal in phase {phase.value}")
     return replace(state, phase=LbtPhase.IDLE, cw=state.cw_min), []
-
-
-def idle_slots(state: LbtState, n: int) -> LbtState:
-    """The state after ``n`` ``energy_below_slot`` events that start no burst.
-
-    Equal to ``n`` applications of ``lbt_step(state, "energy_below_slot",
-    ...)``; ``n`` must be below the backoff counter, so the slot that
-    ends the countdown is always delivered through ``lbt_step``.
-    """
-    if state.phase not in (LbtPhase.DEFER, LbtPhase.BACKOFF):
-        raise ProtocolViolation(f"idle slots are illegal in phase {state.phase.value}")
-    if not 0 <= n < state.backoff_counter:
-        raise ValueError(f"{n} idle slots do not fit a backoff counter of "
-                         f"{state.backoff_counter}")
-    if n == 0:
-        return state
-    return replace(state, phase=LbtPhase.BACKOFF, backoff_counter=state.backoff_counter - n)

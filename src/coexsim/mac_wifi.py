@@ -5,12 +5,19 @@ pairs; all timing (when an idle slot has elapsed, when an ACK timed
 out) belongs to the caller, which is either the discrete-event
 simulator or a test harness.  Illegal (phase, event) pairs raise
 ``ProtocolViolation`` rather than being silently ignored.
+
+The NAV is not a phase here: the caller keeps it as a timer and holds
+the countdown off until it expires.  ``start_access`` and
+``idle_slots`` serve this machine and the Cat-4 LBT machine in
+``mac_lte`` alike, because both name their contention phases ``IDLE``,
+``DEFER`` and ``BACKOFF``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import TypeVar
 
 import numpy as np
 
@@ -19,13 +26,47 @@ class ProtocolViolation(Exception):
     """A MAC state machine was fed an event that is illegal in its phase."""
 
 
+State = TypeVar("State")  # a DcfState or a mac_lte.LbtState
+
+
+def start_access(state: State, rng: np.random.Generator) -> State:
+    """Begin a channel-access attempt: draw a backoff and defer.
+
+    Caller invokes this when a frame becomes pending while the machine
+    is idle (or after a completed exchange with more frames queued).
+    """
+    phases = type(state.phase)
+    if state.phase not in (phases.IDLE, phases.DEFER):
+        raise ProtocolViolation(f"cannot start access from phase {state.phase.value}")
+    counter = int(rng.integers(0, state.cw + 1))
+    return replace(state, phase=phases.DEFER, backoff_counter=counter)
+
+
+def idle_slots(state: State, n: int) -> State:
+    """The state after ``n`` idle slots that transmit nothing.
+
+    Equal to ``n`` idle-slot steps of the machine (``medium_idle_slot``
+    for DCF, ``energy_below_slot`` for LBT); ``n`` must be below the
+    backoff counter, so the slot that ends the countdown is always
+    delivered through the machine's step function.
+    """
+    phases = type(state.phase)
+    if state.phase not in (phases.DEFER, phases.BACKOFF):
+        raise ProtocolViolation(f"idle slots are illegal in phase {state.phase.value}")
+    if not 0 <= n < state.backoff_counter:
+        raise ValueError(f"{n} idle slots do not fit a backoff counter of "
+                         f"{state.backoff_counter}")
+    if n == 0:
+        return state
+    return replace(state, phase=phases.BACKOFF, backoff_counter=state.backoff_counter - n)
+
+
 class DcfPhase(str, Enum):
     IDLE = "idle"
     DEFER = "defer"
     BACKOFF = "backoff"
     TX_DATA = "tx_data"
     AWAIT_ACK = "await_ack"
-    NAV_BLOCKED = "nav_blocked"
 
 
 # events accepted by dcf_step
@@ -62,7 +103,6 @@ class DcfState:
     phase: DcfPhase = DcfPhase.IDLE
     cw: int = 15
     backoff_counter: int = 0
-    nav_until_us: float = 0.0
     retry_count: int = 0
     cw_min: int = 15
     cw_max: int = 1023
@@ -76,18 +116,6 @@ class DcfState:
             raise ValueError("cw must have the 2^k - 1 form")
         if self.backoff_counter > self.cw:
             raise ValueError("backoff counter may not exceed cw")
-
-
-def start_access(state: DcfState, rng: np.random.Generator) -> DcfState:
-    """Begin a channel-access attempt: draw a backoff and defer.
-
-    Caller invokes this when a frame becomes pending while the machine
-    is idle (or after a completed exchange with more frames queued).
-    """
-    if state.phase not in (DcfPhase.IDLE, DcfPhase.DEFER):
-        raise ProtocolViolation(f"cannot start access from phase {state.phase.value}")
-    counter = int(rng.integers(0, state.cw + 1))
-    return replace(state, phase=DcfPhase.DEFER, backoff_counter=counter)
 
 
 def _double_cw(state: DcfState, rng: np.random.Generator) -> DcfState:
@@ -121,7 +149,7 @@ def dcf_step(
         if phase in (DcfPhase.DEFER, DcfPhase.BACKOFF):
             # freeze the counter; defer until the medium clears
             return replace(state, phase=DcfPhase.DEFER), []
-        if phase in (DcfPhase.IDLE, DcfPhase.NAV_BLOCKED):
+        if phase == DcfPhase.IDLE:
             return state, []
         raise ProtocolViolation(f"medium_busy is illegal in phase {phase.value}")
 
@@ -161,42 +189,3 @@ def dcf_step(
         fresh = replace(state, phase=DcfPhase.IDLE, cw=state.cw_min, retry_count=0)
         return fresh, ["drop_frame"]
     return _double_cw(state, rng), []
-
-
-def idle_slots(state: DcfState, n: int) -> DcfState:
-    """The state after ``n`` ``medium_idle_slot`` events that transmit nothing.
-
-    Equal to ``n`` applications of ``dcf_step(state, "medium_idle_slot",
-    ...)``; ``n`` must be below the backoff counter, so the slot that
-    ends the countdown is always delivered through ``dcf_step``.
-    """
-    if state.phase not in (DcfPhase.DEFER, DcfPhase.BACKOFF):
-        raise ProtocolViolation(f"medium_idle_slot is illegal in phase {state.phase.value}")
-    if not 0 <= n < state.backoff_counter:
-        raise ValueError(f"{n} idle slots do not fit a backoff counter of "
-                         f"{state.backoff_counter}")
-    if n == 0:
-        return state
-    return replace(state, phase=DcfPhase.BACKOFF, backoff_counter=state.backoff_counter - n)
-
-
-def nav_update(state: DcfState, duration_field_us: float, now_us: float) -> DcfState:
-    """Fold a decoded duration field into the NAV (max rule)."""
-    if duration_field_us < 0:
-        raise ValueError("duration field must be >= 0")
-    if duration_field_us == 0:
-        # a zero duration field carries no reservation
-        return state
-    nav_until = max(state.nav_until_us, now_us + duration_field_us)
-    phase = state.phase
-    if now_us < nav_until and phase in (DcfPhase.IDLE, DcfPhase.DEFER, DcfPhase.BACKOFF,
-                                        DcfPhase.NAV_BLOCKED):
-        phase = DcfPhase.NAV_BLOCKED
-    return replace(state, nav_until_us=nav_until, phase=phase)
-
-
-def nav_clear(state: DcfState, now_us: float) -> DcfState:
-    """Leave nav_blocked once the NAV timer has expired."""
-    if state.phase == DcfPhase.NAV_BLOCKED and now_us >= state.nav_until_us:
-        return replace(state, phase=DcfPhase.DEFER)
-    return state

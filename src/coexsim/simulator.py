@@ -35,7 +35,7 @@ from . import mac_lte, mac_wifi
 from .config import Node, PhyConfig, Scenario
 from .coordination import adapt_ed_threshold
 from .mac_lte import LbtPhase, LbtState
-from .mac_wifi import DcfPhase, DcfState
+from .mac_wifi import DcfPhase, DcfState, idle_slots, start_access
 from .propagation import sample_link_gains
 from .relay import (
     CellInfo,
@@ -204,11 +204,11 @@ class _BaseController(_Controller):
     """A base: carrier sensing, the backoff countdown DCF and LBT share,
     its downlink file queue and the cell it announces.
 
-    A subclass sets ``machine`` to its state machine's module and holds
-    the machine's state in ``mac``, names its ``IDLE`` and ``CONTENDING``
-    phases and its ``BUSY_EVENT`` and ``SLOT_EVENT``, sets ``slot_us`` and
-    ``wait_us`` (DIFS or the LBT defer), and defines ``step``,
-    ``end_countdown`` (transmit) and ``on_wait`` (is the wait a slot?).
+    A subclass holds its state machine's state in ``mac``, names its
+    ``IDLE`` and ``CONTENDING`` phases and its ``BUSY_EVENT`` and
+    ``SLOT_EVENT``, sets ``slot_us`` and ``wait_us`` (DIFS or the LBT
+    defer), and defines ``step``, ``end_countdown`` (transmit) and
+    ``on_wait`` (is the wait a slot?).
     """
 
     node_type: NodeType
@@ -218,6 +218,8 @@ class _BaseController(_Controller):
         super().__init__(sim, node)
         threshold = node.ed_threshold_dbm
         self.ed_threshold_dbm = self.cfg.ed_threshold_dbm if threshold is None else threshold
+        scenario = sim.scenario
+        self.adapt = scenario.adapt_wifi if node.technology == "wifi" else scenario.adapt_lte
         self.rng = sim.node_rng(node.id)
         self.files: deque[FileJob] = deque()
         self.gen = 0          # invalidates stale contention timers
@@ -264,7 +266,7 @@ class _BaseController(_Controller):
 
     def maybe_start(self) -> None:
         if self.mac.phase == self.IDLE and self.has_traffic():
-            self.mac = self.machine.start_access(self.mac, self.rng)
+            self.mac = start_access(self.mac, self.rng)
             self.sim.trace(self.node.id, "phase", "defer")
         if self.wants_medium() and not self.blocked():
             self.gen += 1
@@ -293,7 +295,7 @@ class _BaseController(_Controller):
         self.sim.trace(self.node.id, "decrement", str(counter))
         skipped = self.sim.skip_idle_slots(self.node.id, self.slot_us, counter - 1)
         if skipped:
-            self.mac = self.machine.idle_slots(self.mac, skipped)
+            self.mac = idle_slots(self.mac, skipped)
         self.sim._push(self.slot_us, "slot_tick", self.on_slot, self.gen)
 
 
@@ -302,7 +304,6 @@ class _WifiApController(_BaseController):
 
     node_type = NodeType.WIFI
     mac_spec = MacSpec.DCF
-    machine = mac_wifi
     IDLE, CONTENDING = DcfPhase.IDLE, (DcfPhase.DEFER, DcfPhase.BACKOFF)
     EXCHANGE = (DcfPhase.TX_DATA, DcfPhase.AWAIT_ACK)  # an RTS..ACK chain in flight
     BUSY_EVENT, SLOT_EVENT = "medium_busy", "medium_idle_slot"
@@ -318,9 +319,10 @@ class _WifiApController(_BaseController):
         )
         self.resp_gen = 0     # invalidates stale ack/cts timeouts
         self.beacon_pending = False
+        self.nav_until_us = 0.0
 
     def blocked(self) -> bool:
-        return super().blocked() or self.mac.nav_until_us > self.sim.now_us
+        return super().blocked() or self.nav_until_us > self.sim.now_us
 
     def step(self, event: str) -> list[str]:
         self.mac, actions = mac_wifi.dcf_step(self.mac, event, self.rng)
@@ -337,18 +339,16 @@ class _WifiApController(_BaseController):
 
     # -- queue / access management ------------------------------------
 
-    def next_chunk_bits(self) -> float:
+    def next_chunk(self) -> tuple[float, float, float]:
+        """The head file's next data frame: payload bits, link rate, airtime."""
         job = self.head()
-        remaining = job.size_bits - job.done_bits
-        return min(self.cfg.frame_payload_bytes * 8.0, remaining)
+        bits = min(self.cfg.frame_payload_bytes * 8.0, job.size_bits - job.done_bits)
+        rate = self.sim.link_rate(self.node.id, job.client)
+        return bits, rate, bits / rate + self.cfg.preamble_us
 
     def maybe_start(self) -> None:
         if self.mac.phase not in self.EXCHANGE:
             super().maybe_start()
-
-    def on_medium(self, busy: bool) -> None:
-        if busy or self.mac.phase != DcfPhase.NAV_BLOCKED:
-            super().on_medium(busy)
 
     # -- timers ----------------------------------------------------------
 
@@ -378,10 +378,6 @@ class _WifiApController(_BaseController):
             # head chunk stays owed; a fresh access attempt follows
         self.maybe_start()
 
-    def on_nav_expire(self) -> None:
-        self.mac = mac_wifi.nav_clear(self.mac, self.sim.now_us)
-        self.maybe_start()
-
     # -- transmissions -----------------------------------------------------
 
     def current_frame_key(self) -> tuple:
@@ -403,7 +399,7 @@ class _WifiApController(_BaseController):
         self.cancel_countdown()
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
         job = self.head()
-        data_us = self.data_duration_us()
+        _, _, data_us = self.next_chunk()
         t = self.timing
         nav = (t.sifs_us + self.cfg.cts_duration_us + t.sifs_us + data_us
                + t.sifs_us + t.ack_duration_us)
@@ -419,16 +415,9 @@ class _WifiApController(_BaseController):
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
         self.transmit_data_frame()
 
-    def data_duration_us(self) -> float:
-        bits = self.next_chunk_bits()
-        rate = self.sim.link_rate(self.node.id, self.head().client)
-        return bits / rate + self.cfg.preamble_us
-
     def transmit_data_frame(self) -> None:
         job = self.head()
-        bits = self.next_chunk_bits()
-        rate = self.sim.link_rate(self.node.id, job.client)
-        duration = bits / rate + self.cfg.preamble_us
+        bits, rate, duration = self.next_chunk()
         t = self.timing
         self.sim.start_transmission(
             src=self.node.id, dst=job.client, kind="data",
@@ -471,13 +460,13 @@ class _WifiApController(_BaseController):
             self.maybe_start()
 
     def overheard(self, tx: Transmission) -> None:
-        # frames addressed elsewhere set the NAV and freeze the countdown
-        if tx.nav_duration_us > 0:
-            self.mac = mac_wifi.nav_update(self.mac, tx.nav_duration_us, self.sim.now_us)
-            if self.mac.phase == DcfPhase.NAV_BLOCKED:
-                self.cancel_countdown()
-                self.sim._push(self.mac.nav_until_us - self.sim.now_us, "timer",
-                               self.on_nav_expire)
+        # a frame addressed elsewhere sets the NAV (max rule); outside an
+        # exchange the countdown stops and resumes when the NAV ends
+        now = self.sim.now_us
+        self.nav_until_us = max(self.nav_until_us, now + tx.nav_duration_us)
+        if self.mac.phase not in self.EXCHANGE:
+            self.cancel_countdown()
+            self.sim._push(self.nav_until_us - now, "timer", self.maybe_start)
 
 
 class _WifiStaController(_Controller):
@@ -517,10 +506,8 @@ class _WifiStaController(_Controller):
 
     def overheard(self, tx: Transmission) -> None:
         # frames addressed elsewhere set the NAV (max rule)
-        if tx.nav_duration_us > 0:
-            self.nav_until_us = max(self.nav_until_us,
-                                    self.sim.now_us + tx.nav_duration_us)
-            self.sim.trace(self.node.id, "nav", f"{self.nav_until_us:.1f}")
+        self.nav_until_us = max(self.nav_until_us, self.sim.now_us + tx.nav_duration_us)
+        self.sim.trace(self.node.id, "nav", f"{self.nav_until_us:.1f}")
 
 
 class _LteEnbController(_BaseController):
@@ -528,7 +515,6 @@ class _LteEnbController(_BaseController):
 
     node_type = NodeType.REL13_LAA
     mac_spec = MacSpec.LBT_CAT4
-    machine = mac_lte
     IDLE, CONTENDING = LbtPhase.IDLE, (LbtPhase.DEFER, LbtPhase.BACKOFF)
     BUSY_EVENT, SLOT_EVENT = "energy_above", "energy_below_slot"
 
@@ -969,17 +955,14 @@ class Simulator:
         return merge_scans(ota, relayed)
 
     def _handle_adapt_tick(self, base_id: str) -> None:
-        node = self.nodes[base_id]
-        cfg = (self.scenario.adapt_wifi if node.technology == "wifi"
-               else self.scenario.adapt_lte)
-        scan = self._scan_at(base_id)
-        new_threshold = adapt_ed_threshold(scan, cfg, own_channel=node.channel)
         ctrl = self.controllers[base_id]
+        scan = self._scan_at(base_id)
+        new_threshold = adapt_ed_threshold(scan, ctrl.adapt, own_channel=ctrl.node.channel)
         if new_threshold != ctrl.ed_threshold_dbm:
             ctrl.ed_threshold_dbm = new_threshold
             self.trace(base_id, "threshold", f"{new_threshold:.2f}")
             self.recompute_busy()
-        period_us = cfg.update_period_s * 1e6
+        period_us = ctrl.adapt.update_period_s * 1e6
         if self.now_us + period_us <= self.end_us:
             self._push(period_us, "adapt_tick", self._handle_adapt_tick, base_id)
 
@@ -999,10 +982,8 @@ class Simulator:
         for base in bases:
             self._push(0.0, "timer", self._handle_relay_publish, base.id)
             if scenario.adaptive_ed:
-                cfg = (scenario.adapt_wifi if base.technology == "wifi"
-                       else scenario.adapt_lte)
-                self._push(cfg.update_period_s * 1e6, "adapt_tick",
-                           self._handle_adapt_tick, base.id)
+                self._push(self.controllers[base.id].adapt.update_period_s * 1e6,
+                           "adapt_tick", self._handle_adapt_tick, base.id)
         for nid in self._sorted_ids:
             self.controllers[nid].maybe_start()
 

@@ -21,7 +21,7 @@ from coexsim.coordination import (
     adapt_ed_threshold,
     select_channel,
 )
-from coexsim.mac_lte import LbtPhase, LbtState, start_access as lbt_begin, lbt_step
+from coexsim.mac_lte import LbtPhase, LbtState, lbt_step
 from coexsim.mac_wifi import DcfState, dcf_step, start_access
 from coexsim.propagation import Building, Position, PropagationModel, sample_fast_fade
 from coexsim.relay import (
@@ -226,12 +226,11 @@ def test_criterion_8_property_suites():
                     "tx_data": ["tx_done", "rts_cts_fail"],
                     "await_ack": ["ack_received", "ack_timeout", "rts_cts_fail"],
                     "idle": ["medium_busy"],
-                    "nav_blocked": ["medium_busy"],
                 }[s.phase.value]
                 event = legal[int(rng.integers(0, len(legal)))]
                 s, _ = dcf_step(s, event, rng)
                 assert s.cw_min <= s.cw <= s.cw_max and (s.cw + 1) & s.cw == 0
-            l = lbt_begin(LbtState(), rng)
+            l = start_access(LbtState(), rng)
             for _ in range(40):
                 legal = {
                     LbtPhase.IDLE: ["energy_above", "energy_below_slot"],

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexsim.mac_lte import (
-    LbtPhase,
-    LbtState,
-    idle_slots,
-    lbt_step,
-    start_access,
-)
-from coexsim.mac_wifi import ProtocolViolation
+from coexsim.mac_lte import LbtPhase, LbtState, lbt_step
+from coexsim.mac_wifi import ProtocolViolation, idle_slots, start_access
 
 
 def rng():

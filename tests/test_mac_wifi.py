@@ -9,8 +9,6 @@ from coexsim.mac_wifi import (
     ProtocolViolation,
     dcf_step,
     idle_slots,
-    nav_clear,
-    nav_update,
     start_access,
 )
 
@@ -88,7 +86,7 @@ class TestDcfStep:
 
 # Expected legality per (phase, event); mirrors the documented transitions.
 LEGAL = {
-    ("idle", "medium_busy"), ("nav_blocked", "medium_busy"),
+    ("idle", "medium_busy"),
     ("defer", "medium_busy"), ("backoff", "medium_busy"),
     ("defer", "medium_idle_slot"), ("backoff", "medium_idle_slot"),
     ("tx_data", "tx_done"),
@@ -133,31 +131,6 @@ def test_cw_bounds_under_random_legal_streams():
             assert 0 <= s.backoff_counter <= s.cw
 
 
-class TestNav:
-    def test_sets_from_zero(self):
-        s = nav_update(DcfState(), 100.0, 50.0)
-        assert s.nav_until_us == 150.0
-        assert s.phase == DcfPhase.NAV_BLOCKED
-
-    def test_max_rule_keeps_longer(self):
-        s = DcfState(nav_until_us=200.0)
-        s2 = nav_update(s, 10.0, 50.0)
-        assert s2.nav_until_us == 200.0
-
-    def test_zero_duration_is_identity(self):
-        s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=2)
-        assert nav_update(s, 0.0, 50.0) is s
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            nav_update(DcfState(), -1.0, 0.0)
-
-    def test_clear_after_expiry(self):
-        s = nav_update(DcfState(), 100.0, 0.0)
-        assert nav_clear(s, 50.0).phase == DcfPhase.NAV_BLOCKED
-        assert nav_clear(s, 100.0).phase == DcfPhase.DEFER
-
-
 class TestStateValidation:
     def test_cw_form_enforced(self):
         with pytest.raises(ValueError):
@@ -169,7 +142,7 @@ class TestStateValidation:
 
 
 # reachable counting states: any cw of the 2^k - 1 ladder, any counter
-# in [1, cw], any NAV end, retry count and RTS setting
+# in [1, cw], any retry count and RTS setting
 @st.composite
 def counting_states(draw):
     cw = draw(st.sampled_from([15, 31, 63, 127, 255, 511, 1023]))
@@ -177,7 +150,6 @@ def counting_states(draw):
         phase=draw(st.sampled_from([DcfPhase.DEFER, DcfPhase.BACKOFF])),
         cw=cw,
         backoff_counter=draw(st.integers(min_value=1, max_value=cw)),
-        nav_until_us=draw(st.floats(min_value=0, max_value=1e7)),
         retry_count=draw(st.integers(min_value=0, max_value=7)),
         use_rts=draw(st.booleans()),
     )

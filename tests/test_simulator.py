@@ -1,4 +1,6 @@
+import bisect
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,11 +19,14 @@ from coexsim.config import (
     generate_topology,
     load_config,
 )
+from coexsim.mac_wifi import DcfPhase
 from coexsim.propagation import Building, Position
 from coexsim.simulator import (
     Metrics,
     SimulationError,
     Simulator,
+    Transmission,
+    _WifiApController,
     jain_index,
     percentile,
     rate_from_sinr,
@@ -219,8 +224,11 @@ class TestScenarioValidation:
             sc.validate()
 
 
-def two_bss_scenario(duration_s=0.2, seed=21):
-    # two co-located Wi-Fi cells that hear each other far above threshold
+def two_bss_scenario(duration_s=0.2, seed=21, cross_db=-55.0):
+    # two co-located Wi-Fi cells; each AP reaches its station over -55 dB
+    # and every other pair over ``cross_db``.  At -55 dB the cells hear
+    # each other far above threshold; at -90 dB an AP decodes the other
+    # cell's frames (-70 dBm) but senses them below its -62 dBm threshold
     nodes = [
         Node(id="ap1", kind="wifi_ap", position=Position(10, 10)),
         Node(id="sta1", kind="wifi_sta", position=Position(10, 14), attach_to="ap1"),
@@ -231,7 +239,8 @@ def two_bss_scenario(duration_s=0.2, seed=21):
     for a in ("ap1", "sta1", "ap2", "sta2"):
         for b in ("ap1", "sta1", "ap2", "sta2"):
             if a < b:
-                gains[(a, b)] = -55.0
+                own_cell = a[-1] == b[-1]
+                gains[(a, b)] = -55.0 if own_cell else cross_db
     return Scenario(
         nodes=nodes, traffic=TrafficConfig(model="full_buffer"),
         duration_s=duration_s, seed=seed, link_gains=gains,
@@ -279,6 +288,72 @@ class TestMutuallyAudibleCells:
         for t, node, rec, detail in events:
             if rec == "decrement" and node in ("ap1", "ap2"):
                 assert not foreign_tx_active(t, node), (t, node)
+
+
+FILE_TRAFFIC = TrafficConfig(model="file_transfer", file_size_bytes=20000,
+                             arrival_rate_per_client=5.0)
+
+
+class TestNavDeferral:
+    def test_nav_keeps_the_later_end_and_expires_there(self):
+        sim = Simulator(two_bss_scenario(cross_db=-90.0))
+        ap = sim.controllers["ap1"]
+        sim.now_us = 50.0
+        for nav_us in (100.0, 10.0):
+            ap.overheard(Transmission(0, "sta2", "ap2", "cts", 0.0, 50.0, 0.0, 0.0, 0.0,
+                                      nav_duration_us=nav_us))
+        assert ap.nav_until_us == 150.0
+        assert ap.mac.phase == DcfPhase.IDLE
+        assert (150.0, ap.maybe_start) in [(e.time_us, e.handler) for e in sim._heap]
+        sim.now_us = 149.9
+        assert ap.blocked()
+        sim.now_us = 150.0
+        assert not ap.blocked()
+
+    @pytest.mark.parametrize("rts_cts", [True, False], ids=["rts", "no_rts"])
+    def test_idle_ap_survives_overheard_nav(self, rts_cts):
+        # an AP that is idle with an empty queue when it overhears a NAV
+        # must stay idle through it, not come out of it contending for a
+        # frame it does not have
+        sc = dataclasses.replace(two_bss_scenario(duration_s=1.0), traffic=FILE_TRAFFIC,
+                                 wifi_mac=WifiMacConfig(rts_cts=rts_cts))
+        sim = Simulator(sc)
+        sim.run()
+        assert {job.client for job in sim.completed_files} == {"sta1", "sta2"}
+
+    @pytest.mark.parametrize("traffic", [TrafficConfig(model="full_buffer"), FILE_TRAFFIC],
+                             ids=["full_buffer", "file_transfer"])
+    def test_no_countdown_or_rts_inside_nav(self, traffic, monkeypatch):
+        # record each NAV an AP overhears as a (start, end) window, rounded
+        # as the trace prints times
+        windows = {"ap1": [], "ap2": []}
+        overheard = _WifiApController.overheard
+
+        def recording(ctrl, tx):
+            now = ctrl.sim.now_us
+            windows[ctrl.node.id].append((round(now, 3), round(now + tx.nav_duration_us, 3)))
+            overheard(ctrl, tx)
+
+        monkeypatch.setattr(_WifiApController, "overheard", recording)
+        sc = dataclasses.replace(two_bss_scenario(duration_s=0.5, cross_db=-90.0),
+                                 traffic=traffic, wifi_mac=WifiMacConfig(rts_cts=True))
+        sim = Simulator(sc, collect_trace=True)
+        sim.run()
+        assert all(windows.values())
+        # windows open in time order; t lies strictly inside one iff some
+        # window opened before t still reaches past it
+        starts = {node: [s for s, _ in w] for node, w in windows.items()}
+        reach = {node: list(itertools.accumulate((e for _, e in w), max))
+                 for node, w in windows.items()}
+        checked = 0
+        for line in sim.trace_lines:
+            t, node, _, rec, detail = line.split(",", 4)
+            rts_start = rec == "tx_start" and detail.startswith("kind=rts;")
+            if node in windows and (rec == "decrement" or rts_start):
+                checked += 1
+                k = bisect.bisect_left(starts[node], float(t))
+                assert k == 0 or reach[node][k - 1] <= float(t), line
+        assert checked > 0
 
 
 class TestRtsBeforeData:
