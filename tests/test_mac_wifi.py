@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coexsim.config import Node, Scenario, TrafficConfig
 from coexsim.mac_wifi import (
     DcfPhase,
     DcfState,
@@ -11,6 +12,8 @@ from coexsim.mac_wifi import (
     idle_slots,
     start_access,
 )
+from coexsim.propagation import Position
+from coexsim.simulator import Simulator, Transmission
 
 
 def rng():
@@ -129,6 +132,52 @@ def test_cw_bounds_under_random_legal_streams():
             assert s.cw_min <= s.cw <= s.cw_max
             assert (s.cw + 1) & s.cw == 0
             assert 0 <= s.backoff_counter <= s.cw
+
+
+def ap_overhearing(nav_until_us=0.0):
+    # the AP of a one-cell network, idle before the run starts, with its
+    # NAV already running to ``nav_until_us``
+    sim = Simulator(Scenario(
+        nodes=[
+            Node(id="ap1", kind="wifi_ap", position=Position(25, 30)),
+            Node(id="sta1", kind="wifi_sta", position=Position(25, 40), attach_to="ap1"),
+        ],
+        traffic=TrafficConfig(model="full_buffer"), duration_s=0.1, seed=5,
+    ))
+    ap = sim.controllers["ap1"]
+    ap.nav_until_us = nav_until_us
+    return sim, ap
+
+
+def other_cells_cts(nav_us):
+    return Transmission(0, "sta2", "ap2", "cts", 0.0, 50.0, 0.0, 0.0, 0.0,
+                        nav_duration_us=nav_us)
+
+
+class TestNav:
+    """The AP's NAV is a timer on its controller, not a DCF phase."""
+
+    def test_sets_from_zero(self):
+        sim, ap = ap_overhearing()
+        sim.now_us = 50.0
+        ap.overheard(other_cells_cts(100.0))
+        assert ap.nav_until_us == 150.0
+        assert ap.mac.phase == DcfPhase.IDLE
+        assert (150.0, ap.maybe_start) in [(e.time_us, e.handler) for e in sim._heap]
+
+    def test_max_rule_keeps_longer(self):
+        sim, ap = ap_overhearing(nav_until_us=200.0)
+        sim.now_us = 50.0
+        ap.overheard(other_cells_cts(10.0))
+        assert ap.nav_until_us == 200.0
+
+    def test_clear_after_expiry(self):
+        sim, ap = ap_overhearing()
+        ap.overheard(other_cells_cts(100.0))
+        sim.now_us = 50.0
+        assert ap.blocked()
+        sim.now_us = 100.0
+        assert not ap.blocked()
 
 
 class TestStateValidation:

@@ -295,21 +295,6 @@ FILE_TRAFFIC = TrafficConfig(model="file_transfer", file_size_bytes=20000,
 
 
 class TestNavDeferral:
-    def test_nav_keeps_the_later_end_and_expires_there(self):
-        sim = Simulator(two_bss_scenario(cross_db=-90.0))
-        ap = sim.controllers["ap1"]
-        sim.now_us = 50.0
-        for nav_us in (100.0, 10.0):
-            ap.overheard(Transmission(0, "sta2", "ap2", "cts", 0.0, 50.0, 0.0, 0.0, 0.0,
-                                      nav_duration_us=nav_us))
-        assert ap.nav_until_us == 150.0
-        assert ap.mac.phase == DcfPhase.IDLE
-        assert (150.0, ap.maybe_start) in [(e.time_us, e.handler) for e in sim._heap]
-        sim.now_us = 149.9
-        assert ap.blocked()
-        sim.now_us = 150.0
-        assert not ap.blocked()
-
     @pytest.mark.parametrize("rts_cts", [True, False], ids=["rts", "no_rts"])
     def test_idle_ap_survives_overheard_nav(self, rts_cts):
         # an AP that is idle with an empty queue when it overhears a NAV
