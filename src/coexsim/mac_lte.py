@@ -4,9 +4,12 @@ A defer period of at least one SIFS plus one slot, then
 exponential-backoff contention.  Like the DCF machine, this is a pure
 transition function; the caller owns all clocks, the ED threshold and
 the burst length, and must only deliver ``energy_below_slot`` once the
-defer window has elapsed idle.  HARQ feedback ends a burst.  The
-backoff draw and idle-slot runs are ``mac_wifi.start_access`` and
-``mac_wifi.idle_slots``, which serve both machines.
+defer window has elapsed idle.  Contention is one ``BACKOFF`` phase:
+energy above the threshold is no event, the caller freezes the counter
+by delivering no slots until the channel clears.  HARQ feedback ends a
+burst.  The backoff draw and idle-slot runs are
+``mac_wifi.start_access`` and ``mac_wifi.idle_slots``, which serve
+both machines.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from .mac_wifi import ProtocolViolation
 
 class LbtPhase(str, Enum):
     IDLE = "idle"
-    DEFER = "defer"
     BACKOFF = "backoff"
     TX_BURST = "tx_burst"
 
 
 LBT_EVENTS = (
-    "energy_above",
     "energy_below_slot",
     "collision_feedback",
     "success_feedback",
@@ -49,11 +50,6 @@ class LbtState:
             raise ValueError("cw must have the 2^k - 1 form")
 
 
-def _redraw(state: LbtState, rng: np.random.Generator, cw: int) -> LbtState:
-    counter = int(rng.integers(0, cw + 1))
-    return replace(state, cw=cw, backoff_counter=counter, phase=LbtPhase.DEFER)
-
-
 def lbt_step(
     state: LbtState,
     event: str,
@@ -67,34 +63,19 @@ def lbt_step(
         raise ProtocolViolation(f"unknown event {event!r}")
     phase = state.phase
 
-    if event == "energy_above":
-        if phase in (LbtPhase.DEFER, LbtPhase.BACKOFF):
-            # channel grabbed: freeze the counter and re-defer
-            return replace(state, phase=LbtPhase.DEFER), []
-        if phase == LbtPhase.IDLE:
-            return state, []
-        raise ProtocolViolation(f"energy_above is illegal in phase {phase.value}")
-
     if event == "energy_below_slot":
-        if phase in (LbtPhase.DEFER, LbtPhase.BACKOFF):
-            if state.backoff_counter > 0:
-                counter = state.backoff_counter - 1
-                if counter == 0:
-                    return replace(state, phase=LbtPhase.TX_BURST, backoff_counter=0), [
-                        "start_burst"
-                    ]
-                return replace(state, phase=LbtPhase.BACKOFF, backoff_counter=counter), []
-            return replace(state, phase=LbtPhase.TX_BURST), ["start_burst"]
-        if phase == LbtPhase.IDLE:
-            return state, []
-        raise ProtocolViolation(f"energy_below_slot is illegal in phase {phase.value}")
+        if phase != LbtPhase.BACKOFF:
+            raise ProtocolViolation(f"energy_below_slot is illegal in phase {phase.value}")
+        if state.backoff_counter > 1:
+            return replace(state, backoff_counter=state.backoff_counter - 1), []
+        # the last slot of the countdown, or a counter drawn as zero
+        return replace(state, phase=LbtPhase.TX_BURST, backoff_counter=0), ["start_burst"]
 
+    # collision_feedback / success_feedback: only a burst gets feedback
+    if phase != LbtPhase.TX_BURST:
+        raise ProtocolViolation(f"{event} is illegal in phase {phase.value}")
     if event == "collision_feedback":
-        if phase not in (LbtPhase.TX_BURST, LbtPhase.IDLE):
-            raise ProtocolViolation(f"collision_feedback is illegal in phase {phase.value}")
-        return _redraw(state, rng, min(2 * state.cw + 1, state.cw_max)), []
-
-    # success_feedback
-    if phase not in (LbtPhase.TX_BURST, LbtPhase.IDLE):
-        raise ProtocolViolation(f"success_feedback is illegal in phase {phase.value}")
+        cw = min(2 * state.cw + 1, state.cw_max)
+        counter = int(rng.integers(0, cw + 1))
+        return replace(state, phase=LbtPhase.BACKOFF, cw=cw, backoff_counter=counter), []
     return replace(state, phase=LbtPhase.IDLE, cw=state.cw_min), []

@@ -6,11 +6,13 @@ out) belongs to the caller, which is either the discrete-event
 simulator or a test harness.  Illegal (phase, event) pairs raise
 ``ProtocolViolation`` rather than being silently ignored.
 
-The NAV is not a phase here: the caller keeps it as a timer and holds
-the countdown off until it expires.  ``start_access`` and
-``idle_slots`` serve this machine and the Cat-4 LBT machine in
-``mac_lte`` alike, because both name their contention phases ``IDLE``,
-``DEFER`` and ``BACKOFF``.
+Contention is one ``BACKOFF`` phase.  A busy medium is no event: the
+caller freezes the counter by delivering no idle slots until the
+medium clears.  The NAV is not a phase either: the caller keeps it as
+a timer and holds the countdown off until it expires.  ``start_access``
+and ``idle_slots`` serve this machine and the Cat-4 LBT machine in
+``mac_lte`` alike, because both name their phases ``IDLE`` and
+``BACKOFF``.
 """
 
 from __future__ import annotations
@@ -30,16 +32,16 @@ State = TypeVar("State")  # a DcfState or a mac_lte.LbtState
 
 
 def start_access(state: State, rng: np.random.Generator) -> State:
-    """Begin a channel-access attempt: draw a backoff and defer.
+    """Begin a channel-access attempt: draw a backoff counter.
 
     Caller invokes this when a frame becomes pending while the machine
     is idle (or after a completed exchange with more frames queued).
     """
     phases = type(state.phase)
-    if state.phase not in (phases.IDLE, phases.DEFER):
+    if state.phase != phases.IDLE:
         raise ProtocolViolation(f"cannot start access from phase {state.phase.value}")
     counter = int(rng.integers(0, state.cw + 1))
-    return replace(state, phase=phases.DEFER, backoff_counter=counter)
+    return replace(state, phase=phases.BACKOFF, backoff_counter=counter)
 
 
 def idle_slots(state: State, n: int) -> State:
@@ -50,20 +52,18 @@ def idle_slots(state: State, n: int) -> State:
     backoff counter, so the slot that ends the countdown is always
     delivered through the machine's step function.
     """
-    phases = type(state.phase)
-    if state.phase not in (phases.DEFER, phases.BACKOFF):
+    if state.phase != type(state.phase).BACKOFF:
         raise ProtocolViolation(f"idle slots are illegal in phase {state.phase.value}")
     if not 0 <= n < state.backoff_counter:
         raise ValueError(f"{n} idle slots do not fit a backoff counter of "
                          f"{state.backoff_counter}")
     if n == 0:
         return state
-    return replace(state, phase=phases.BACKOFF, backoff_counter=state.backoff_counter - n)
+    return replace(state, backoff_counter=state.backoff_counter - n)
 
 
 class DcfPhase(str, Enum):
     IDLE = "idle"
-    DEFER = "defer"
     BACKOFF = "backoff"
     TX_DATA = "tx_data"
     AWAIT_ACK = "await_ack"
@@ -71,7 +71,6 @@ class DcfPhase(str, Enum):
 
 # events accepted by dcf_step
 DCF_EVENTS = (
-    "medium_busy",
     "medium_idle_slot",
     "tx_done",
     "ack_received",
@@ -126,7 +125,7 @@ def _double_cw(state: DcfState, rng: np.random.Generator) -> DcfState:
         cw=new_cw,
         backoff_counter=counter,
         retry_count=state.retry_count + 1,
-        phase=DcfPhase.DEFER,
+        phase=DcfPhase.BACKOFF,
     )
 
 
@@ -145,26 +144,14 @@ def dcf_step(
         raise ProtocolViolation(f"unknown event {event!r}")
     phase = state.phase
 
-    if event == "medium_busy":
-        if phase in (DcfPhase.DEFER, DcfPhase.BACKOFF):
-            # freeze the counter; defer until the medium clears
-            return replace(state, phase=DcfPhase.DEFER), []
-        if phase == DcfPhase.IDLE:
-            return state, []
-        raise ProtocolViolation(f"medium_busy is illegal in phase {phase.value}")
-
     if event == "medium_idle_slot":
-        if phase in (DcfPhase.DEFER, DcfPhase.BACKOFF):
-            if state.backoff_counter > 0:
-                counter = state.backoff_counter - 1
-                if counter == 0:
-                    action = "tx_rts" if state.use_rts else "tx_data"
-                    return replace(state, phase=DcfPhase.TX_DATA, backoff_counter=0), [action]
-                return replace(state, phase=DcfPhase.BACKOFF, backoff_counter=counter), []
-            # counter already zero at defer completion: transmit now
-            action = "tx_rts" if state.use_rts else "tx_data"
-            return replace(state, phase=DcfPhase.TX_DATA), [action]
-        raise ProtocolViolation(f"medium_idle_slot is illegal in phase {phase.value}")
+        if phase != DcfPhase.BACKOFF:
+            raise ProtocolViolation(f"medium_idle_slot is illegal in phase {phase.value}")
+        if state.backoff_counter > 1:
+            return replace(state, backoff_counter=state.backoff_counter - 1), []
+        # the last slot of the countdown, or a counter drawn as zero
+        action = "tx_rts" if state.use_rts else "tx_data"
+        return replace(state, phase=DcfPhase.TX_DATA, backoff_counter=0), [action]
 
     if event == "tx_done":
         if phase != DcfPhase.TX_DATA:
@@ -182,7 +169,9 @@ def dcf_step(
     # ack_timeout / rts_cts_fail: binary exponential backoff
     if event == "ack_timeout" and phase != DcfPhase.AWAIT_ACK:
         raise ProtocolViolation(f"ack_timeout is illegal in phase {phase.value}")
-    if event == "rts_cts_fail" and phase not in (DcfPhase.TX_DATA, DcfPhase.AWAIT_ACK):
+    # an RTS is out only in TX_DATA: the CTS cancels its timeout before
+    # the data frame goes out
+    if event == "rts_cts_fail" and phase != DcfPhase.TX_DATA:
         raise ProtocolViolation(f"rts_cts_fail is illegal in phase {phase.value}")
     if state.retry_count + 1 > state.retry_limit:
         # give up on this frame; contention parameters reset

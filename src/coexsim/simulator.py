@@ -205,10 +205,11 @@ class _BaseController(_Controller):
     its downlink file queue and the cell it announces.
 
     A subclass holds its state machine's state in ``mac``, names its
-    ``IDLE`` and ``CONTENDING`` phases and its ``BUSY_EVENT`` and
-    ``SLOT_EVENT``, sets ``slot_us`` and ``wait_us`` (DIFS or the LBT
-    defer), and defines ``step``, ``end_countdown`` (transmit) and
-    ``on_wait`` (is the wait a slot?).
+    ``IDLE`` and ``BACKOFF`` phases and its ``SLOT_EVENT``, sets
+    ``slot_us`` and ``wait_us`` (DIFS or the LBT defer), and defines
+    ``step``, ``end_countdown`` (transmit) and ``on_wait`` (is the wait
+    a slot?).  A busy medium only cancels the pending wait or slot, which
+    freezes the counter; it is no machine event.
     """
 
     node_type: NodeType
@@ -259,7 +260,7 @@ class _BaseController(_Controller):
     # -- the backoff countdown --------------------------------------------
 
     def contending(self) -> bool:
-        return self.mac.phase in self.CONTENDING
+        return self.mac.phase == self.BACKOFF
 
     def wants_medium(self) -> bool:
         return self.contending()
@@ -267,6 +268,7 @@ class _BaseController(_Controller):
     def maybe_start(self) -> None:
         if self.mac.phase == self.IDLE and self.has_traffic():
             self.mac = start_access(self.mac, self.rng)
+            # a new attempt, its backoff drawn; pinned traces keep the name
             self.sim.trace(self.node.id, "phase", "defer")
         if self.wants_medium() and not self.blocked():
             self.gen += 1
@@ -278,8 +280,6 @@ class _BaseController(_Controller):
     def on_medium(self, busy: bool) -> None:
         if busy:
             self.cancel_countdown()
-            if self.contending():
-                self.step(self.BUSY_EVENT)
         elif self.contending() or self.has_traffic():
             self.maybe_start()
 
@@ -304,9 +304,8 @@ class _WifiApController(_BaseController):
 
     node_type = NodeType.WIFI
     mac_spec = MacSpec.DCF
-    IDLE, CONTENDING = DcfPhase.IDLE, (DcfPhase.DEFER, DcfPhase.BACKOFF)
+    IDLE, BACKOFF, SLOT_EVENT = DcfPhase.IDLE, DcfPhase.BACKOFF, "medium_idle_slot"
     EXCHANGE = (DcfPhase.TX_DATA, DcfPhase.AWAIT_ACK)  # an RTS..ACK chain in flight
-    BUSY_EVENT, SLOT_EVENT = "medium_busy", "medium_idle_slot"
 
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
@@ -515,8 +514,7 @@ class _LteEnbController(_BaseController):
 
     node_type = NodeType.REL13_LAA
     mac_spec = MacSpec.LBT_CAT4
-    IDLE, CONTENDING = LbtPhase.IDLE, (LbtPhase.DEFER, LbtPhase.BACKOFF)
-    BUSY_EVENT, SLOT_EVENT = "energy_above", "energy_below_slot"
+    IDLE, BACKOFF, SLOT_EVENT = LbtPhase.IDLE, LbtPhase.BACKOFF, "energy_below_slot"
 
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)

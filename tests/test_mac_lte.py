@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexsim.mac_lte import LbtPhase, LbtState, lbt_step
+from coexsim.mac_lte import LBT_EVENTS, LbtPhase, LbtState, lbt_step
 from coexsim.mac_wifi import ProtocolViolation, idle_slots, start_access
 
 
@@ -12,17 +12,11 @@ def rng():
 
 class TestLbtStep:
     def test_idle_slot_decrements_after_defer(self):
-        s = LbtState(phase=LbtPhase.DEFER, backoff_counter=2)
+        s = LbtState(phase=LbtPhase.BACKOFF, backoff_counter=2)
         s2, actions = lbt_step(s, "energy_below_slot", rng())
         assert s2.backoff_counter == 1
         assert s2.phase == LbtPhase.BACKOFF
         assert actions == []
-
-    def test_energy_above_freezes_and_defers(self):
-        s = LbtState(phase=LbtPhase.BACKOFF, backoff_counter=4)
-        s2, _ = lbt_step(s, "energy_above", rng())
-        assert s2.phase == LbtPhase.DEFER
-        assert s2.backoff_counter == 4
 
     def test_counter_expiry_starts_burst(self):
         s = LbtState(phase=LbtPhase.BACKOFF, backoff_counter=1)
@@ -31,7 +25,7 @@ class TestLbtStep:
         assert actions == ["start_burst"]
 
     def test_zero_counter_transmits_at_defer_completion(self):
-        s = LbtState(phase=LbtPhase.DEFER, backoff_counter=0)
+        s = LbtState(phase=LbtPhase.BACKOFF, backoff_counter=0)
         s2, actions = lbt_step(s, "energy_below_slot", rng())
         assert s2.phase == LbtPhase.TX_BURST
         assert actions == ["start_burst"]
@@ -46,11 +40,11 @@ class TestLbtStep:
         s = LbtState(phase=LbtPhase.TX_BURST, cw=15)
         s2, _ = lbt_step(s, "collision_feedback", rng())
         assert s2.cw == 31
-        assert s2.phase == LbtPhase.DEFER
+        assert s2.phase == LbtPhase.BACKOFF
 
     def test_illegal_pair_raises(self):
         with pytest.raises(ProtocolViolation):
-            lbt_step(LbtState(phase=LbtPhase.DEFER), "success_feedback", rng())
+            lbt_step(LbtState(phase=LbtPhase.BACKOFF), "success_feedback", rng())
 
     def test_unknown_event_raises(self):
         with pytest.raises(ProtocolViolation):
@@ -68,19 +62,33 @@ def test_cw_ladder_exact():
     assert seen == {15, 31, 63}
 
 
+# Expected legality per (phase, event): exactly the pairs the engine
+# drives (tests/test_simulator.py::TestSteppedPairs checks that it does)
+LEGAL = {
+    (LbtPhase.BACKOFF, "energy_below_slot"),
+    (LbtPhase.TX_BURST, "collision_feedback"), (LbtPhase.TX_BURST, "success_feedback"),
+}
+
+
+@pytest.mark.parametrize("phase", list(LbtPhase))
+@pytest.mark.parametrize("event", LBT_EVENTS)
+def test_transition_table_exhaustive(phase, event):
+    s = LbtState(phase=phase, backoff_counter=3)
+    if (phase, event) in LEGAL:
+        lbt_step(s, event, rng())
+    else:
+        with pytest.raises(ProtocolViolation):
+            lbt_step(s, event, rng())
+
+
 def test_cw_bounds_under_random_legal_streams():
     gen = np.random.default_rng(5)
-    legal_by_phase = {
-        LbtPhase.IDLE: ["energy_above", "energy_below_slot", "collision_feedback",
-                        "success_feedback"],
-        LbtPhase.DEFER: ["energy_above", "energy_below_slot"],
-        LbtPhase.BACKOFF: ["energy_above", "energy_below_slot"],
-        LbtPhase.TX_BURST: ["collision_feedback", "success_feedback"],
-    }
     for _ in range(200):
-        s = start_access(LbtState(), gen)
+        s = LbtState()
         for _ in range(60):
-            events = legal_by_phase[s.phase]
+            if s.phase == LbtPhase.IDLE:
+                s = start_access(s, gen)
+            events = sorted(e for p, e in LEGAL if p == s.phase)
             event = events[int(gen.integers(0, len(events)))]
             s, _ = lbt_step(s, event, gen)
             assert s.cw_min <= s.cw <= s.cw_max
@@ -96,13 +104,12 @@ def first_grant_slot(energy_trace, threshold, counter, defer_slots=3):
     ``defer_slots`` consecutive below-threshold slots before countdown
     slots count.
     """
-    s = LbtState(phase=LbtPhase.DEFER, backoff_counter=counter)
+    s = LbtState(phase=LbtPhase.BACKOFF, backoff_counter=counter)
     gen = rng()
     idle_run = 0
     for i, energy in enumerate(energy_trace):
         if energy >= threshold:
-            idle_run = 0
-            s, _ = lbt_step(s, "energy_above", gen)
+            idle_run = 0  # the busy slot freezes the counter: no step
             continue
         idle_run += 1
         if idle_run >= defer_slots:
@@ -140,7 +147,7 @@ class TestStateValidation:
 def counting_states(draw):
     cw = draw(st.sampled_from([15, 31, 63]))
     return LbtState(
-        phase=draw(st.sampled_from([LbtPhase.DEFER, LbtPhase.BACKOFF])),
+        phase=LbtPhase.BACKOFF,
         cw=cw,
         backoff_counter=draw(st.integers(min_value=1, max_value=cw)),
     )

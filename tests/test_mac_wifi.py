@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from coexsim.config import Node, Scenario, TrafficConfig
 from coexsim.mac_wifi import (
+    DCF_EVENTS,
     DcfPhase,
     DcfState,
     MacTiming,
@@ -55,12 +56,6 @@ class TestDcfStep:
         _, actions = dcf_step(s, "medium_idle_slot", rng())
         assert actions == ["tx_rts"]
 
-    def test_busy_freezes_counter(self):
-        s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=5)
-        s2, _ = dcf_step(s, "medium_busy", rng())
-        assert s2.phase == DcfPhase.DEFER
-        assert s2.backoff_counter == 5
-
     def test_ack_received_back_to_idle(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=255, retry_count=3)
         s2, actions = dcf_step(s, "ack_received", rng())
@@ -87,22 +82,17 @@ class TestDcfStep:
         assert s2.cw == 63
 
 
-# Expected legality per (phase, event); mirrors the documented transitions.
+# Expected legality per (phase, event): exactly the pairs the engine
+# drives (tests/test_simulator.py::TestSteppedPairs checks that it does)
 LEGAL = {
-    ("idle", "medium_busy"),
-    ("defer", "medium_busy"), ("backoff", "medium_busy"),
-    ("defer", "medium_idle_slot"), ("backoff", "medium_idle_slot"),
-    ("tx_data", "tx_done"),
+    ("backoff", "medium_idle_slot"),
+    ("tx_data", "tx_done"), ("tx_data", "rts_cts_fail"),
     ("await_ack", "ack_received"), ("await_ack", "ack_timeout"),
-    ("tx_data", "rts_cts_fail"), ("await_ack", "rts_cts_fail"),
 }
 
 
 @pytest.mark.parametrize("phase", list(DcfPhase))
-@pytest.mark.parametrize("event", [
-    "medium_busy", "medium_idle_slot", "tx_done", "ack_received",
-    "ack_timeout", "rts_cts_fail",
-])
+@pytest.mark.parametrize("event", DCF_EVENTS)
 def test_transition_table_exhaustive(phase, event):
     s = DcfState(phase=phase, backoff_counter=3)
     if (phase.value, event) in LEGAL:
@@ -122,11 +112,11 @@ def test_cw_bounds_under_random_legal_streams():
     # value inside [cw_min, cw_max] throughout
     gen = np.random.default_rng(7)
     for _ in range(200):
-        s = start_access(DcfState(retry_limit=1000), gen)
+        s = DcfState(retry_limit=1000)
         for _ in range(60):
+            if s.phase == DcfPhase.IDLE:
+                s = start_access(s, gen)
             legal = sorted(e for p, e in LEGAL if p == s.phase.value)
-            if not legal:
-                break
             event = legal[int(gen.integers(0, len(legal)))]
             s, _ = dcf_step(s, event, gen)
             assert s.cw_min <= s.cw <= s.cw_max
@@ -196,7 +186,7 @@ class TestStateValidation:
 def counting_states(draw):
     cw = draw(st.sampled_from([15, 31, 63, 127, 255, 511, 1023]))
     return DcfState(
-        phase=draw(st.sampled_from([DcfPhase.DEFER, DcfPhase.BACKOFF])),
+        phase=DcfPhase.BACKOFF,
         cw=cw,
         backoff_counter=draw(st.integers(min_value=1, max_value=cw)),
         retry_count=draw(st.integers(min_value=0, max_value=7)),
@@ -225,8 +215,7 @@ class TestIdleSlots:
         with pytest.raises(ValueError):
             idle_slots(DcfState(phase=DcfPhase.BACKOFF, backoff_counter=3), -1)
 
-    @pytest.mark.parametrize("phase", [p for p in DcfPhase
-                                       if p not in (DcfPhase.DEFER, DcfPhase.BACKOFF)])
+    @pytest.mark.parametrize("phase", [p for p in DcfPhase if p != DcfPhase.BACKOFF])
     def test_illegal_where_idle_slot_is(self, phase):
         s = DcfState(phase=phase, backoff_counter=5)
         with pytest.raises(ProtocolViolation):

@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from coexsim.config import (
     generate_topology,
     load_config,
 )
-from coexsim.mac_wifi import DcfPhase
+from coexsim import mac_lte, mac_wifi
+from coexsim.mac_lte import LBT_EVENTS, LbtPhase, LbtState
+from coexsim.mac_wifi import DCF_EVENTS, DcfPhase, DcfState, ProtocolViolation
 from coexsim.propagation import Building, Position
 from coexsim.simulator import (
     Metrics,
@@ -339,6 +342,60 @@ class TestNavDeferral:
                 k = bisect.bisect_left(starts[node], float(t))
                 assert k == 0 or reach[node][k - 1] <= float(t), line
         assert checked > 0
+
+
+def full_buffer_figure4(*overrides):
+    return build_scenario(apply_overrides(load_config("figure4_coexistence"), [
+        "traffic.model=full_buffer", "simulate.adaptive_ed=true", *overrides,
+    ]))
+
+
+class TestBusyEdge:
+    @pytest.mark.parametrize("base", ["ap1", "enb1"])
+    def test_busy_edge_only_cancels_the_pending_wait(self, base):
+        sim = Simulator(full_buffer_figure4())
+        sim._schedule_first_traffic()
+        ctrl = sim.controllers[base]
+        ctrl.maybe_start()
+        assert ctrl.contending()
+        mac, counter, gen = ctrl.mac, ctrl.mac.backoff_counter, ctrl.gen
+        ctrl.on_medium(True)
+        # the counter freezes because no slot is delivered, not by a step
+        assert ctrl.mac is mac and ctrl.mac.backoff_counter == counter
+        assert ctrl.gen == gen + 1
+
+
+def accepted_pairs(step, make_state, phases, events):
+    accepted = set()
+    for phase, event in itertools.product(phases, events):
+        try:
+            step(make_state(phase=phase, backoff_counter=3), event, np.random.default_rng(0))
+        except ProtocolViolation:
+            continue
+        accepted.add((phase, event))
+    return accepted
+
+
+class TestSteppedPairs:
+    def test_engine_drives_every_legal_pair_and_no_other(self, monkeypatch):
+        dcf_step, lbt_step = mac_wifi.dcf_step, mac_lte.lbt_step
+        stepped = {"dcf": set(), "lbt": set()}
+
+        def recording(machine, step):
+            def wrapped(state, event, rng):
+                stepped[machine].add((state.phase, event))
+                return step(state, event, rng)
+            return wrapped
+
+        monkeypatch.setattr(mac_wifi, "dcf_step", recording("dcf", dcf_step))
+        monkeypatch.setattr(mac_lte, "lbt_step", recording("lbt", lbt_step))
+        # hidden bases whose AP reaches the UE, so Wi-Fi frames also break
+        # LTE bursts; the two-BSS RTS/CTS cells complete their exchanges
+        Simulator(full_buffer_figure4("simulate.duration_s=0.5", "links.ap1.ue1=-60")).run()
+        two_bss = load_config(str(Path(__file__).resolve().parent / "two_bss_rts.yaml"))
+        Simulator(build_scenario(two_bss)).run()
+        assert stepped["dcf"] == accepted_pairs(dcf_step, DcfState, DcfPhase, DCF_EVENTS)
+        assert stepped["lbt"] == accepted_pairs(lbt_step, LbtState, LbtPhase, LBT_EVENTS)
 
 
 class TestRtsBeforeData:
