@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, replace
+from enum import Enum
 
 import numpy as np
 
@@ -29,9 +31,6 @@ from .config import ConfigError, Node
 from .coordination import adapt_ed_threshold, channel_metric, filter_scan, select_channel
 from .relay import (
     BeaconDecodeError,
-    CellInfo,
-    MacSpec,
-    NodeType,
     decode_pseudo_beacon,
     encode_pseudo_beacon,
     hex_to_ies,
@@ -70,7 +69,6 @@ def load_with_overrides(args) -> dict:
     cfgmod.apply_overrides(cfg, args.set or [])
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    cfgmod.check_top_level(cfg)
     return cfg
 
 
@@ -79,7 +77,6 @@ def load_with_overrides(args) -> dict:
 def cmd_coverage(args) -> int:
     cfg = load_with_overrides(args)
     spec = cfgmod.build_coverage_spec(cfg)
-    seed = int(cfg.get("seed", 1))
     base = Node(id="base", kind="wifi_ap", position=spec.base_position,
                 tx_power_dbm=spec.tx_power_dbm)
     header = ["model"]
@@ -92,8 +89,8 @@ def cmd_coverage(args) -> int:
     for model in spec.models:
         # each helper draws its own sample, so the table sample is freed
         # before the CDF sample is drawn
-        rows.append(_coverage_row(spec, base, model, seed))
-        cdf_rows.extend(_rssi_cdf_rows(spec, base, model, seed))
+        rows.append(_coverage_row(spec, base, model, spec.seed))
+        cdf_rows.extend(_rssi_cdf_rows(spec, base, model, spec.seed))
     write_rows(args.out, header, rows)
     cdf_path = args.cdf_out
     if cdf_path is None and args.out not in (None, "-"):
@@ -154,13 +151,7 @@ def cmd_edprob(args) -> int:
 # -- select / adapt ---------------------------------------------------------------
 
 def cmd_select(args) -> int:
-    cfg = load_with_overrides(args)
-    scan = cfgmod.parse_scan_entries(cfg)
-    _, _, select_cfg = cfgmod._build_coordination(cfg.get("coordination"))
-    running_on = (cfg.get("select") or {}).get("running_on", "wifi_ap")
-    channels = cfg.get("channels")
-    if not channels:
-        raise ConfigError("select needs a candidate channels list")
+    scan, channels, running_on, select_cfg = cfgmod.build_select(load_with_overrides(args))
     kept = filter_scan(scan, select_cfg)
     metrics = []
     for channel in channels:
@@ -176,61 +167,25 @@ def cmd_select(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    cfg = load_with_overrides(args)
-    scan = cfgmod.parse_scan_entries(cfg)
-    adapt_section = cfg.get("adapt") or {}
-    tech = adapt_section.get("technology", "wifi")
-    wifi_cfg, lte_cfg, _ = cfgmod._build_coordination(cfg.get("coordination"))
-    chosen_cfg = wifi_cfg if tech == "wifi" else lte_cfg
-    own_channel = adapt_section.get("own_channel")
-    threshold = adapt_ed_threshold(scan, chosen_cfg, own_channel=own_channel)
+    scan, adapt_cfg, own_channel = cfgmod.build_adapt(load_with_overrides(args))
+    threshold = adapt_ed_threshold(scan, adapt_cfg, own_channel=own_channel)
     print(f"ed_threshold_dbm={fmt(threshold)}")
     return EXIT_OK
 
 
 # -- beacon -------------------------------------------------------------------------
 
-_NODE_TYPES = {t.name.lower(): t for t in NodeType}
-_MAC_SPECS = {m.name.lower(): m for m in MacSpec}
-
-
 def cmd_beacon(args) -> int:
     if args.beacon_cmd == "encode":
-        if args.config:
-            cfg = cfgmod.load_config(args.config)
-            cell_cfg = cfg.get("cell") or {}
-        else:
-            cell_cfg = {}
-        if args.cell_id is not None:
-            cell_cfg["operator_cell_id"] = args.cell_id
-        if args.channel is not None:
-            cell_cfg["channel"] = args.channel
-        try:
-            cell = CellInfo(
-                operator_cell_id=cell_cfg.get("operator_cell_id", ""),
-                channel=int(cell_cfg.get("channel", 36)),
-                station_count=int(cell_cfg.get("station_count", 0)),
-                channel_utilization=float(cell_cfg.get("channel_utilization", 0.0)),
-                available_admission_capacity=int(
-                    cell_cfg.get("available_admission_capacity", 0)),
-                node_type=_NODE_TYPES[str(cell_cfg.get("node_type", "rel13_laa")).lower()],
-                mac_spec=_MAC_SPECS[str(cell_cfg.get("mac_spec", "lbt_cat4")).lower()],
-                tx_power_offset_db=int(cell_cfg.get("tx_power_offset_db", 0)),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid cell description: {exc}") from exc
+        cfg = cfgmod.load_config(args.config) if args.config else {}
+        flags = {"operator_cell_id": args.cell_id, "channel": args.channel}
+        cell = cfgmod.build_cell(cfg, {k: v for k, v in flags.items() if v is not None})
         print(ies_to_hex(encode_pseudo_beacon(cell)))
         return EXIT_OK
     # decode
     cell = decode_pseudo_beacon(hex_to_ies(args.hex))
-    print(f"operator_cell_id={cell.operator_cell_id}")
-    print(f"channel={cell.channel}")
-    print(f"station_count={cell.station_count}")
-    print(f"channel_utilization={fmt(cell.channel_utilization)}")
-    print(f"available_admission_capacity={cell.available_admission_capacity}")
-    print(f"node_type={cell.node_type.name.lower()}")
-    print(f"mac_spec={cell.mac_spec.name.lower()}")
-    print(f"tx_power_offset_db={cell.tx_power_offset_db}")
+    for name, value in asdict(cell).items():
+        print(f"{name}={value.name.lower() if isinstance(value, Enum) else fmt(value)}")
     return EXIT_OK
 
 
@@ -268,11 +223,10 @@ def _run_batch(cfg: dict, seeds, adaptive_values, trace_path=None):
     raw: dict = {}
     trace_lines = None
     for seed in seeds:
+        cfg["seed"] = seed
+        seeded = cfgmod.build_scenario(cfg)
         for adaptive in adaptive_values:
-            run_cfg = {**cfg, "seed": seed}
-            run_cfg["simulate"] = dict(cfg.get("simulate") or {})
-            run_cfg["simulate"]["adaptive_ed"] = adaptive
-            scenario = cfgmod.build_scenario(run_cfg)
+            scenario = replace(seeded, adaptive_ed=adaptive)
             want_trace = trace_path is not None and trace_lines is None
             sim = Simulator(scenario, collect_trace=want_trace)
             metrics = sim.run()
@@ -314,10 +268,9 @@ def _pooled_rows(rows, raw):
 
 def cmd_simulate(args, pooled: bool = True) -> int:
     cfg = load_with_overrides(args)
-    base_seed = int(cfg.get("seed", 1))
-    seeds = [base_seed + i for i in range(args.runs)]
-    base_adaptive = bool((cfg.get("simulate") or {}).get("adaptive_ed", False))
-    adaptive_values = [False, True] if args.compare_adaptive else [base_adaptive]
+    first = cfgmod.build_scenario(cfg)
+    seeds = [first.seed + i for i in range(args.runs)]
+    adaptive_values = [False, True] if args.compare_adaptive else [first.adaptive_ed]
     rows, raw = _run_batch(cfg, seeds, adaptive_values, trace_path=args.trace)
     if pooled and (args.runs > 1 or args.compare_adaptive):
         rows = rows + _pooled_rows(rows, raw)

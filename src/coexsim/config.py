@@ -1,15 +1,17 @@
 """Scenario schema and its YAML configuration: dataclasses, presets, overrides.
 
 The dataclasses below define and check every scenario the simulator
-runs.  Config files are nested YAML mirroring the dataclass tree.
-Every section is checked against its dataclass fields, so a misspelled
-key fails loudly with the exact key name, and each dataclass checks its
-own values.  ``--set a.b.c=value`` overrides walk the raw dictionary
-before construction; values parse as YAML.
+runs.  Config files are nested YAML mirroring the dataclass tree.  Only
+this module reads a raw config dict: every section passes one key check
+(a misspelled key fails with its exact name) and one error mapping (a
+wrong type or shape raises ``ConfigError`` naming the section), and each
+dataclass checks its own values.  ``--set a.b.c=value`` overrides walk
+the raw dictionary before construction; values parse as YAML.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -20,6 +22,7 @@ import yaml
 from .coordination import AdaptiveEdConfig, ChannelSelectConfig
 from .mac_wifi import MacTiming
 from .propagation import Building, Position, PropagationModel
+from .relay import CellInfo, MacSpec, NodeType, ScanEntry
 
 PRESET_NAMES = ("table1_inh", "table1_diffusion", "figure3_collision",
                 "figure4_coexistence")
@@ -149,6 +152,8 @@ class PhyConfig:
     def __post_init__(self) -> None:
         if self.fading_branches < 1:
             raise ValueError("fading_branches must be at least 1")
+        self.wifi_rates = [(float(t), float(r)) for t, r in self.wifi_rates]
+        self.lte_rates = [(float(t), float(r)) for t, r in self.lte_rates]
 
 
 @dataclass
@@ -197,6 +202,8 @@ class Scenario:
     link_gains: dict = field(default_factory=dict)  # {(a, b): gain_db}, symmetric
 
     def validate(self) -> None:
+        if self.duration_s < 0 or self.warmup_s < 0:
+            raise ValueError("duration_s and warmup_s must not be negative")
         if not any(n.is_base for n in self.nodes):
             raise ValueError("scenario needs at least one base")
         for node in self.nodes:
@@ -291,133 +298,136 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
     return cfg
 
 
-def _build(cls, data: dict, section: str):
-    """Construct a dataclass from a dict, rejecting unknown keys."""
+def _section(data, keys, name: str) -> dict:
+    """``data`` as a mapping with no key outside ``keys`` (None: any key); None reads as {}."""
     if data is None:
-        data = {}
+        return {}
     if not isinstance(data, dict):
-        raise ConfigError(f"section {section!r} must be a mapping")
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
+        raise ConfigError(f"{name or 'config root'} must be a mapping")
+    unknown = sorted(map(str, set(data) - set(keys))) if keys is not None else []
     if unknown:
-        raise ConfigError(
-            f"unknown config key: {section}.{sorted(unknown)[0]}"
-        )
+        raise ConfigError(f"unknown config key: {name + '.' if name else ''}{unknown[0]}")
+    return data
+
+
+@contextmanager
+def _reading(name: str):
+    """Report a wrong type or shape met while reading ``name`` as a ConfigError."""
     try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section!r} section: {exc}") from exc
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, KeyError, IndexError) as exc:
+        detail = f"missing or unknown {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"{name}: {detail}") from exc
 
 
-def _build_propagation(data: dict | None) -> PropagationModel:
-    data = dict(data or {})
+def _build(cls, data, section: str, **defaults):
+    """Construct a dataclass from a mapping, rejecting unknown keys."""
+    data = _section(data, [f.name for f in fields(cls)], section)
+    with _reading(section):
+        return cls(**{**defaults, **data})
+
+
+def _build_propagation(data, section: str = "propagation") -> PropagationModel:
+    data = dict(_section(data, None, section))
     if "model" in data:
         data["variant"] = data.pop("model")
-    return _build(PropagationModel, data, "propagation")
+    return _build(PropagationModel, data, section)
 
 
-def _build_wifi_mac(data: dict | None) -> WifiMacConfig:
-    data = dict(data or {})
-    timing_keys = {"slot_us", "sifs_us", "ack_duration_us", "beacon_interval_ms"}
-    timing_data = {k: data.pop(k) for k in list(data) if k in timing_keys}
-    cfg = _build(WifiMacConfig, data, "wifi_mac")
-    if timing_data:
-        cfg.timing = _build(MacTiming, timing_data, "wifi_mac")
-    return cfg
+def _build_macs(cfg: dict) -> tuple:
+    """(WifiMacConfig, LteMacConfig); the MacTiming fields are keys of ``wifi_mac`` itself."""
+    wifi = dict(_section(cfg.get("wifi_mac"), None, "wifi_mac"))
+    if "timing" in wifi:
+        raise ConfigError("unknown config key: wifi_mac.timing")
+    timing = {f.name: wifi.pop(f.name) for f in fields(MacTiming) if f.name in wifi}
+    wifi_mac = _build(WifiMacConfig, wifi, "wifi_mac",
+                      timing=_build(MacTiming, timing, "wifi_mac"))
+    return wifi_mac, _build(LteMacConfig, cfg.get("lte_mac"), "lte_mac")
 
 
-def _build_node(data: dict) -> Node:
-    data = dict(data)
-    pos = data.pop("position", None)
+def _position(pos, owner: str) -> Position:
     if pos is None or len(pos) != 2:
-        raise ConfigError(f"node {data.get('id', '?')} needs position: [x, y]")
-    data["position"] = Position(float(pos[0]), float(pos[1]))
-    return _build(Node, data, "nodes")
+        raise ConfigError(f"{owner} needs position: [x, y]")
+    return Position(float(pos[0]), float(pos[1]))
 
 
-def _build_links(data: dict | None) -> dict:
-    gains = {}
-    for a, peers in (data or {}).items():
-        if not isinstance(peers, dict):
-            raise ConfigError(f"links.{a} must map peer ids to gains in dB")
-        for b, gain in peers.items():
-            gains[(a, b)] = float(gain)
-    return gains
+@_reading("nodes")
+def _build_nodes(data) -> list:
+    nodes = []
+    for node in data or []:
+        node = dict(_section(node, None, "nodes"))
+        node["position"] = _position(node.get("position"), f"node {node.get('id', '?')}")
+        nodes.append(_build(Node, node, "nodes"))
+    return nodes
 
 
-def _build_coordination(data: dict | None):
-    data = data or {}
-    unknown = set(data) - {"wifi", "lte", "select"}
-    if unknown:
-        raise ConfigError(f"unknown config key: coordination.{sorted(unknown)[0]}")
-    wifi = _build(AdaptiveEdConfig,
-                  {"t_default_dbm": WifiMacConfig.ed_threshold_dbm, **(data.get("wifi") or {})},
-                  "coordination.wifi")
-    lte = _build(AdaptiveEdConfig,
-                 {"t_default_dbm": LteMacConfig.ed_threshold_dbm, **(data.get("lte") or {})},
-                 "coordination.lte")
-    select = _build(ChannelSelectConfig, data.get("select"), "coordination.select")
-    return wifi, lte, select
+@_reading("links")
+def _build_links(data) -> dict:
+    return {(a, b): float(gain) for a, peers in _section(data, None, "links").items()
+            for b, gain in _section(peers, None, f"links.{a}").items()}
+
+
+@_reading("simulate")
+def _build_run(data) -> dict:
+    sim = _section(data, ("duration_s", "warmup_s", "adaptive_ed"), "simulate")
+    return {"duration_s": float(sim.get("duration_s", 1.0)),
+            "warmup_s": float(sim.get("warmup_s", 0.0)),
+            "adaptive_ed": bool(sim.get("adaptive_ed", False))}
+
+
+def _build_coordination(cfg: dict, wifi_mac: WifiMacConfig, lte_mac: LteMacConfig) -> tuple:
+    """The Wi-Fi and LTE AdaptiveEdConfig and the ChannelSelectConfig.
+
+    An unset ``t_default_dbm`` is the MAC's configured ED threshold.
+    """
+    data = _section(cfg.get("coordination"), ("wifi", "lte", "select"), "coordination")
+    return (_build(AdaptiveEdConfig, data.get("wifi"), "coordination.wifi",
+                   t_default_dbm=wifi_mac.ed_threshold_dbm),
+            _build(AdaptiveEdConfig, data.get("lte"), "coordination.lte",
+                   t_default_dbm=lte_mac.ed_threshold_dbm),
+            _build(ChannelSelectConfig, data.get("select"), "coordination.select"))
+
+
+@_reading("seed")
+def _seed(cfg: dict) -> int:
+    return int(cfg.get("seed", 1))
 
 
 TOP_LEVEL_KEYS = {
     "seed", "building", "propagation", "coverage", "simulate", "nodes",
     "links", "traffic", "wifi_mac", "lte_mac", "phy", "coordination",
-    "relay", "channels", "clients", "scan", "select", "adapt",
+    "relay", "channels", "clients", "scan", "select", "adapt", "cell",
 }
 
 
-def check_top_level(cfg: dict) -> None:
-    unknown = set(cfg) - TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-
-
+@_reading("scenario")
 def build_scenario(cfg: dict) -> Scenario:
     """Assemble a simulator Scenario from a raw config dict."""
-    check_top_level(cfg)
-    sim = cfg.get("simulate") or {}
-    unknown = set(sim) - {"duration_s", "warmup_s", "adaptive_ed"}
-    if unknown:
-        raise ConfigError(f"unknown config key: simulate.{sorted(unknown)[0]}")
-    nodes = [_build_node(n) for n in cfg.get("nodes") or []]
-    adapt_wifi, adapt_lte, _ = _build_coordination(cfg.get("coordination"))
+    _section(cfg, TOP_LEVEL_KEYS, "")
+    wifi_mac, lte_mac = _build_macs(cfg)
+    adapt_wifi, adapt_lte, _ = _build_coordination(cfg, wifi_mac, lte_mac)
     scenario = Scenario(
         building=_build(Building, cfg.get("building"), "building"),
-        nodes=nodes,
+        nodes=_build_nodes(cfg.get("nodes")),
         propagation=_build_propagation(cfg.get("propagation")),
         traffic=_build(TrafficConfig, cfg.get("traffic"), "traffic"),
-        seed=int(cfg.get("seed", 1)),
-        duration_s=float(sim.get("duration_s", 1.0)),
-        warmup_s=float(sim.get("warmup_s", 0.0)),
-        adaptive_ed=bool(sim.get("adaptive_ed", False)),
-        wifi_mac=_build_wifi_mac(cfg.get("wifi_mac")),
-        lte_mac=_build(LteMacConfig, cfg.get("lte_mac"), "lte_mac"),
-        phy=_build_phy(cfg.get("phy")),
+        seed=_seed(cfg),
+        wifi_mac=wifi_mac,
+        lte_mac=lte_mac,
+        phy=_build(PhyConfig, cfg.get("phy"), "phy"),
         adapt_wifi=adapt_wifi,
         adapt_lte=adapt_lte,
         relay=_build(RelayConfig, cfg.get("relay"), "relay"),
         link_gains=_build_links(cfg.get("links")),
+        **_build_run(cfg.get("simulate")),
     )
-    clients = (_build(ClientGenConfig, cfg["clients"], "clients")
-               if cfg.get("clients") else None)
-    try:
-        if clients is not None:
-            scenario = generate_topology(
-                scenario, clients, np.random.default_rng([scenario.seed, 42]),
-            )
-        scenario.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.get("clients"):
+        scenario = generate_topology(scenario, _build(ClientGenConfig, cfg["clients"], "clients"),
+                                     np.random.default_rng([scenario.seed, 42]))
+    scenario.validate()
     return scenario
-
-
-def _build_phy(data: dict | None) -> PhyConfig:
-    data = dict(data or {})
-    for key in ("wifi_rates", "lte_rates"):
-        if key in data:
-            data[key] = [(float(t), float(r)) for t, r in data[key]]
-    return _build(PhyConfig, data, "phy")
 
 
 @dataclass
@@ -434,65 +444,103 @@ class CoverageSpec:
     include_shadow: bool
     margin_db: float
     cdf_bin_db: float
+    seed: int
 
 
+@_reading("coverage")
 def build_coverage_spec(cfg: dict) -> CoverageSpec:
-    check_top_level(cfg)
-    cov = cfg.get("coverage") or {}
-    allowed = {"samples", "include_shadow", "margin_db", "base", "cells",
-               "thresholds_dbm", "cdf_bin_db", "models"}
-    unknown = set(cov) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config key: coverage.{sorted(unknown)[0]}")
-    base = cov.get("base") or {"position": [25.0, 30.0], "tx_power_dbm": 20.0}
+    _section(cfg, TOP_LEVEL_KEYS, "")
+    cov = _section(cfg.get("coverage"), ("samples", "include_shadow", "margin_db", "base", "cells",
+                                         "thresholds_dbm", "cdf_bin_db", "models"), "coverage")
+    base = _section(cov.get("base"), ("position", "tx_power_dbm"), "coverage.base")
     if "models" in cov:
-        models = [_build_propagation(m) for m in cov["models"]]
+        models = [_build_propagation(m, "coverage.models") for m in cov["models"]]
     else:
         models = [_build_propagation(cfg.get("propagation"))]
-    cells = [(c["name"], float(c["min_sensitivity_dbm"]))
-             for c in cov.get("cells")
-             or [{"name": "wifi", "min_sensitivity_dbm": -87.5},
-                 {"name": "ulte", "min_sensitivity_dbm": -100.0}]]
-    pos = base.get("position", [25.0, 30.0])
+    cells = [_section(c, ("name", "min_sensitivity_dbm"), "coverage.cells")
+             for c in cov.get("cells") or [{"name": "wifi", "min_sensitivity_dbm": -87.5},
+                                           {"name": "ulte", "min_sensitivity_dbm": -100.0}]]
     return CoverageSpec(
         building=_build(Building, cfg.get("building"), "building"),
         models=models,
-        base_position=Position(float(pos[0]), float(pos[1])),
+        base_position=_position(base.get("position", [25.0, 30.0]), "coverage.base"),
         tx_power_dbm=float(base.get("tx_power_dbm", 20.0)),
-        cells=cells,
+        cells=[(c["name"], float(c["min_sensitivity_dbm"])) for c in cells],
         thresholds_dbm=[float(t) for t in cov.get(
             "thresholds_dbm", [WifiMacConfig.ed_threshold_dbm, LteMacConfig.ed_threshold_dbm])],
         samples=int(cov.get("samples", 100_000)),
         include_shadow=bool(cov.get("include_shadow", True)),
         margin_db=float(cov.get("margin_db", 0.0)),
         cdf_bin_db=float(cov.get("cdf_bin_db", 1.0)),
+        seed=_seed(cfg),
     )
 
 
-def parse_scan_entries(cfg: dict) -> list:
-    """Read ScanEntry records from the config's ``scan`` section."""
-    from .relay import CellInfo, MacSpec, NodeType, ScanEntry
+def _cell_info(data: dict) -> CellInfo:
+    """A CellInfo from the keys named as its fields; ``node_type``/``mac_spec`` go by name."""
+    return CellInfo(
+        operator_cell_id=str(data["operator_cell_id"]),
+        channel=int(data["channel"]),
+        station_count=int(data.get("station_count", 0)),
+        channel_utilization=float(data.get("channel_utilization", 0.0)),
+        available_admission_capacity=int(data.get("available_admission_capacity", 0)),
+        node_type=NodeType[str(data.get("node_type", "wifi")).upper()],
+        mac_spec=MacSpec[str(data.get("mac_spec", "dcf")).upper()],
+        tx_power_offset_db=int(data.get("tx_power_offset_db", 0)),
+    )
 
+
+@_reading("scan")
+def _build_scan(cfg: dict) -> list:
+    scan = cfg.get("scan") or []
+    if not isinstance(scan, list):
+        raise ConfigError("scan must be a list of entries")
     entries = []
-    for rec in cfg.get("scan") or []:
-        rec = dict(rec)
-        try:
-            cell = CellInfo(
-                operator_cell_id=str(rec.pop("cell_id")),
-                channel=int(rec.pop("channel")),
-                station_count=int(rec.get("n_attached", 0)),
-                channel_utilization=float(rec.get("utilization") or 0.0),
-                node_type=NodeType[str(rec.pop("node_type", "WIFI")).upper()],
-                mac_spec=MacSpec[str(rec.pop("mac_spec", "DCF")).upper()],
-                tx_power_offset_db=int(rec.pop("tx_power_offset_db", 0)),
-            )
-            entries.append(ScanEntry(
-                source=rec.pop("source", "over_the_air"),
-                cell=cell,
-                rssi_dbm=float(rec.pop("rssi_dbm")),
-                n_attached=rec.pop("n_attached", None),
-                utilization=rec.pop("utilization", None),
-            ))
-        except KeyError as exc:
-            raise ConfigError(f"scan entry missing field: {exc}") from exc
+    for rec in scan:
+        rec = _section(rec, ("cell_id", "channel", "source", "rssi_dbm", "n_attached",
+                             "utilization", "node_type", "mac_spec", "tx_power_offset_db"), "scan")
+        entries.append(ScanEntry(
+            source=rec.get("source", "over_the_air"),
+            cell=_cell_info({**rec, "operator_cell_id": rec["cell_id"],
+                             "station_count": rec.get("n_attached") or 0,
+                             "channel_utilization": rec.get("utilization") or 0.0}),
+            rssi_dbm=float(rec["rssi_dbm"]),
+            n_attached=rec.get("n_attached"),
+            utilization=rec.get("utilization"),
+        ))
     return entries
+
+
+@_reading("select")
+def build_select(cfg: dict) -> tuple:
+    """The ``select`` inputs: (scan entries, channels, running_on, ChannelSelectConfig)."""
+    _section(cfg, TOP_LEVEL_KEYS, "")
+    running_on = _section(cfg.get("select"), ("running_on",), "select").get(
+        "running_on", "wifi_ap")
+    if running_on not in ("wifi_ap", "lte_enb"):
+        raise ConfigError(f"select.running_on must be wifi_ap or lte_enb, not {running_on!r}")
+    channels = [int(c) for c in cfg.get("channels") or []]
+    if not channels:
+        raise ConfigError("select needs a candidate channels list")
+    _, _, select = _build_coordination(cfg, *_build_macs(cfg))
+    return _build_scan(cfg), channels, running_on, select
+
+
+@_reading("adapt")
+def build_adapt(cfg: dict) -> tuple:
+    """The ``adapt`` inputs: (scan entries, AdaptiveEdConfig, own channel or None)."""
+    _section(cfg, TOP_LEVEL_KEYS, "")
+    adapt = _section(cfg.get("adapt"), ("technology", "own_channel"), "adapt")
+    wifi, lte, _ = _build_coordination(cfg, *_build_macs(cfg))
+    own_channel = adapt.get("own_channel")
+    return (_build_scan(cfg), {"wifi": wifi, "lte": lte}[adapt.get("technology", "wifi")],
+            None if own_channel is None else int(own_channel))
+
+
+@_reading("cell")
+def build_cell(cfg: dict, overrides: dict) -> CellInfo:
+    """The ``cell`` section as a CellInfo; ``overrides`` (the CLI flags) replace its keys."""
+    _section(cfg, TOP_LEVEL_KEYS, "")
+    cell = _section(cfg.get("cell"), [f.name for f in fields(CellInfo)], "cell")
+    return _cell_info({"operator_cell_id": "", "channel": 36, "node_type": "rel13_laa",
+                       "mac_spec": "lbt_cat4", **cell, **overrides})

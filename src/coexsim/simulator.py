@@ -1005,8 +1005,6 @@ class Simulator:
 
     def _airtime_fractions(self) -> dict:
         total = self.end_us
-        if total <= 0:
-            return {"wifi": 0.0, "lte": 0.0, "overlap": 0.0, "idle": 1.0}
         events = []
         for start, end, tech in self.tx_log:
             s = max(0.0, min(start, total))

@@ -256,12 +256,28 @@ class TestScenarioConfigErrors:
         # a client hears only its own channel, so it must be on its base's
         (TWO_BASES + [{"id": "sta1", "kind": "wifi_sta", "position": [10.0, 20.0],
                        "attach_to": "ap1", "channel": 40}], []),
+        (TWO_BASES, ["simulate=[1]"]),
+        (TWO_BASES, ["links=[1]"]),
+        (TWO_BASES, ["nodes=5"]),
+        (TWO_BASES, ["simulate.duration_s=abc"]),
+        (TWO_BASES, ["seed=abc"]),
+        (TWO_BASES, ["links.ap1.sta1=abc"]),
+        (TWO_BASES, ["phy.wifi_rates=[[1]]"]),
+        (TWO_BASES, ["simulate.duration_s=-1"]),
+        (TWO_BASES, ["simulate.warmup_s=-3"]),
+        # adaptation starts from the configured threshold, which must not lie below t_min
+        (TWO_BASES, ["lte_mac.ed_threshold_dbm=-90"]),
+        # the timing fields are wifi_mac keys; a nested timing: mapping is no key
+        (TWO_BASES, ["wifi_mac.timing.slot_us=9"]),
     ], ids=["unknown_base", "other_technology", "outside_building",
             "client_mode", "defer_below_sifs_plus_slot", "wifi_cw_min_form",
             "wifi_cw_max_form", "lte_cw_max_form", "burst_above_cap",
             "negative_lte_slot", "negative_relay_latency", "no_fading_branches",
             "negative_clients_per_base", "fractional_fixed_clients",
-            "client_ed_threshold", "client_off_base_channel"])
+            "client_ed_threshold", "client_off_base_channel", "simulate_list",
+            "links_list", "nodes_scalar", "duration_text", "seed_text", "link_gain_text",
+            "short_rate_row", "negative_duration", "negative_warmup",
+            "mac_threshold_below_t_min", "wifi_timing_key"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
         argv = ["simulate", "--config", write_config(tmp_path, {
             "nodes": nodes, "simulate": {"duration_s": 0.05}})]
@@ -271,3 +287,50 @@ class TestScenarioConfigErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("config error:")
+
+
+def scan_with(**fields):
+    """SCAN_CFG whose first scan entry has ``fields`` added."""
+    return {**SCAN_CFG, "scan": [{**SCAN_CFG["scan"][0], **fields}]}
+
+
+class TestInputErrors:
+    """Malformed inputs to every command that reads a config exit 2, naming the key."""
+
+    @pytest.mark.parametrize("command, cfg, overrides, named", [
+        ("select", scan_with(channel=7), [], "scan"),
+        ("adapt", scan_with(channel=7), [], "scan"),
+        ("select", scan_with(n_atached=3), [], "scan.n_atached"),
+        ("adapt", scan_with(utilisation=0.3), [], "scan.utilisation"),
+        ("select", scan_with(node_typ="wifi"), [], "scan.node_typ"),
+        ("select", {**SCAN_CFG, "select": {"running_onn": "lte_enb"}}, [],
+         "select.running_onn"),
+        ("adapt", {**SCAN_CFG, "adapt": {"own_chanel": 40}}, [], "adapt.own_chanel"),
+        ("select", {**SCAN_CFG, "scan": {"busy": SCAN_CFG["scan"][0]}}, [], "scan"),
+        ("adapt", {**SCAN_CFG, "scan": {"busy": SCAN_CFG["scan"][0]}}, [], "scan"),
+        ("beacon encode", {"cell": {"chanel": 44}}, [], "cell.chanel"),
+        ("beacon encode", {"cell": [1, 2]}, [], "cell"),
+        ("coverage", "table1_inh",
+         ["coverage.cells=[{nam: wifi, min_sensitivity_dbm: -87.5}]"], "coverage.cells.nam"),
+        ("coverage", "table1_inh", ["coverage.base.position=[1]"], "coverage.base"),
+        ("coverage", "table1_inh", ["coverage.base=[1,2]"], "coverage.base"),
+        ("coverage", "table1_inh", ["coverage.samples=2000", "coverage.base.tx_power=30"],
+         "coverage.base.tx_power"),
+        ("coverage", "table1_inh", ["coverage.samples=abc"], "coverage"),
+        ("coverage", "table1_inh", ["seed=abc"], "seed"),
+    ], ids=["select_channel_7", "adapt_channel_7", "scan_n_atached", "scan_utilisation",
+            "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
+            "adapt_scan_mapping", "cell_chanel", "cell_list", "coverage_cell_nam",
+            "coverage_short_position", "coverage_base_list", "coverage_base_tx_power",
+            "coverage_samples_text", "coverage_seed_text"])
+    def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):
+        if isinstance(cfg, dict):
+            cfg = write_config(tmp_path, cfg)
+        argv = command.split() + ["--config", cfg]
+        for item in overrides:
+            argv += ["--set", item]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error:")
+        assert named in err

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 import yaml
 
 import coexsim
+import coexsim.cli
 from coexsim.config import (
     ConfigError,
     apply_overrides,
@@ -93,6 +95,14 @@ class TestScenarioAssembly:
         scenario = build_scenario(load_config("figure4_coexistence"))
         assert scenario.link_gains[("ap1", "enb1")] == -101.8
 
+    def test_adaptation_defaults_to_the_configured_mac_threshold(self):
+        # an adapt tick must not raise a configured -78 dBm to the class default
+        cfg = apply_overrides(load_config("figure3_collision"), [
+            "lte_mac.ed_threshold_dbm=-78", "wifi_mac.ed_threshold_dbm=-65"])
+        scenario = build_scenario(cfg)
+        assert scenario.adapt_lte.t_default_dbm == -78.0
+        assert scenario.adapt_wifi.t_default_dbm == -65.0
+
 
 class TestDependencyDirection:
     def test_config_does_not_import_the_engine(self):
@@ -101,3 +111,18 @@ class TestDependencyDirection:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=dict(os.environ, PYTHONPATH=str(src)))
         assert result.returncode == 0, result.stderr or "coexsim.config imported the engine"
+
+    def test_cli_calls_no_private_config_name(self):
+        # config.py is the one input boundary; cli.py goes through its public builders
+        tree = ast.parse(Path(coexsim.cli.__file__).read_text(encoding="utf-8"))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module is None
+                   for alias in node.names if alias.name == "config"}
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "config"
+                    for alias in node.names]
+        used = [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases]
+        assert aliases and used
+        assert [name for name in imported + used if name.startswith("_")] == []
