@@ -20,7 +20,6 @@ import numpy as np
 import yaml
 
 from .coordination import AdaptiveEdConfig, ChannelSelectConfig
-from .mac_wifi import MacTiming
 from .propagation import Building, Position, PropagationModel
 from .relay import CellInfo, MacSpec, NodeType, ScanEntry
 
@@ -102,7 +101,11 @@ class TrafficConfig:
 
 @dataclass
 class WifiMacConfig:
-    timing: MacTiming = field(default_factory=MacTiming)
+    # 802.11 OFDM interframe timing; DIFS is SIFS + 2 slots
+    slot_us: float = 9.0
+    sifs_us: float = 16.0
+    ack_duration_us: float = 44.0
+    beacon_interval_ms: float = 100.0
     cw_min: int = 15
     cw_max: int = 1023
     retry_limit: int = 7
@@ -117,6 +120,12 @@ class WifiMacConfig:
 
     def __post_init__(self) -> None:
         _check_cw(self.cw_min, self.cw_max)
+        if min(self.slot_us, self.sifs_us, self.ack_duration_us, self.beacon_interval_ms) <= 0:
+            raise ValueError("all timing parameters must be positive")
+
+    @property
+    def difs_us(self) -> float:
+        return self.sifs_us + 2.0 * self.slot_us
 
 
 @dataclass
@@ -201,6 +210,10 @@ class Scenario:
     relay: RelayConfig = field(default_factory=RelayConfig)
     link_gains: dict = field(default_factory=dict)  # {(a, b): gain_db}, symmetric
 
+    def adapt_for(self, technology: str) -> AdaptiveEdConfig:
+        """The technology-wide adaptation settings (a base's own threshold caps them)."""
+        return self.adapt_wifi if technology == "wifi" else self.adapt_lte
+
     def validate(self) -> None:
         if self.duration_s < 0 or self.warmup_s < 0:
             raise ValueError("duration_s and warmup_s must not be negative")
@@ -209,6 +222,11 @@ class Scenario:
         for node in self.nodes:
             if not self.building.contains(node.position):
                 raise ValueError(f"node {node.id} lies outside the building")
+            # a base's own threshold is its adaptation ceiling
+            t_min = self.adapt_for(node.technology).t_min_dbm
+            if node.ed_threshold_dbm is not None and node.ed_threshold_dbm < t_min:
+                raise ValueError(f"node {node.id}: ed_threshold_dbm {node.ed_threshold_dbm} "
+                                 f"lies below {node.technology} t_min_dbm {t_min}")
         by_id = {n.id: n for n in self.nodes}
         if len(by_id) != len(self.nodes):
             raise ValueError("node ids must be unique")
@@ -221,7 +239,7 @@ class Scenario:
                 raise ValueError(f"{node.kind} {node.id} cannot attach to "
                                  f"{node.attach_to!r}: clients attach to an existing "
                                  f"{node.technology} base on their channel {node.channel}")
-        if self.lte_mac.defer_us < self.wifi_mac.timing.sifs_us + self.lte_mac.slot_us:
+        if self.lte_mac.defer_us < self.wifi_mac.sifs_us + self.lte_mac.slot_us:
             raise ValueError("lte_mac.defer_us must be at least wifi_mac.sifs_us "
                              "+ lte_mac.slot_us")
 
@@ -310,6 +328,13 @@ def _section(data, keys, name: str) -> dict:
     return data
 
 
+def _entries(data, name: str) -> list:
+    """``data`` as a list section; a mapping or scalar is rejected by name."""
+    if not isinstance(data, list):
+        raise ConfigError(f"{name} must be a list of entries")
+    return data
+
+
 @contextmanager
 def _reading(name: str):
     """Report a wrong type or shape met while reading ``name`` as a ConfigError."""
@@ -337,14 +362,8 @@ def _build_propagation(data, section: str = "propagation") -> PropagationModel:
 
 
 def _build_macs(cfg: dict) -> tuple:
-    """(WifiMacConfig, LteMacConfig); the MacTiming fields are keys of ``wifi_mac`` itself."""
-    wifi = dict(_section(cfg.get("wifi_mac"), None, "wifi_mac"))
-    if "timing" in wifi:
-        raise ConfigError("unknown config key: wifi_mac.timing")
-    timing = {f.name: wifi.pop(f.name) for f in fields(MacTiming) if f.name in wifi}
-    wifi_mac = _build(WifiMacConfig, wifi, "wifi_mac",
-                      timing=_build(MacTiming, timing, "wifi_mac"))
-    return wifi_mac, _build(LteMacConfig, cfg.get("lte_mac"), "lte_mac")
+    return (_build(WifiMacConfig, cfg.get("wifi_mac"), "wifi_mac"),
+            _build(LteMacConfig, cfg.get("lte_mac"), "lte_mac"))
 
 
 def _position(pos, owner: str) -> Position:
@@ -356,7 +375,7 @@ def _position(pos, owner: str) -> Position:
 @_reading("nodes")
 def _build_nodes(data) -> list:
     nodes = []
-    for node in data or []:
+    for node in _entries(data or [], "nodes"):
         node = dict(_section(node, None, "nodes"))
         node["position"] = _position(node.get("position"), f"node {node.get('id', '?')}")
         nodes.append(_build(Node, node, "nodes"))
@@ -454,12 +473,14 @@ def build_coverage_spec(cfg: dict) -> CoverageSpec:
                                          "thresholds_dbm", "cdf_bin_db", "models"), "coverage")
     base = _section(cov.get("base"), ("position", "tx_power_dbm"), "coverage.base")
     if "models" in cov:
-        models = [_build_propagation(m, "coverage.models") for m in cov["models"]]
+        models = [_build_propagation(m, "coverage.models")
+                  for m in _entries(cov["models"], "coverage.models")]
     else:
         models = [_build_propagation(cfg.get("propagation"))]
     cells = [_section(c, ("name", "min_sensitivity_dbm"), "coverage.cells")
-             for c in cov.get("cells") or [{"name": "wifi", "min_sensitivity_dbm": -87.5},
-                                           {"name": "ulte", "min_sensitivity_dbm": -100.0}]]
+             for c in _entries(cov.get("cells") or [
+                 {"name": "wifi", "min_sensitivity_dbm": -87.5},
+                 {"name": "ulte", "min_sensitivity_dbm": -100.0}], "coverage.cells")]
     return CoverageSpec(
         building=_build(Building, cfg.get("building"), "building"),
         models=models,
@@ -492,11 +513,8 @@ def _cell_info(data: dict) -> CellInfo:
 
 @_reading("scan")
 def _build_scan(cfg: dict) -> list:
-    scan = cfg.get("scan") or []
-    if not isinstance(scan, list):
-        raise ConfigError("scan must be a list of entries")
     entries = []
-    for rec in scan:
+    for rec in _entries(cfg.get("scan") or [], "scan"):
         rec = _section(rec, ("cell_id", "channel", "source", "rssi_dbm", "n_attached",
                              "utilization", "node_type", "mac_spec", "tx_power_offset_db"), "scan")
         entries.append(ScanEntry(

@@ -2,14 +2,14 @@
 
 A defer period of at least one SIFS plus one slot, then
 exponential-backoff contention.  Like the DCF machine, this is a pure
-transition function; the caller owns all clocks, the ED threshold and
-the burst length, and must only deliver ``energy_below_slot`` once the
-defer window has elapsed idle.  Contention is one ``BACKOFF`` phase:
-energy above the threshold is no event, the caller freezes the counter
-by delivering no slots until the channel clears.  HARQ feedback ends a
-burst.  The backoff draw and idle-slot runs are
-``mac_wifi.start_access`` and ``mac_wifi.idle_slots``, which serve
-both machines.
+transition function that returns the next state; the caller owns all
+clocks, the ED threshold and the burst length, and must only deliver
+``energy_below_slot`` once the defer window has elapsed idle.
+Contention is one ``BACKOFF`` phase: energy above the threshold is no
+event, the caller freezes the counter by delivering no slots until the
+channel clears.  HARQ feedback ends a burst.  The window check, slot
+step and collision redraw are the contention core in ``mac_wifi``,
+which serves both machines.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mac_wifi import ProtocolViolation
+from .mac_wifi import ProtocolViolation, check_window, count_slot, redraw
 
 
 class LbtPhase(str, Enum):
@@ -44,20 +44,14 @@ class LbtState:
     cw_max: int = 63
 
     def __post_init__(self) -> None:
-        if not (self.cw_min <= self.cw <= self.cw_max):
-            raise ValueError(f"cw {self.cw} outside [{self.cw_min}, {self.cw_max}]")
-        if (self.cw + 1) & self.cw:
-            raise ValueError("cw must have the 2^k - 1 form")
+        check_window(self)
 
 
-def lbt_step(
-    state: LbtState,
-    event: str,
-    rng: np.random.Generator,
-) -> tuple[LbtState, list[str]]:
-    """Advance the LBT machine by one event; returns (state, actions).
+def lbt_step(state: LbtState, event: str, rng: np.random.Generator) -> LbtState:
+    """Advance the LBT machine by one event; returns the next state.
 
-    ``start_burst`` asks the caller to send its downlink burst.
+    Leaving ``BACKOFF`` on ``energy_below_slot`` means the counter
+    expired: send the downlink burst.
     """
     if event not in LBT_EVENTS:
         raise ProtocolViolation(f"unknown event {event!r}")
@@ -66,16 +60,11 @@ def lbt_step(
     if event == "energy_below_slot":
         if phase != LbtPhase.BACKOFF:
             raise ProtocolViolation(f"energy_below_slot is illegal in phase {phase.value}")
-        if state.backoff_counter > 1:
-            return replace(state, backoff_counter=state.backoff_counter - 1), []
-        # the last slot of the countdown, or a counter drawn as zero
-        return replace(state, phase=LbtPhase.TX_BURST, backoff_counter=0), ["start_burst"]
+        return count_slot(state, LbtPhase.TX_BURST)
 
     # collision_feedback / success_feedback: only a burst gets feedback
     if phase != LbtPhase.TX_BURST:
         raise ProtocolViolation(f"{event} is illegal in phase {phase.value}")
     if event == "collision_feedback":
-        cw = min(2 * state.cw + 1, state.cw_max)
-        counter = int(rng.integers(0, cw + 1))
-        return replace(state, phase=LbtPhase.BACKOFF, cw=cw, backoff_counter=counter), []
-    return replace(state, phase=LbtPhase.IDLE, cw=state.cw_min), []
+        return redraw(state, rng)
+    return replace(state, phase=LbtPhase.IDLE, cw=state.cw_min)

@@ -1,18 +1,20 @@
-"""Slotted 802.11 DCF transmitter state machine.
+"""Slotted 802.11 DCF transmitter state machine and the contention core.
 
 The state machine is a pure transition function over (phase, event)
-pairs; all timing (when an idle slot has elapsed, when an ACK timed
-out) belongs to the caller, which is either the discrete-event
+pairs that returns the next state; the caller reads from its phase
+what to do.  All timing (when an idle slot has elapsed, when an ACK
+timed out) belongs to the caller, which is either the discrete-event
 simulator or a test harness.  Illegal (phase, event) pairs raise
 ``ProtocolViolation`` rather than being silently ignored.
 
 Contention is one ``BACKOFF`` phase.  A busy medium is no event: the
 caller freezes the counter by delivering no idle slots until the
 medium clears.  The NAV is not a phase either: the caller keeps it as
-a timer and holds the countdown off until it expires.  ``start_access``
-and ``idle_slots`` serve this machine and the Cat-4 LBT machine in
-``mac_lte`` alike, because both name their phases ``IDLE`` and
-``BACKOFF``.
+a timer and holds the countdown off until it expires.  The contention
+core (``check_window``, ``start_access``, ``idle_slots``,
+``count_slot`` and ``redraw``) serves this machine and the Cat-4 LBT
+machine in ``mac_lte`` alike, because both name their phases ``IDLE``
+and ``BACKOFF``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ class ProtocolViolation(Exception):
 
 
 State = TypeVar("State")  # a DcfState or a mac_lte.LbtState
+
+
+def check_window(state: State) -> None:
+    """Reject a window outside [cw_min, cw_max] or not 2^k - 1, or a counter above it."""
+    if not (state.cw_min <= state.cw <= state.cw_max):
+        raise ValueError(f"cw {state.cw} outside [{state.cw_min}, {state.cw_max}]")
+    if (state.cw + 1) & state.cw:
+        raise ValueError("cw must have the 2^k - 1 form")
+    if state.backoff_counter > state.cw:
+        raise ValueError("backoff counter may not exceed cw")
 
 
 def start_access(state: State, rng: np.random.Generator) -> State:
@@ -62,6 +74,21 @@ def idle_slots(state: State, n: int) -> State:
     return replace(state, backoff_counter=state.backoff_counter - n)
 
 
+def count_slot(state: State, tx_phase) -> State:
+    """One idle slot: decrement, or enter ``tx_phase`` at 0 (last slot, or a counter drawn 0)."""
+    if state.backoff_counter > 1:
+        return replace(state, backoff_counter=state.backoff_counter - 1)
+    return replace(state, phase=tx_phase, backoff_counter=0)
+
+
+def redraw(state: State, rng: np.random.Generator, **changes) -> State:
+    """A failed attempt: double the window up to ``cw_max``, draw a counter in ``BACKOFF``."""
+    cw = min(2 * state.cw + 1, state.cw_max)
+    counter = int(rng.integers(0, cw + 1))
+    return replace(state, phase=type(state.phase).BACKOFF, cw=cw, backoff_counter=counter,
+                   **changes)
+
+
 class DcfPhase(str, Enum):
     IDLE = "idle"
     BACKOFF = "backoff"
@@ -80,24 +107,6 @@ DCF_EVENTS = (
 
 
 @dataclass(frozen=True)
-class MacTiming:
-    """802.11 OFDM interframe timing; difs is derived as sifs + 2 slots."""
-
-    slot_us: float = 9.0
-    sifs_us: float = 16.0
-    ack_duration_us: float = 44.0
-    beacon_interval_ms: float = 100.0
-
-    def __post_init__(self) -> None:
-        if min(self.slot_us, self.sifs_us, self.ack_duration_us, self.beacon_interval_ms) <= 0:
-            raise ValueError("all timing parameters must be positive")
-
-    @property
-    def difs_us(self) -> float:
-        return self.sifs_us + 2.0 * self.slot_us
-
-
-@dataclass(frozen=True)
 class DcfState:
     phase: DcfPhase = DcfPhase.IDLE
     cw: int = 15
@@ -106,39 +115,18 @@ class DcfState:
     cw_min: int = 15
     cw_max: int = 1023
     retry_limit: int = 7
-    use_rts: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.cw_min <= self.cw <= self.cw_max):
-            raise ValueError(f"cw {self.cw} outside [{self.cw_min}, {self.cw_max}]")
-        if (self.cw + 1) & self.cw:
-            raise ValueError("cw must have the 2^k - 1 form")
-        if self.backoff_counter > self.cw:
-            raise ValueError("backoff counter may not exceed cw")
+        check_window(self)
 
 
-def _double_cw(state: DcfState, rng: np.random.Generator) -> DcfState:
-    new_cw = min(2 * state.cw + 1, state.cw_max)
-    counter = int(rng.integers(0, new_cw + 1))
-    return replace(
-        state,
-        cw=new_cw,
-        backoff_counter=counter,
-        retry_count=state.retry_count + 1,
-        phase=DcfPhase.BACKOFF,
-    )
+def dcf_step(state: DcfState, event: str, rng: np.random.Generator) -> DcfState:
+    """Advance the DCF machine by one event; returns the next state.
 
-
-def dcf_step(
-    state: DcfState,
-    event: str,
-    rng: np.random.Generator,
-) -> tuple[DcfState, list[str]]:
-    """Advance the DCF machine by one event; returns (state, actions).
-
-    Actions the caller must perform: ``tx_data`` / ``tx_rts`` (counter
-    expired), ``access_complete`` (ACK received), ``drop_frame`` (retry
-    limit exceeded, contention parameters reset).
+    Leaving ``BACKOFF`` on ``medium_idle_slot`` means the counter
+    expired: transmit.  ``IDLE`` after ``ack_received``, ``ack_timeout``
+    or ``rts_cts_fail`` means the frame is done, delivered or dropped at
+    the retry limit, and the contention parameters are reset.
     """
     if event not in DCF_EVENTS:
         raise ProtocolViolation(f"unknown event {event!r}")
@@ -147,34 +135,20 @@ def dcf_step(
     if event == "medium_idle_slot":
         if phase != DcfPhase.BACKOFF:
             raise ProtocolViolation(f"medium_idle_slot is illegal in phase {phase.value}")
-        if state.backoff_counter > 1:
-            return replace(state, backoff_counter=state.backoff_counter - 1), []
-        # the last slot of the countdown, or a counter drawn as zero
-        action = "tx_rts" if state.use_rts else "tx_data"
-        return replace(state, phase=DcfPhase.TX_DATA, backoff_counter=0), [action]
+        return count_slot(state, DcfPhase.TX_DATA)
 
     if event == "tx_done":
         if phase != DcfPhase.TX_DATA:
             raise ProtocolViolation(f"tx_done is illegal in phase {phase.value}")
-        return replace(state, phase=DcfPhase.AWAIT_ACK), []
+        return replace(state, phase=DcfPhase.AWAIT_ACK)
 
-    if event == "ack_received":
-        if phase != DcfPhase.AWAIT_ACK:
-            raise ProtocolViolation(f"ack_received is illegal in phase {phase.value}")
-        return (
-            replace(state, phase=DcfPhase.IDLE, cw=state.cw_min, retry_count=0),
-            ["access_complete"],
-        )
-
-    # ack_timeout / rts_cts_fail: binary exponential backoff
-    if event == "ack_timeout" and phase != DcfPhase.AWAIT_ACK:
-        raise ProtocolViolation(f"ack_timeout is illegal in phase {phase.value}")
+    if event in ("ack_received", "ack_timeout") and phase != DcfPhase.AWAIT_ACK:
+        raise ProtocolViolation(f"{event} is illegal in phase {phase.value}")
     # an RTS is out only in TX_DATA: the CTS cancels its timeout before
     # the data frame goes out
     if event == "rts_cts_fail" and phase != DcfPhase.TX_DATA:
         raise ProtocolViolation(f"rts_cts_fail is illegal in phase {phase.value}")
-    if state.retry_count + 1 > state.retry_limit:
-        # give up on this frame; contention parameters reset
-        fresh = replace(state, phase=DcfPhase.IDLE, cw=state.cw_min, retry_count=0)
-        return fresh, ["drop_frame"]
-    return _double_cw(state, rng), []
+    if event == "ack_received" or state.retry_count >= state.retry_limit:
+        return replace(state, phase=DcfPhase.IDLE, cw=state.cw_min, retry_count=0)
+    # ack_timeout / rts_cts_fail: binary exponential backoff
+    return redraw(state, rng, retry_count=state.retry_count + 1)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LN10_OVER_10 = math.log(10.0) / 10.0
 DB_PER_NEPER = 10.0 / math.log(10.0)
 
 # LOS-assignment modes for the inh model (how the LOS probability curve

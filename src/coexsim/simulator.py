@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,7 +56,6 @@ class SimulationError(RuntimeError):
 class Metrics:
     duration_s: float = 0.0
     file_throughputs_mbps: dict = field(default_factory=dict)
-    delivered_bits: dict = field(default_factory=dict)
     collision_count: int = 0
     ack_window_collisions: int = 0
     retransmissions: int = 0
@@ -207,9 +206,13 @@ class _BaseController(_Controller):
     A subclass holds its state machine's state in ``mac``, names its
     ``IDLE`` and ``BACKOFF`` phases and its ``SLOT_EVENT``, sets
     ``slot_us`` and ``wait_us`` (DIFS or the LBT defer), and defines
-    ``step``, ``end_countdown`` (transmit) and ``on_wait`` (is the wait
-    a slot?).  A busy medium only cancels the pending wait or slot, which
-    freezes the counter; it is no machine event.
+    ``step`` (replace ``mac`` by the machine's next state),
+    ``end_countdown`` (transmit) and ``on_wait`` (is the wait a slot?).
+    The machines return state only, so the controllers read the phase:
+    a slot step that leaves ``BACKOFF`` transmits.  A busy medium only
+    cancels the pending wait or slot, which freezes the counter; it is
+    no machine event.  A node's own ``ed_threshold_dbm`` is also its
+    adaptation ceiling (``adapt.t_default_dbm``).
     """
 
     node_type: NodeType
@@ -219,8 +222,9 @@ class _BaseController(_Controller):
         super().__init__(sim, node)
         threshold = node.ed_threshold_dbm
         self.ed_threshold_dbm = self.cfg.ed_threshold_dbm if threshold is None else threshold
-        scenario = sim.scenario
-        self.adapt = scenario.adapt_wifi if node.technology == "wifi" else scenario.adapt_lte
+        self.adapt = sim.scenario.adapt_for(node.technology)
+        if threshold is not None:
+            self.adapt = replace(self.adapt, t_default_dbm=threshold)
         self.rng = sim.node_rng(node.id)
         self.files: deque[FileJob] = deque()
         self.gen = 0          # invalidates stale contention timers
@@ -244,7 +248,7 @@ class _BaseController(_Controller):
         self.busy_us += tx.end_us - tx.start_us
 
     def make_cell_info(self) -> CellInfo:
-        interval_us = self.sim.scenario.wifi_mac.timing.beacon_interval_ms * 1000.0
+        interval_us = self.sim.scenario.wifi_mac.beacon_interval_ms * 1000.0
         util = min(1.0, self.busy_us / interval_us)
         self.busy_us = 0.0
         return CellInfo(
@@ -287,9 +291,9 @@ class _BaseController(_Controller):
         """One slot passed idle: transmit, or decrement and skip idle slots."""
         if gen != self.gen or self.blocked() or not self.contending():
             return
-        actions = self.step(self.SLOT_EVENT)
-        if actions:
-            self.end_countdown(actions)
+        self.step(self.SLOT_EVENT)
+        if not self.contending():
+            self.end_countdown()
             return
         counter = self.mac.backoff_counter
         self.sim.trace(self.node.id, "decrement", str(counter))
@@ -310,12 +314,9 @@ class _WifiApController(_BaseController):
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
         cfg = self.cfg
-        self.timing = cfg.timing
-        self.slot_us, self.wait_us = cfg.timing.slot_us, cfg.timing.difs_us
-        self.mac = DcfState(
-            cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max,
-            retry_limit=cfg.retry_limit, use_rts=cfg.rts_cts,
-        )
+        self.slot_us, self.wait_us = cfg.slot_us, cfg.difs_us
+        self.mac = DcfState(cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max,
+                            retry_limit=cfg.retry_limit)
         self.resp_gen = 0     # invalidates stale ack/cts timeouts
         self.beacon_pending = False
         self.nav_until_us = 0.0
@@ -323,12 +324,11 @@ class _WifiApController(_BaseController):
     def blocked(self) -> bool:
         return super().blocked() or self.nav_until_us > self.sim.now_us
 
-    def step(self, event: str) -> list[str]:
-        self.mac, actions = mac_wifi.dcf_step(self.mac, event, self.rng)
-        return actions
+    def step(self, event: str) -> None:
+        self.mac = mac_wifi.dcf_step(self.mac, event, self.rng)
 
-    def end_countdown(self, actions: list[str]) -> None:
-        if "tx_rts" in actions:
+    def end_countdown(self) -> None:
+        if self.cfg.rts_cts:
             self.start_rts()
         else:
             self.start_data()
@@ -353,7 +353,7 @@ class _WifiApController(_BaseController):
 
     def on_beacon_due(self) -> None:
         self.beacon_pending = True
-        interval_us = self.timing.beacon_interval_ms * 1000.0
+        interval_us = self.cfg.beacon_interval_ms * 1000.0
         if self.sim.now_us + interval_us <= self.sim.end_us:
             self.sim._push(interval_us, "timer", self.on_beacon_due)
         self.maybe_start()
@@ -372,7 +372,8 @@ class _WifiApController(_BaseController):
         if gen != self.resp_gen:
             return
         self.sim.metrics.retransmissions += 1
-        if "drop_frame" in self.step(event):
+        self.step(event)
+        if self.mac.phase == self.IDLE:  # the retry limit dropped the frame
             self.sim.trace(self.node.id, "action", "drop_frame")
             # head chunk stays owed; a fresh access attempt follows
         self.maybe_start()
@@ -399,12 +400,12 @@ class _WifiApController(_BaseController):
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
         job = self.head()
         _, _, data_us = self.next_chunk()
-        t = self.timing
-        nav = (t.sifs_us + self.cfg.cts_duration_us + t.sifs_us + data_us
-               + t.sifs_us + t.ack_duration_us)
+        cfg = self.cfg
+        nav = (cfg.sifs_us + cfg.cts_duration_us + cfg.sifs_us + data_us
+               + cfg.sifs_us + cfg.ack_duration_us)
         self.sim.start_transmission(
             src=self.node.id, dst=job.client, kind="rts",
-            duration_us=self.cfg.rts_duration_us, rate_mbps=0.0,
+            duration_us=cfg.rts_duration_us, rate_mbps=0.0,
             req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=0.0,
             nav_duration_us=nav, frame_key=self.current_frame_key(),
         )
@@ -417,32 +418,27 @@ class _WifiApController(_BaseController):
     def transmit_data_frame(self) -> None:
         job = self.head()
         bits, rate, duration = self.next_chunk()
-        t = self.timing
         self.sim.start_transmission(
             src=self.node.id, dst=job.client, kind="data",
             duration_us=duration, rate_mbps=rate,
             req_sinr_db=required_sinr(rate, "wifi", self.sim.scenario.phy),
-            bits=bits, nav_duration_us=t.sifs_us + t.ack_duration_us,
+            bits=bits, nav_duration_us=self.cfg.sifs_us + self.cfg.ack_duration_us,
             frame_key=self.current_frame_key(),
         )
 
     def handle_own_tx_end(self, tx: Transmission) -> None:
         super().handle_own_tx_end(tx)
-        if tx.kind == "beacon":
-            self.maybe_start()
-            return
-        t = self.timing
+        cfg = self.cfg
         if tx.kind == "rts":
             # await the CTS
             self.resp_gen += 1
-            wait = t.sifs_us + self.cfg.cts_duration_us + t.slot_us
+            wait = cfg.sifs_us + cfg.cts_duration_us + cfg.slot_us
             self.sim._push(wait, "timer", self.on_response_timeout,
                            self.resp_gen, "rts_cts_fail")
-            return
-        if tx.kind == "data":
+        elif tx.kind == "data":
             self.step("tx_done")
             self.resp_gen += 1
-            wait = t.sifs_us + t.ack_duration_us + t.slot_us
+            wait = cfg.sifs_us + cfg.ack_duration_us + cfg.slot_us
             self.sim._push(wait, "timer", self.on_response_timeout,
                            self.resp_gen, "ack_timeout")
 
@@ -451,7 +447,7 @@ class _WifiApController(_BaseController):
             return  # timeouts recover the exchange
         if tx.kind == "cts" and self.mac.phase in self.EXCHANGE:
             self.resp_gen += 1
-            self.sim._push(self.timing.sifs_us, "timer", self.transmit_data_frame)
+            self.sim._push(self.cfg.sifs_us, "timer", self.transmit_data_frame)
         elif tx.kind == "ack" and self.mac.phase in self.EXCHANGE:
             self.resp_gen += 1
             self.step("ack_received")
@@ -473,7 +469,6 @@ class _WifiStaController(_Controller):
 
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
-        self.timing = self.cfg.timing
         self.nav_until_us = 0.0
 
     def send_cts(self, dst: str, nav: float) -> None:
@@ -487,7 +482,7 @@ class _WifiStaController(_Controller):
     def send_ack(self, dst: str, frame_key: tuple | None, bits: float) -> None:
         self.sim.start_transmission(
             src=self.node.id, dst=dst, kind="ack",
-            duration_us=self.timing.ack_duration_us, rate_mbps=0.0,
+            duration_us=self.cfg.ack_duration_us, rate_mbps=0.0,
             req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=bits,
             frame_key=frame_key,
         )
@@ -496,11 +491,11 @@ class _WifiStaController(_Controller):
         if not success:
             return
         if tx.kind == "rts":
-            t = self.timing
-            nav = tx.nav_duration_us - t.sifs_us - self.cfg.cts_duration_us
-            self.sim._push(t.sifs_us, "timer", self.send_cts, tx.src, max(nav, 0.0))
+            cfg = self.cfg
+            nav = tx.nav_duration_us - cfg.sifs_us - cfg.cts_duration_us
+            self.sim._push(cfg.sifs_us, "timer", self.send_cts, tx.src, max(nav, 0.0))
         elif tx.kind == "data":
-            self.sim._push(self.timing.sifs_us, "timer", self.send_ack,
+            self.sim._push(self.cfg.sifs_us, "timer", self.send_ack,
                            tx.src, tx.frame_key, tx.bits)
 
     def overheard(self, tx: Transmission) -> None:
@@ -522,11 +517,10 @@ class _LteEnbController(_BaseController):
         self.slot_us, self.wait_us = cfg.slot_us, cfg.defer_us
         self.mac = LbtState(cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max)
 
-    def step(self, event: str) -> list[str]:
-        self.mac, actions = mac_lte.lbt_step(self.mac, event, self.rng)
-        return actions
+    def step(self, event: str) -> None:
+        self.mac = mac_lte.lbt_step(self.mac, event, self.rng)
 
-    def end_countdown(self, actions: list[str]) -> None:
+    def end_countdown(self) -> None:
         self.start_burst()
 
     def on_wait(self, gen: int) -> None:
@@ -558,7 +552,6 @@ class _LteEnbController(_BaseController):
             self.sim.metrics.retransmissions += 1
             self.step("collision_feedback")
             self.sim.trace(self.node.id, "action", "burst_retx")
-        self.maybe_start()
 
 
 class _LteUeController(_Controller):
@@ -922,7 +915,7 @@ class Simulator:
             if other_id != base_id:
                 self._push(latency_us, "timer", self._handle_relay_deliver,
                            other_id, base_id, ies)
-        interval_us = self.scenario.wifi_mac.timing.beacon_interval_ms * 1000.0
+        interval_us = self.scenario.wifi_mac.beacon_interval_ms * 1000.0
         if self.now_us + interval_us <= self.end_us:
             self._push(interval_us, "timer", self._handle_relay_publish, base_id)
 
@@ -973,7 +966,7 @@ class Simulator:
         self._schedule_first_traffic()
         bases = [n for n in scenario.nodes if n.is_base]
         aps = [n for n in bases if n.technology == "wifi"]
-        interval_us = scenario.wifi_mac.timing.beacon_interval_ms * 1000.0
+        interval_us = scenario.wifi_mac.beacon_interval_ms * 1000.0
         for idx, ap in enumerate(aps):
             first = interval_us * (idx + 1) / (len(aps) + 1)
             self._push(first, "timer", self.controllers[ap.id].on_beacon_due)
@@ -1059,7 +1052,6 @@ class Simulator:
                         f"throughput {tput:.2f} Mbps exceeds the rate-table maximum"
                     )
         m.file_throughputs_mbps = throughputs
-        m.delivered_bits = dict(sorted(self.delivered_after_warmup.items()))
         m.final_ed_thresholds = {
             nid: self.controllers[nid].ed_threshold_dbm
             for nid in self._base_ids

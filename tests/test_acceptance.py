@@ -228,7 +228,7 @@ def test_criterion_8_property_suites():
                     "await_ack": ["ack_received", "ack_timeout"],
                 }[s.phase.value]
                 event = legal[int(rng.integers(0, len(legal)))]
-                s, _ = dcf_step(s, event, rng)
+                s = dcf_step(s, event, rng)
                 assert s.cw_min <= s.cw <= s.cw_max and (s.cw + 1) & s.cw == 0
             l = LbtState()
             for _ in range(40):
@@ -239,7 +239,7 @@ def test_criterion_8_property_suites():
                     LbtPhase.TX_BURST: ["collision_feedback", "success_feedback"],
                 }[l.phase]
                 event = legal[int(rng.integers(0, len(legal)))]
-                l, _ = lbt_step(l, event, rng)
+                l = lbt_step(l, event, rng)
                 assert l.cw_min <= l.cw <= l.cw_max and (l.cw + 1) & l.cw == 0
         # ED politeness inside a full simulator run (engine asserts live)
         cfg = load_config("figure3_collision")

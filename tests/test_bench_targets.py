@@ -8,6 +8,9 @@ method would leave ``sim.run`` or ``sim.init`` unmeasured and skew
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -61,3 +64,26 @@ def test_state_machine_steps_called_through_their_modules(monkeypatch):
                           ["traffic.model=full_buffer", "simulate.duration_s=0.2"])
     Simulator(build_scenario(cfg)).run()
     assert calls["dcf_step"] > 0 and calls["lbt_step"] > 0
+
+
+def test_traced_child_run_reads_every_probe(tmp_path):
+    # the probes read engine internals (``trace_lines``, ``_sorted_ids``,
+    # ``_heap``, ``SimEvent.kind``); a rename would fail every benchmark run
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "invocations": [["simulate", "--config", "figure3_collision",
+                         "--set", "simulate.duration_s=0.05",
+                         "--out", str(tmp_path / "out.csv"),
+                         "--trace", str(tmp_path / "trace.csv")]],
+        "calibration": "python",
+        "traced": True,
+        "result": str(tmp_path / "result.json"),
+    }))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(job)],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["runs"] == [{"rc": 0, "error": None}]
+    assert result["missing"] == []
+    for counter in ("sim_s", "fade_draws", "heap_max", "events.slot_tick", "trace.records"):
+        assert result["counters"].get(counter, 0) > 0, counter

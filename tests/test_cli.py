@@ -269,6 +269,8 @@ class TestScenarioConfigErrors:
         (TWO_BASES, ["lte_mac.ed_threshold_dbm=-90"]),
         # the timing fields are wifi_mac keys; a nested timing: mapping is no key
         (TWO_BASES, ["wifi_mac.timing.slot_us=9"]),
+        # a base's own threshold is its adaptation ceiling, so t_min bounds it too
+        ([{**TWO_BASES[0], "ed_threshold_dbm": -90.0}, TWO_BASES[1]], []),
     ], ids=["unknown_base", "other_technology", "outside_building",
             "client_mode", "defer_below_sifs_plus_slot", "wifi_cw_min_form",
             "wifi_cw_max_form", "lte_cw_max_form", "burst_above_cap",
@@ -277,7 +279,7 @@ class TestScenarioConfigErrors:
             "client_ed_threshold", "client_off_base_channel", "simulate_list",
             "links_list", "nodes_scalar", "duration_text", "seed_text", "link_gain_text",
             "short_rate_row", "negative_duration", "negative_warmup",
-            "mac_threshold_below_t_min", "wifi_timing_key"])
+            "mac_threshold_below_t_min", "wifi_timing_key", "node_threshold_below_t_min"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
         argv = ["simulate", "--config", write_config(tmp_path, {
             "nodes": nodes, "simulate": {"duration_s": 0.05}})]
@@ -318,11 +320,18 @@ class TestInputErrors:
          "coverage.base.tx_power"),
         ("coverage", "table1_inh", ["coverage.samples=abc"], "coverage"),
         ("coverage", "table1_inh", ["seed=abc"], "seed"),
+        # a list section given as a mapping says a list is expected
+        ("simulate", {"nodes": TWO_BASES}, ["nodes={a: 1}"], "nodes must be a list"),
+        ("coverage", "table1_inh", ["coverage.cells={name: wifi}"],
+         "coverage.cells must be a list"),
+        ("coverage", "table1_inh", ["coverage.models={model: inh}"],
+         "coverage.models must be a list"),
     ], ids=["select_channel_7", "adapt_channel_7", "scan_n_atached", "scan_utilisation",
             "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
             "adapt_scan_mapping", "cell_chanel", "cell_list", "coverage_cell_nam",
             "coverage_short_position", "coverage_base_list", "coverage_base_tx_power",
-            "coverage_samples_text", "coverage_seed_text"])
+            "coverage_samples_text", "coverage_seed_text", "nodes_mapping",
+            "coverage_cells_mapping", "coverage_models_mapping"])
     def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):
         if isinstance(cfg, dict):
             cfg = write_config(tmp_path, cfg)

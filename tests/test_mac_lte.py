@@ -13,32 +13,31 @@ def rng():
 class TestLbtStep:
     def test_idle_slot_decrements_after_defer(self):
         s = LbtState(phase=LbtPhase.BACKOFF, backoff_counter=2)
-        s2, actions = lbt_step(s, "energy_below_slot", rng())
+        s2 = lbt_step(s, "energy_below_slot", rng())
         assert s2.backoff_counter == 1
         assert s2.phase == LbtPhase.BACKOFF
-        assert actions == []
 
     def test_counter_expiry_starts_burst(self):
         s = LbtState(phase=LbtPhase.BACKOFF, backoff_counter=1)
-        s2, actions = lbt_step(s, "energy_below_slot", rng())
+        s2 = lbt_step(s, "energy_below_slot", rng())
         assert s2.phase == LbtPhase.TX_BURST
-        assert actions == ["start_burst"]
+        assert s2.backoff_counter == 0
 
     def test_zero_counter_transmits_at_defer_completion(self):
         s = LbtState(phase=LbtPhase.BACKOFF, backoff_counter=0)
-        s2, actions = lbt_step(s, "energy_below_slot", rng())
+        s2 = lbt_step(s, "energy_below_slot", rng())
         assert s2.phase == LbtPhase.TX_BURST
-        assert actions == ["start_burst"]
+        assert s2.backoff_counter == 0
 
     def test_success_resets_cw(self):
         s = LbtState(phase=LbtPhase.TX_BURST, cw=63)
-        s2, _ = lbt_step(s, "success_feedback", rng())
+        s2 = lbt_step(s, "success_feedback", rng())
         assert s2.phase == LbtPhase.IDLE
         assert s2.cw == s2.cw_min
 
     def test_collision_doubles_cw(self):
         s = LbtState(phase=LbtPhase.TX_BURST, cw=15)
-        s2, _ = lbt_step(s, "collision_feedback", rng())
+        s2 = lbt_step(s, "collision_feedback", rng())
         assert s2.cw == 31
         assert s2.phase == LbtPhase.BACKOFF
 
@@ -57,7 +56,7 @@ def test_cw_ladder_exact():
     s = LbtState(phase=LbtPhase.TX_BURST, cw=15, cw_min=15, cw_max=63)
     for _ in range(10):
         seen.add(s.cw)
-        s, _ = lbt_step(s, "collision_feedback", rng())
+        s = lbt_step(s, "collision_feedback", rng())
         s = LbtState(phase=LbtPhase.TX_BURST, cw=s.cw, cw_min=15, cw_max=63)
     assert seen == {15, 31, 63}
 
@@ -90,7 +89,7 @@ def test_cw_bounds_under_random_legal_streams():
                 s = start_access(s, gen)
             events = sorted(e for p, e in LEGAL if p == s.phase)
             event = events[int(gen.integers(0, len(events)))]
-            s, _ = lbt_step(s, event, gen)
+            s = lbt_step(s, event, gen)
             assert s.cw_min <= s.cw <= s.cw_max
             assert (s.cw + 1) & s.cw == 0
             assert 0 <= s.backoff_counter <= s.cw
@@ -113,7 +112,7 @@ def first_grant_slot(energy_trace, threshold, counter, defer_slots=3):
             continue
         idle_run += 1
         if idle_run >= defer_slots:
-            s, _ = lbt_step(s, "energy_below_slot", gen)
+            s = lbt_step(s, "energy_below_slot", gen)
             if s.phase == LbtPhase.TX_BURST:
                 return i
     return None
@@ -160,8 +159,8 @@ class TestIdleSlots:
         n = data.draw(st.integers(min_value=0, max_value=state.backoff_counter - 1))
         stepped = state
         for _ in range(n):
-            stepped, actions = lbt_step(stepped, "energy_below_slot", rng())
-            assert actions == []
+            stepped = lbt_step(stepped, "energy_below_slot", rng())
+            assert stepped.phase == LbtPhase.BACKOFF
         assert idle_slots(state, n) == stepped
 
     @given(counting_states(), st.integers(min_value=0, max_value=128))

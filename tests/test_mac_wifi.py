@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexsim.config import Node, Scenario, TrafficConfig
+from coexsim.config import Node, Scenario, TrafficConfig, WifiMacConfig
 from coexsim.mac_wifi import (
     DCF_EVENTS,
     DcfPhase,
     DcfState,
-    MacTiming,
     ProtocolViolation,
     dcf_step,
     idle_slots,
@@ -23,62 +22,58 @@ def rng():
 
 class TestTiming:
     def test_difs_is_sifs_plus_two_slots(self):
-        t = MacTiming(slot_us=9, sifs_us=16)
+        t = WifiMacConfig(slot_us=9, sifs_us=16)
         assert t.difs_us == 34
 
     def test_positive_required(self):
         with pytest.raises(ValueError):
-            MacTiming(slot_us=0)
+            WifiMacConfig(slot_us=0)
 
 
 class TestDcfStep:
     def test_idle_slot_decrements(self):
         s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=3)
-        s2, actions = dcf_step(s, "medium_idle_slot", rng())
+        s2 = dcf_step(s, "medium_idle_slot", rng())
         assert s2.backoff_counter == 2
-        assert actions == []
+        assert s2.phase == DcfPhase.BACKOFF
 
     def test_ack_timeout_doubles_cw(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=15)
-        s2, _ = dcf_step(s, "ack_timeout", rng())
+        s2 = dcf_step(s, "ack_timeout", rng())
+        assert s2.phase == DcfPhase.BACKOFF
         assert s2.cw == 31
         assert 0 <= s2.backoff_counter <= 31
         assert s2.retry_count == 1
 
     def test_counter_expiry_emits_data(self):
         s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=1)
-        s2, actions = dcf_step(s, "medium_idle_slot", rng())
+        s2 = dcf_step(s, "medium_idle_slot", rng())
         assert s2.phase == DcfPhase.TX_DATA
-        assert actions == ["tx_data"]
-
-    def test_counter_expiry_emits_rts_when_enabled(self):
-        s = DcfState(phase=DcfPhase.BACKOFF, backoff_counter=1, use_rts=True)
-        _, actions = dcf_step(s, "medium_idle_slot", rng())
-        assert actions == ["tx_rts"]
+        assert s2.backoff_counter == 0
 
     def test_ack_received_back_to_idle(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=255, retry_count=3)
-        s2, actions = dcf_step(s, "ack_received", rng())
+        s2 = dcf_step(s, "ack_received", rng())
         assert s2.phase == DcfPhase.IDLE
         assert s2.cw == s.cw_min
         assert s2.retry_count == 0
-        assert actions == ["access_complete"]
 
     def test_cw_caps_at_max(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=1023, cw_max=1023, retry_limit=20)
-        s2, _ = dcf_step(s, "ack_timeout", rng())
+        s2 = dcf_step(s, "ack_timeout", rng())
         assert s2.cw == 1023
 
     def test_retry_limit_drops_frame(self):
         s = DcfState(phase=DcfPhase.AWAIT_ACK, cw=1023, retry_count=7, retry_limit=7)
-        s2, actions = dcf_step(s, "ack_timeout", rng())
-        assert actions == ["drop_frame"]
+        s2 = dcf_step(s, "ack_timeout", rng())
+        assert s2.phase == DcfPhase.IDLE
         assert s2.cw == s2.cw_min
         assert s2.retry_count == 0
 
     def test_rts_cts_fail_doubles(self):
         s = DcfState(phase=DcfPhase.TX_DATA, cw=31)
-        s2, _ = dcf_step(s, "rts_cts_fail", rng())
+        s2 = dcf_step(s, "rts_cts_fail", rng())
+        assert s2.phase == DcfPhase.BACKOFF
         assert s2.cw == 63
 
 
@@ -118,7 +113,7 @@ def test_cw_bounds_under_random_legal_streams():
                 s = start_access(s, gen)
             legal = sorted(e for p, e in LEGAL if p == s.phase.value)
             event = legal[int(gen.integers(0, len(legal)))]
-            s, _ = dcf_step(s, event, gen)
+            s = dcf_step(s, event, gen)
             assert s.cw_min <= s.cw <= s.cw_max
             assert (s.cw + 1) & s.cw == 0
             assert 0 <= s.backoff_counter <= s.cw
@@ -181,7 +176,7 @@ class TestStateValidation:
 
 
 # reachable counting states: any cw of the 2^k - 1 ladder, any counter
-# in [1, cw], any retry count and RTS setting
+# in [1, cw], any retry count
 @st.composite
 def counting_states(draw):
     cw = draw(st.sampled_from([15, 31, 63, 127, 255, 511, 1023]))
@@ -190,7 +185,6 @@ def counting_states(draw):
         cw=cw,
         backoff_counter=draw(st.integers(min_value=1, max_value=cw)),
         retry_count=draw(st.integers(min_value=0, max_value=7)),
-        use_rts=draw(st.booleans()),
     )
 
 
@@ -201,8 +195,8 @@ class TestIdleSlots:
         n = data.draw(st.integers(min_value=0, max_value=state.backoff_counter - 1))
         stepped = state
         for _ in range(n):
-            stepped, actions = dcf_step(stepped, "medium_idle_slot", rng())
-            assert actions == []
+            stepped = dcf_step(stepped, "medium_idle_slot", rng())
+            assert stepped.phase == DcfPhase.BACKOFF
         assert idle_slots(state, n) == stepped
 
     @given(counting_states(), st.integers(min_value=0, max_value=2048))

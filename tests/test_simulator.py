@@ -208,7 +208,7 @@ class TestScenarioValidation:
 
     def test_default_defer_is_sifs_plus_slot(self):
         sc = wifi_pair_scenario()
-        assert sc.lte_mac.defer_us == sc.wifi_mac.timing.sifs_us + sc.lte_mac.slot_us
+        assert sc.lte_mac.defer_us == sc.wifi_mac.sifs_us + sc.lte_mac.slot_us
         sc.validate()
 
     def test_client_attaches_to_own_technology_base(self):
@@ -452,6 +452,17 @@ class TestAdaptiveIntegration:
         # mutual level is -81.8 dBm with a 1 dB margin, clamped at -82
         assert m.final_ed_thresholds["ap1"] == pytest.approx(-82.0)
         assert m.final_ed_thresholds["enb1"] == pytest.approx(-82.0)
+
+    def test_node_threshold_is_its_adaptation_ceiling(self):
+        # enb1 starts at its own -78 dBm; an adapt tick must not raise it
+        # to the lte_mac default of -72 dBm
+        cfg = load_config("figure3_collision")
+        cfg["nodes"][2]["ed_threshold_dbm"] = -78.0
+        cfg["simulate"].update(adaptive_ed=True, duration_s=1.5)
+        sim = Simulator(build_scenario(cfg))
+        m = sim.run()
+        assert sim.controllers["enb1"].adapt.t_default_dbm == -78.0
+        assert m.final_ed_thresholds["enb1"] <= -78.0
 
     def test_without_adaptation_defaults_hold(self):
         cfg = load_config("figure4_coexistence")
