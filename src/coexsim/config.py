@@ -475,6 +475,8 @@ def build_coverage_spec(cfg: dict) -> CoverageSpec:
     if "models" in cov:
         models = [_build_propagation(m, "coverage.models")
                   for m in _entries(cov["models"], "coverage.models")]
+        if not models:
+            raise ConfigError("coverage.models must list at least one model")
     else:
         models = [_build_propagation(cfg.get("propagation"))]
     cells = [_section(c, ("name", "min_sensitivity_dbm"), "coverage.cells")

@@ -598,6 +598,10 @@ class Simulator:
         self.rng_links = np.random.default_rng([scenario.seed, 1])
         self.rng_fades = np.random.default_rng([scenario.seed, 2])
         self.gains = self._build_gain_matrix()
+        # linear mean received power, rx_lin[src][dst], summed by carrier sensing
+        self.rx_lin = {src: {dst: _lin(self.nodes[src].tx_power_dbm + g)
+                             for dst, g in row.items()}
+                       for src, row in self.gains.items()}
         self._rate_cache: dict[tuple, tuple] = {}
 
         self.controllers: dict[str, _Controller] = {
@@ -631,29 +635,35 @@ class Simulator:
 
     # -- static link model -------------------------------------------------
 
-    def _build_gain_matrix(self) -> dict[tuple[str, str], float]:
-        gains: dict[tuple[str, str], float] = {}
+    def _build_gain_matrix(self) -> dict[str, dict[str, float]]:
+        """Symmetric per-source gain tables in dB, read as ``gains[src][dst]``.
+
+        ``links`` entries are taken as given; every other pair is drawn
+        in a single ``sample_link_gains`` call, in (i < j, sorted id)
+        pair order.
+        """
         overrides = {}
         for (a, b), g in self.scenario.link_gains.items():
-            overrides[(a, b)] = g
-            overrides[(b, a)] = g
+            overrides[(a, b)] = overrides[(b, a)] = float(g)
+        gains: dict[str, dict[str, float]] = {nid: {} for nid in self._sorted_ids}
+        pairs, dists = [], []
         for i, a in enumerate(self._sorted_ids):
             for b in self._sorted_ids[i + 1:]:
-                if (a, b) in overrides:
-                    g = float(overrides[(a, b)])
+                g = overrides.get((a, b))
+                if g is None:
+                    pairs.append((a, b))
+                    # co-located nodes take the 1 m value (distance 0 is rejected)
+                    dists.append(max(self.nodes[a].position.distance_to(
+                        self.nodes[b].position), 1.0))
                 else:
-                    d = self.nodes[a].position.distance_to(self.nodes[b].position)
-                    g = float(
-                        sample_link_gains(
-                            max(d, 1.0), self.scenario.propagation, self.rng_links
-                        )
-                    )
-                gains[(a, b)] = g
-                gains[(b, a)] = g
+                    gains[a][b] = gains[b][a] = g
+        drawn = sample_link_gains(np.array(dists), self.scenario.propagation, self.rng_links)
+        for (a, b), g in zip(pairs, drawn.tolist()):
+            gains[a][b] = gains[b][a] = g
         return gains
 
     def mean_rssi(self, src: str, dst: str) -> float:
-        return self.nodes[src].tx_power_dbm + self.gains[(src, dst)]
+        return self.nodes[src].tx_power_dbm + self.gains[src][dst]
 
     def link_rate(self, src: str, dst: str) -> float:
         key = (src, dst)
@@ -728,7 +738,7 @@ class Simulator:
                 continue
             if self.nodes[tx.src].channel != channel:
                 continue
-            total += _lin(self.mean_rssi(tx.src, node_id))
+            total += self.rx_lin[tx.src][node_id]
         return _dbm(total)
 
     def recompute_busy(self) -> None:
@@ -756,11 +766,11 @@ class Simulator:
                            bits: float, nav_duration_us: float = 0.0,
                            frame_key: tuple | None = None) -> Transmission:
         self._tx_counter += 1
-        fades = {}
-        branches = self.scenario.phy.fading_branches
-        for nid in self._sorted_ids:
-            factor = float(np.mean(self.rng_fades.exponential(1.0, size=branches)))
-            fades[nid] = 10.0 * math.log10(factor)
+        # one (nodes x branches) draw, row i for the i-th node in sorted id order
+        factors = self.rng_fades.exponential(
+            1.0, size=(len(self._sorted_ids), self.scenario.phy.fading_branches)).mean(axis=1)
+        fades = {nid: 10.0 * math.log10(f)
+                 for nid, f in zip(self._sorted_ids, factors.tolist())}
         tx = Transmission(
             tx_id=self._tx_counter, src=src, dst=dst, kind=kind,
             start_us=self.now_us, end_us=self.now_us + duration_us,

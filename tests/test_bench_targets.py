@@ -14,6 +14,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import yaml
+
 from coexsim import mac_lte, mac_wifi
 from coexsim.config import apply_overrides, build_scenario, load_config
 from coexsim.simulator import SimEvent, Simulator
@@ -66,15 +68,11 @@ def test_state_machine_steps_called_through_their_modules(monkeypatch):
     assert calls["dcf_step"] > 0 and calls["lbt_step"] > 0
 
 
-def test_traced_child_run_reads_every_probe(tmp_path):
-    # the probes read engine internals (``trace_lines``, ``_sorted_ids``,
-    # ``_heap``, ``SimEvent.kind``); a rename would fail every benchmark run
+def run_traced_child(tmp_path, argv):
+    """The result of ``perfbench/child.py`` running one traced command line."""
     job = tmp_path / "job.json"
     job.write_text(json.dumps({
-        "invocations": [["simulate", "--config", "figure3_collision",
-                         "--set", "simulate.duration_s=0.05",
-                         "--out", str(tmp_path / "out.csv"),
-                         "--trace", str(tmp_path / "trace.csv")]],
+        "invocations": [argv],
         "calibration": "python",
         "traced": True,
         "result": str(tmp_path / "result.json"),
@@ -85,5 +83,32 @@ def test_traced_child_run_reads_every_probe(tmp_path):
     result = json.loads((tmp_path / "result.json").read_text())
     assert result["runs"] == [{"rc": 0, "error": None}]
     assert result["missing"] == []
+    return result
+
+
+def test_traced_child_run_reads_every_probe(tmp_path):
+    # the probes read engine internals (``trace_lines``, ``_sorted_ids``,
+    # ``_heap``, ``SimEvent.kind``); a rename would fail every benchmark run
+    result = run_traced_child(tmp_path, [
+        "simulate", "--config", "figure3_collision", "--set", "simulate.duration_s=0.05",
+        "--out", str(tmp_path / "out.csv"), "--trace", str(tmp_path / "trace.csv")])
     for counter in ("sim_s", "fade_draws", "heap_max", "events.slot_tick", "trace.records"):
         assert result["counters"].get(counter, 0) > 0, counter
+
+
+def test_link_gain_probe_counts_one_array_draw_per_scenario(tmp_path):
+    # the probe reads ``dists.size``: a per-pair scalar or list call would
+    # still run but skew the calls and links metrics
+    nodes = [{"id": f"ap{i}", "kind": "wifi_ap", "position": [10.0 + 7 * i, 20.0 + 15 * i]}
+             for i in range(5)]
+    cfg = tmp_path / "five.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "nodes": nodes, "links": {"ap0": {"ap1": -60.0}},
+        "simulate": {"duration_s": 0.01}}))
+    result = run_traced_child(tmp_path, [
+        "simulate", "--config", str(cfg), "--runs", "2", "--out", str(tmp_path / "out.csv")])
+    calls = sum(row[2] for row in result["spans"]
+                if row[1] == "propagation.sample_link_gains")
+    assert calls == 2
+    # 10 pairs, one pinned by ``links``, drawn once per seed
+    assert result["counters"]["links"] == 2 * 9

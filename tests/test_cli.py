@@ -326,12 +326,14 @@ class TestInputErrors:
          "coverage.cells must be a list"),
         ("coverage", "table1_inh", ["coverage.models={model: inh}"],
          "coverage.models must be a list"),
+        # an empty model list would write only the CSV header
+        ("coverage", "table1_inh", ["coverage.models=[]"], "coverage.models"),
     ], ids=["select_channel_7", "adapt_channel_7", "scan_n_atached", "scan_utilisation",
             "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
             "adapt_scan_mapping", "cell_chanel", "cell_list", "coverage_cell_nam",
             "coverage_short_position", "coverage_base_list", "coverage_base_tx_power",
             "coverage_samples_text", "coverage_seed_text", "nodes_mapping",
-            "coverage_cells_mapping", "coverage_models_mapping"])
+            "coverage_cells_mapping", "coverage_models_mapping", "coverage_models_empty"])
     def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):
         if isinstance(cfg, dict):
             cfg = write_config(tmp_path, cfg)

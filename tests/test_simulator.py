@@ -23,7 +23,7 @@ from coexsim.config import (
 from coexsim import mac_lte, mac_wifi
 from coexsim.mac_lte import LBT_EVENTS, LbtPhase, LbtState
 from coexsim.mac_wifi import DCF_EVENTS, DcfPhase, DcfState, ProtocolViolation
-from coexsim.propagation import Building, Position
+from coexsim.propagation import Building, Position, PropagationModel, sample_link_gains
 from coexsim.simulator import (
     Metrics,
     SimulationError,
@@ -183,6 +183,85 @@ class TestDeterminism:
         cfg["seed"] = 99
         m_b = Simulator(build_scenario(cfg)).run()
         assert dataclasses.asdict(m_a) != dataclasses.asdict(m_b)
+
+
+SIXTEEN_LINKS = {("n00", "n03"): -70.0, ("n07", "n02"): -88.5, ("n10", "n15"): -60.0}
+
+
+def sixteen_node_scenario(propagation):
+    # 16 bases spread over the building, n05 on top of n04, three pairs pinned
+    rng = np.random.default_rng(99)
+    nodes = [Node(id=f"n{i:02d}", kind=("wifi_ap", "lte_enb")[i % 2],
+                  position=Position(float(rng.uniform(0, 50)), float(rng.uniform(0, 120))),
+                  tx_power_dbm=17.0 + i % 4, channel=(36, 40)[i // 8])
+             for i in range(16)]
+    nodes[5] = dataclasses.replace(nodes[5], position=nodes[4].position)
+    return Scenario(nodes=nodes, seed=13, propagation=propagation,
+                    link_gains=dict(SIXTEEN_LINKS))
+
+
+def drawn_pairs(sim):
+    """The pairs without a ``links`` entry, in (i < j, sorted id) order, and their distances."""
+    pinned = set(SIXTEEN_LINKS) | {(b, a) for a, b in SIXTEEN_LINKS}
+    ids = sorted(sim.nodes)
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:] if (a, b) not in pinned]
+    dists = [max(sim.nodes[a].position.distance_to(sim.nodes[b].position), 1.0)
+             for a, b in pairs]
+    return pairs, dists
+
+
+class TestBatchedDraws:
+    """The PHY draws link state in bulk with the values and order of one draw at a time."""
+
+    @pytest.mark.parametrize("model", [
+        PropagationModel(los_mode="range"), PropagationModel(los_mode="nlos"),
+        PropagationModel(los_mode="los"), PropagationModel(variant="diffusion"),
+    ], ids=["inh_range", "nlos", "los", "diffusion"])
+    def test_gain_table_equals_per_pair_draws(self, model):
+        sim = Simulator(sixteen_node_scenario(model))
+        rng = np.random.default_rng([sim.scenario.seed, 1])
+        pairs, dists = drawn_pairs(sim)
+        expected = {}
+        for (a, b), d in zip(pairs, dists):
+            expected[(a, b)] = expected[(b, a)] = float(sample_link_gains(d, model, rng))
+        for (a, b), g in SIXTEEN_LINKS.items():
+            expected[(a, b)] = expected[(b, a)] = g
+        assert {(a, b): g for a, row in sim.gains.items() for b, g in row.items()} == expected
+        # carrier sensing reads the same mean received power, in linear units
+        for (a, b), g in expected.items():
+            assert sim.rx_lin[a][b] == 10.0 ** ((sim.nodes[a].tx_power_dbm + g) / 10.0)
+
+    def test_bernoulli_gains_are_one_batched_draw(self):
+        # bernoulli draws every LOS uniform before any shadow normal, so its
+        # layout differs from per-pair draws but matches one array call
+        model = PropagationModel(los_mode="bernoulli")
+        sim = Simulator(sixteen_node_scenario(model))
+        pairs, dists = drawn_pairs(sim)
+        drawn = sample_link_gains(np.array(dists), model,
+                                  np.random.default_rng([sim.scenario.seed, 1]))
+        assert [sim.gains[a][b] for a, b in pairs] == drawn.tolist()
+
+    @pytest.mark.parametrize("branches", [1, 4])
+    def test_frame_fades_equal_per_node_draws(self, branches):
+        sim = Simulator(dataclasses.replace(two_bss_scenario(duration_s=0.05),
+                                            phy=PhyConfig(fading_branches=branches)))
+        frames = []
+        start = sim.start_transmission
+
+        def recording(*args, **kwargs):
+            frames.append(start(*args, **kwargs))
+            return frames[-1]
+
+        sim.start_transmission = recording
+        sim.run()
+        assert len(frames) > 10
+        rng = np.random.default_rng([sim.scenario.seed, 2])
+        for tx in frames:
+            expected = {}
+            for nid in sorted(sim.nodes):
+                factor = float(np.mean(rng.exponential(1.0, size=branches)))
+                expected[nid] = 10.0 * math.log10(factor)
+            assert tx.fades_db == expected
 
 
 class TestScenarioValidation:
