@@ -13,6 +13,11 @@ Model conventions (see README for the full list):
   plus the per-pair shadowing draw) against the sensing node's current
   ED threshold.  Fast fading applies to frame reception only, redrawn
   per transmission and receiver.
+* Each channel is its own medium: frames on the air, carrier sensing,
+  overlaps and the NAV are kept per channel, so a frame never reaches
+  another channel.  The airtime fractions cover the run over all
+  channels, counted at frame edges; a frame still on the air at the end
+  counts up to ``duration_s``.
 * A frame is lost if its SINR dips below the selected rate's threshold
   at any instant of the reception; overlapped frames additionally need
   to clear the capture threshold.
@@ -229,9 +234,10 @@ class _BaseController(_Controller):
         self.files: deque[FileJob] = deque()
         self.gen = 0          # invalidates stale contention timers
         self.busy_us = 0.0    # own airtime in current beacon interval
+        self.busy = False     # the last carrier-sense verdict
 
     def blocked(self) -> bool:
-        return self.sim.busy_cache[self.node.id]
+        return self.busy
 
     def head(self) -> FileJob | None:
         return self.files[0] if self.files else None
@@ -280,6 +286,13 @@ class _BaseController(_Controller):
 
     def cancel_countdown(self) -> None:
         self.gen += 1
+
+    def sense(self) -> None:
+        """Carrier-sense the node's channel; act only on a changed verdict."""
+        busy = self.sim.sensed_power_dbm(self.node.id) >= self.ed_threshold_dbm
+        if busy != self.busy:
+            self.busy = busy
+            self.on_medium(busy)
 
     def on_medium(self, busy: bool) -> None:
         if busy:
@@ -608,10 +621,24 @@ class Simulator:
             node.id: _CONTROLLERS[node.kind](self, node) for node in scenario.nodes
         }
 
-        self.active: dict[int, Transmission] = {}
+        # one medium per channel: its frames on the air by tx_id in start
+        # order, its bases (the only nodes that sense) in id order
+        channels = {n.channel for n in scenario.nodes}
+        self.active: dict[int, dict[int, Transmission]] = {ch: {} for ch in channels}
         self._base_ids = [nid for nid in self._sorted_ids if self.nodes[nid].is_base]
-        self.busy_cache: dict[str, bool] = {nid: False for nid in self._base_ids}
-        self.tx_log: list[tuple[float, float, str]] = []  # (start, end, tech)
+        self._bases_on = {ch: [self.controllers[nid] for nid in self._base_ids
+                               if self.nodes[nid].channel == ch] for ch in channels}
+        # third-party NAV listeners of each Wi-Fi source, in id order
+        wifi = [nid for nid in self._sorted_ids if self.nodes[nid].technology == "wifi"]
+        floor = scenario.wifi_mac.decode_floor_dbm
+        self._nav_listeners = {src: [nid for nid in wifi if nid != src
+                                     and self.nodes[nid].channel == self.nodes[src].channel
+                                     and self.mean_rssi(src, nid) >= floor]
+                               for src in wifi}
+        # airtime so far, credited at frame edges to what was on the air
+        self._on_air = {"wifi": 0, "lte": 0}
+        self._airtime_us = {"wifi": 0.0, "lte": 0.0, "overlap": 0.0, "idle": 0.0}
+        self._airtime_mark_us = 0.0
         self.completed_files: list[FileJob] = []
         self.delivered_after_warmup: dict[str, float] = {}
         self.relay_tables: dict[str, dict[str, tuple[CellInfo, float]]] = {
@@ -694,9 +721,8 @@ class Simulator:
 
     def trace(self, node: str, record: str, detail: str) -> None:
         if self.trace_lines is not None:
-            tech = self.nodes[node].technology if node in self.nodes else "sim"
             self.trace_lines.append(
-                f"{self.now_us:.3f},{node},{tech},{record},{detail}"
+                f"{self.now_us:.3f},{node},{self.nodes[node].technology},{record},{detail}"
             )
 
     def skip_idle_slots(self, node_id: str, slot_us: float, max_slots: int) -> int:
@@ -730,25 +756,17 @@ class Simulator:
     # -- sensing ------------------------------------------------------------
 
     def sensed_power_dbm(self, node_id: str) -> float:
-        """Total mean in-band power from other nodes' active transmissions."""
-        channel = self.nodes[node_id].channel
+        """Total mean power from other nodes' frames on the node's channel."""
         total = 0.0
-        for tx in self.active.values():
-            if tx.src == node_id:
-                continue
-            if self.nodes[tx.src].channel != channel:
-                continue
-            total += self.rx_lin[tx.src][node_id]
+        for tx in self.active[self.nodes[node_id].channel].values():
+            if tx.src != node_id:
+                total += self.rx_lin[tx.src][node_id]
         return _dbm(total)
 
-    def recompute_busy(self) -> None:
-        """Carrier-sense at every base; clients never contend, so never sense."""
-        for nid in self._base_ids:
-            ctrl = self.controllers[nid]
-            busy = self.sensed_power_dbm(nid) >= ctrl.ed_threshold_dbm
-            if busy != self.busy_cache[nid]:
-                self.busy_cache[nid] = busy
-                ctrl.on_medium(busy)
+    def recompute_busy(self, channel: int) -> None:
+        """Carrier-sense at the channel's bases; clients never contend, so never sense."""
+        for ctrl in self._bases_on[channel]:
+            ctrl.sense()
 
     def assert_politeness(self, node_id: str, threshold_dbm: float) -> None:
         sensed = self.sensed_power_dbm(node_id)
@@ -777,40 +795,37 @@ class Simulator:
             rate_mbps=rate_mbps, req_sinr_db=req_sinr_db, bits=bits,
             nav_duration_us=nav_duration_us, frame_key=frame_key, fades_db=fades,
         )
-        for other in self.active.values():
-            if self.nodes[other.src].channel != self.nodes[src].channel:
-                continue
+        node = self.nodes[src]
+        active = self.active[node.channel]
+        for other in active.values():
             o_start = max(other.start_us, tx.start_us)
             o_end = min(other.end_us, tx.end_us)
             if o_end > o_start:
                 other.overlaps.append((tx, o_start, o_end))
                 tx.overlaps.append((other, o_start, o_end))
-        self.active[tx.tx_id] = tx
-        self.tx_log.append((tx.start_us, tx.end_us, self.nodes[src].technology))
+        active[tx.tx_id] = tx
+        self._count_airtime()
+        self._on_air[node.technology] += 1
         self.trace(src, "tx_start", f"kind={kind};dst={dst};dur={duration_us:.1f}")
         self._push(duration_us, "tx_end", self._finish_transmission, tx)
-        self.recompute_busy()
+        self.recompute_busy(node.channel)
         return tx
 
     def _finish_transmission(self, tx: Transmission) -> None:
-        del self.active[tx.tx_id]
+        node = self.nodes[tx.src]
+        del self.active[node.channel][tx.tx_id]
+        self._count_airtime()
+        self._on_air[node.technology] -= 1
         self.trace(tx.src, "tx_end", f"kind={tx.kind};dst={tx.dst}")
-        self.recompute_busy()
+        self.recompute_busy(node.channel)
         src_ctrl = self.controllers[tx.src]
         src_ctrl.handle_own_tx_end(tx)
         if tx.dst is not None:
             success = self._evaluate_reception(tx)
             self.controllers[tx.dst].handle_rx(tx, success)
-        # NAV for frames decodable by third-party Wi-Fi nodes
-        if tx.nav_duration_us > 0 and self.nodes[tx.src].technology == "wifi":
-            floor = self.scenario.wifi_mac.decode_floor_dbm
-            for nid in self._sorted_ids:
-                if nid in (tx.src, tx.dst):
-                    continue
-                node = self.nodes[nid]
-                if node.technology != "wifi" or node.channel != self.nodes[tx.src].channel:
-                    continue
-                if self.mean_rssi(tx.src, nid) >= floor:
+        if tx.nav_duration_us > 0:  # only Wi-Fi frames carry a NAV
+            for nid in self._nav_listeners[tx.src]:
+                if nid != tx.dst:
                     self.controllers[nid].overheard(tx)
         src_ctrl.maybe_start()
 
@@ -914,10 +929,7 @@ class Simulator:
     # -- relaying and adaptation ------------------------------------------------
 
     def _handle_relay_publish(self, base_id: str) -> None:
-        if not self.scenario.relay.enabled:
-            return
-        ctrl = self.controllers[base_id]
-        cell = ctrl.make_cell_info()
+        cell = self.controllers[base_id].make_cell_info()
         self.last_cell_info[base_id] = cell
         ies = encode_pseudo_beacon(cell)
         latency_us = self.scenario.relay.latency_ms * 1000.0
@@ -962,7 +974,7 @@ class Simulator:
         if new_threshold != ctrl.ed_threshold_dbm:
             ctrl.ed_threshold_dbm = new_threshold
             self.trace(base_id, "threshold", f"{new_threshold:.2f}")
-            self.recompute_busy()
+            ctrl.sense()
         period_us = ctrl.adapt.update_period_s * 1e6
         if self.now_us + period_us <= self.end_us:
             self._push(period_us, "adapt_tick", self._handle_adapt_tick, base_id)
@@ -981,7 +993,8 @@ class Simulator:
             first = interval_us * (idx + 1) / (len(aps) + 1)
             self._push(first, "timer", self.controllers[ap.id].on_beacon_due)
         for base in bases:
-            self._push(0.0, "timer", self._handle_relay_publish, base.id)
+            if scenario.relay.enabled:
+                self._push(0.0, "timer", self._handle_relay_publish, base.id)
             if scenario.adaptive_ed:
                 self._push(self.controllers[base.id].adapt.update_period_s * 1e6,
                            "adapt_tick", self._handle_adapt_tick, base.id)
@@ -1006,37 +1019,21 @@ class Simulator:
 
     # -- metrics ---------------------------------------------------------------
 
-    def _airtime_fractions(self) -> dict:
-        total = self.end_us
-        events = []
-        for start, end, tech in self.tx_log:
-            s = max(0.0, min(start, total))
-            e = max(0.0, min(end, total))
-            if e > s:
-                events.append((s, 1, tech))
-                events.append((e, -1, tech))
-        events.sort(key=lambda x: (x[0], x[1]))
-        counts = {"wifi": 0, "lte": 0}
-        out = {"wifi": 0.0, "lte": 0.0, "overlap": 0.0, "idle": 0.0}
-        prev = 0.0
-        for time, delta, tech in events:
-            if time > prev:
-                span = time - prev
-                w, l = counts["wifi"] > 0, counts["lte"] > 0
-                key = "overlap" if (w and l) else "wifi" if w else "lte" if l else "idle"
-                out[key] += span
-                prev = time
-            counts[tech] += delta
-        if total > prev:
-            out["idle"] += total - prev
-        fractions = {k: v / total for k, v in out.items()}
-        if abs(sum(fractions.values()) - 1.0) > 1e-9:
-            raise SimulationError("airtime fractions do not sum to 1")
-        return fractions
+    def _count_airtime(self) -> None:
+        """Credit the time since the last frame edge to what was on the air."""
+        span = self.now_us - self._airtime_mark_us
+        if span > 0:
+            w, l = self._on_air["wifi"] > 0, self._on_air["lte"] > 0
+            key = "overlap" if (w and l) else "wifi" if w else "lte" if l else "idle"
+            self._airtime_us[key] += span
+            self._airtime_mark_us = self.now_us
 
     def _finalize(self) -> Metrics:
         m = self.metrics
-        m.airtime = self._airtime_fractions()
+        self._count_airtime()  # frames still on the air count up to the end
+        m.airtime = {k: v / self.end_us for k, v in self._airtime_us.items()}
+        if abs(sum(m.airtime.values()) - 1.0) > 1e-9:
+            raise SimulationError("airtime fractions do not sum to 1")
         throughputs: dict[str, list[float]] = {}
         if self.scenario.traffic.model == "full_buffer":
             window_us = self.end_us - self.warmup_us

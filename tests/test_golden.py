@@ -13,7 +13,9 @@ import pytest
 
 from coexsim.cli import main
 
-TWO_BSS_RTS = str(Path(__file__).resolve().parent / "two_bss_rts.yaml")
+HERE = Path(__file__).resolve().parent
+TWO_BSS_RTS = str(HERE / "two_bss_rts.yaml")
+TWO_CHANNEL_CELLS = str(HERE / "two_channel_cells.yaml")
 
 # (argv without output paths, {option: sha256 of the file it writes})
 GOLDEN = {
@@ -47,6 +49,15 @@ GOLDEN = {
         {
             "--out": "5f3038aa502696d1a9108b4c203f7e7489cad0f6f5404852d57a2b25172498c1",
             "--trace": "0e7bfff410b26120ddfcfb242de5c6d91308a7494d6154512d315729adce7549",
+        },
+    ),
+    # a Wi-Fi and an LTE cell on each of two channels, adaptive ED and
+    # NAV on one of them, -40 dB base links across the channels: traced
+    "two_channel_cells": (
+        ["simulate", "--config", TWO_CHANNEL_CELLS],
+        {
+            "--out": "8f17a3915a52668bf4386beb26fcf9ae6df88f35bdda233389add3fac37e6f1f",
+            "--trace": "255a4a8e5874c50d27f6f66464144ff33dcd894cafdc70b2aa27784d7eb70bfc",
         },
     ),
     "table1_inh": (

@@ -444,6 +444,104 @@ class TestBusyEdge:
         assert ctrl.gen == gen + 1
 
 
+TWO_CHANNEL_CELLS = str(Path(__file__).resolve().parent / "two_channel_cells.yaml")
+
+
+def reference_airtime(frames, total):
+    """The airtime fractions by a sort of every clamped frame edge."""
+    events = []
+    for start, end, tech in frames:
+        s, e = max(0.0, min(start, total)), max(0.0, min(end, total))
+        if e > s:
+            events += [(s, 1, tech), (e, -1, tech)]
+    events.sort(key=lambda x: (x[0], x[1]))
+    counts = {"wifi": 0, "lte": 0}
+    out = {"wifi": 0.0, "lte": 0.0, "overlap": 0.0, "idle": 0.0}
+    prev = 0.0
+    for time, delta, tech in events:
+        if time > prev:
+            w, l = counts["wifi"] > 0, counts["lte"] > 0
+            key = "overlap" if (w and l) else "wifi" if w else "lte" if l else "idle"
+            out[key] += time - prev
+            prev = time
+        counts[tech] += delta
+    if total > prev:
+        out["idle"] += total - prev
+    return {k: v / total for k, v in out.items()}
+
+
+class TestMediumPerChannel:
+    """Sensing and airtime on ``two_channel_cells.yaml``, whose golden in
+    ``test_golden.py`` pins the per-channel overlaps and NAV."""
+
+    def spy(self, monkeypatch, labels):
+        """Wrap each ``Simulator`` method named in ``labels``; every call
+        appends ``(label(sim, *args, **kw), [nodes it carrier-sensed])``."""
+        calls, open_calls = [], []
+        sensed = Simulator.sensed_power_dbm
+
+        def sensed_power_dbm(sim, node_id):
+            if open_calls:
+                open_calls[-1][1].append(node_id)
+            return sensed(sim, node_id)
+
+        def wrap(fn, label):
+            def wrapped(sim, *args, **kw):
+                call = (label(sim, *args, **kw), [])
+                calls.append(call)
+                open_calls.append(call)
+                try:
+                    return fn(sim, *args, **kw)
+                finally:
+                    open_calls.pop()
+            return wrapped
+
+        monkeypatch.setattr(Simulator, "sensed_power_dbm", sensed_power_dbm)
+        for name, label in labels.items():
+            monkeypatch.setattr(Simulator, name, wrap(getattr(Simulator, name), label))
+        return calls
+
+    def run_cells(self, collect_trace=False):
+        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)), collect_trace)
+        return sim, sim.run()
+
+    def test_frame_edge_senses_only_its_channel(self, monkeypatch):
+        edges = self.spy(monkeypatch, {
+            "start_transmission": lambda sim, **kw: sim.nodes[kw["src"]].channel,
+            "_finish_transmission": lambda sim, tx: sim.nodes[tx.src].channel,
+        })
+        self.run_cells()
+        bases_on = {36: ["ap1", "ap3", "enb1"], 40: ["ap2", "enb2"]}
+        assert {channel for channel, _ in edges} == {36, 40}
+        for channel, sensed in edges:
+            assert sensed == bases_on[channel]
+
+    def test_adapt_tick_senses_only_its_base(self, monkeypatch):
+        ticks = self.spy(monkeypatch, {
+            "_handle_adapt_tick": lambda sim, base_id: (f"{sim.now_us:.3f}", base_id),
+        })
+        sim, _ = self.run_cells(collect_trace=True)
+        changed = {tuple(line.split(",")[:2]) for line in sim.trace_lines
+                   if ",threshold," in line}
+        assert changed and len(ticks) > len(changed)
+        for tick, sensed in ticks:
+            assert sensed == ([tick[1]] if tick in changed else [])
+
+    def test_airtime_equals_sorted_sweep(self, monkeypatch):
+        frames = []
+        start = Simulator.start_transmission
+
+        def recording(sim, **kw):
+            tx = start(sim, **kw)
+            frames.append((tx.start_us, tx.end_us, sim.nodes[tx.src].technology))
+            return tx
+
+        monkeypatch.setattr(Simulator, "start_transmission", recording)
+        sim, m = self.run_cells()
+        assert max(end for _, end, _ in frames) > sim.end_us  # cut off by the end
+        assert m.airtime == reference_airtime(frames, sim.end_us)
+
+
 def accepted_pairs(step, make_state, phases, events):
     accepted = set()
     for phase, event in itertools.product(phases, events):
