@@ -214,10 +214,15 @@ class _BaseController(_Controller):
     ``step`` (replace ``mac`` by the machine's next state),
     ``end_countdown`` (transmit) and ``on_wait`` (is the wait a slot?).
     The machines return state only, so the controllers read the phase:
-    a slot step that leaves ``BACKOFF`` transmits.  A busy medium only
-    cancels the pending wait or slot, which freezes the counter; it is
-    no machine event.  A node's own ``ed_threshold_dbm`` is also its
-    adaptation ceiling (``adapt.t_default_dbm``).
+    a slot step that leaves ``BACKOFF`` transmits.  A slot that
+    decrements (the LBT defer counts as one) and the end of DIFS start
+    the engine's joint walk (``Simulator.walk_idle_slots``), which
+    counts the idle slots of all contenders up to the next other event
+    or the next slot that ends a countdown; that slot is a real tick.
+    A busy medium only cancels the pending wait or slot, which freezes
+    the counter; it is no machine event.  A node's own
+    ``ed_threshold_dbm`` is also its adaptation ceiling
+    (``adapt.t_default_dbm``).
     """
 
     node_type: NodeType
@@ -300,20 +305,20 @@ class _BaseController(_Controller):
         elif self.contending() or self.has_traffic():
             self.maybe_start()
 
+    def counts_slot(self, gen: int) -> bool:
+        """Whether a slot tick pushed under ``gen`` is live: it counts a slot now."""
+        return gen == self.gen and not self.blocked() and self.contending()
+
     def on_slot(self, gen: int) -> None:
-        """One slot passed idle: transmit, or decrement and skip idle slots."""
-        if gen != self.gen or self.blocked() or not self.contending():
+        """One slot passed idle: transmit, or decrement and walk the idle slots."""
+        if not self.counts_slot(gen):
             return
         self.step(self.SLOT_EVENT)
         if not self.contending():
             self.end_countdown()
             return
-        counter = self.mac.backoff_counter
-        self.sim.trace(self.node.id, "decrement", str(counter))
-        skipped = self.sim.skip_idle_slots(self.node.id, self.slot_us, counter - 1)
-        if skipped:
-            self.mac = idle_slots(self.mac, skipped)
-        self.sim._push(self.slot_us, "slot_tick", self.on_slot, self.gen)
+        self.sim.trace(self.node.id, "decrement", str(self.mac.backoff_counter))
+        self.sim.walk_idle_slots(self)
 
 
 class _WifiApController(_BaseController):
@@ -372,13 +377,16 @@ class _WifiApController(_BaseController):
         self.maybe_start()
 
     def on_wait(self, gen: int) -> None:
-        """DIFS passed idle; DIFS is no slot, so the first decrement is a slot later."""
+        """DIFS passed idle: send a pending beacon, or walk the idle slots.
+
+        DIFS is no slot, so the first decrement comes a slot later.
+        """
         if gen != self.gen or self.blocked():
             return
         if self.beacon_pending:
             self.start_beacon()
         elif self.contending():
-            self.sim._push(self.slot_us, "slot_tick", self.on_slot, self.gen)
+            self.sim.walk_idle_slots(self)
 
     def on_response_timeout(self, gen: int, event: str) -> None:
         """No CTS (``rts_cts_fail``) or ACK (``ack_timeout``) came back."""
@@ -725,33 +733,81 @@ class Simulator:
                 f"{self.now_us:.3f},{node},{self.nodes[node].technology},{record},{detail}"
             )
 
-    def skip_idle_slots(self, node_id: str, slot_us: float, max_slots: int) -> int:
-        """Consume the idle backoff slots that follow now; returns how many.
+    def walk_idle_slots(self, first: _BaseController) -> None:
+        """Count down the idle slots of every contender at once.
 
-        Called by a controller whose slot tick has just decremented its
-        counter to ``max_slots + 1``.  Walks the following slot
-        boundaries by repeated ``+= slot_us`` (the float path ``_push``
-        takes), advancing ``now_us`` and emitting each slot's
-        ``decrement`` record.  It stops before the first boundary at or
-        after the next queued event (equal times go to the queued event,
-        whose sequence number is older), after ``end_us``, or once
-        ``max_slots`` slots are consumed, so the slot that ends the
-        countdown stays a real tick.  Slot ticks push nothing
-        but the next tick, so every other event keeps its (time, seq)
-        order and outputs do not change.
+        ``first`` calls it when its countdown goes on a slot after now:
+        its slot tick has just decremented the counter, or its DIFS has
+        passed.  The walk takes slot boundaries in the (time, seq) order
+        that one heap event per slot would give them.  A queued live
+        tick (a contending, unblocked base's, on any channel) joins the
+        walk when it is reached.  From then on, each base's next boundary
+        lies ``slot_us`` on by ``+=`` (the float path ``_push`` takes) and
+        ranks after every queued event, in the order its previous
+        boundary was taken.  The walk stops at the first of: a boundary
+        that would end a countdown, a queued event that is not a live
+        tick (a stale tick included) and a boundary after ``end_us``.
+        Each boundary taken emits its ``decrement`` record at its time.
+        A slot changes only its own base's counter, so outputs are those
+        of one event per slot.  At the stop, each base's counter drops by
+        the slots it took, in one ``idle_slots`` call, and each base
+        pushes its next tick, in the order its last boundary was taken.
+        The queued ticks the walk takes are the heap's first events, so
+        they are popped as they are taken.
         """
         heap = self._heap
-        next_us = heap[0].time_us if heap else math.inf
+        end_us = self.end_us
         tracing = self.trace_lines is not None
-        t = self.now_us + slot_us
-        n = 0
-        while n < max_slots and t < next_us and t <= self.end_us:
-            n += 1
-            self.now_us = t
-            if tracing:
-                self.trace(node_id, "decrement", str(max_slots + 1 - n))
-            t += slot_us
-        return n
+        # (next boundary, rank, [base, its counter before that boundary],
+        # last boundary taken); ranks are unique, so no list is compared
+        walk = [(self.now_us + first.slot_us, 0, [first, first.mac.backoff_counter],
+                 self.now_us)]
+        rank = 0
+        while True:
+            t, _, walker, _ = walk[0]
+            head = heap[0].time_us if heap else math.inf
+            if head <= t:
+                # the queued head is older: it joins if it is a live tick
+                # that does not end its countdown, else the walk stops
+                event = heap[0]
+                if event.kind != "slot_tick" or head > end_us:
+                    break
+                ctrl = event.handler.__self__
+                self.now_us = head
+                counter = ctrl.mac.backoff_counter
+                if not ctrl.counts_slot(*event.args) or counter <= 1:
+                    break
+                heapq.heappop(heap)
+                rank += 1
+                heapq.heappush(walk, (head + ctrl.slot_us, rank, [ctrl, counter - 1], head))
+                if tracing:
+                    self.trace(ctrl.node.id, "decrement", str(counter - 1))
+                continue
+            ctrl, counter = walker
+            if counter <= 1 or t > end_us:
+                break
+            # the base takes t, then each boundary before the next base's
+            # (whose rank is now older) and before the queued head
+            limit = min([head] + [entry[0] for entry in walk[1:3]])
+            slot_us = ctrl.slot_us
+            while True:
+                counter -= 1
+                if tracing:
+                    self.now_us = t
+                    self.trace(ctrl.node.id, "decrement", str(counter))
+                after = t + slot_us
+                if counter <= 1 or after >= limit or after > end_us:
+                    break
+                t = after
+            walker[1] = counter
+            rank += 1
+            heapq.heapreplace(walk, (after, rank, walker, t))
+        for _, _, (ctrl, counter), last in sorted(walk, key=lambda entry: entry[1]):
+            taken = ctrl.mac.backoff_counter - counter
+            if taken:
+                ctrl.mac = idle_slots(ctrl.mac, taken)
+            self.now_us = last
+            self._push(ctrl.slot_us, "slot_tick", ctrl.on_slot, ctrl.gen)
 
     # -- sensing ------------------------------------------------------------
 
@@ -931,18 +987,18 @@ class Simulator:
     def _handle_relay_publish(self, base_id: str) -> None:
         cell = self.controllers[base_id].make_cell_info()
         self.last_cell_info[base_id] = cell
-        ies = encode_pseudo_beacon(cell)
+        # every receiver reads the same frozen cell off the air: decode it once
+        relayed = decode_pseudo_beacon(encode_pseudo_beacon(cell))
         latency_us = self.scenario.relay.latency_ms * 1000.0
         for other_id in self.relay_tables:
             if other_id != base_id:
                 self._push(latency_us, "timer", self._handle_relay_deliver,
-                           other_id, base_id, ies)
+                           other_id, base_id, relayed)
         interval_us = self.scenario.wifi_mac.beacon_interval_ms * 1000.0
         if self.now_us + interval_us <= self.end_us:
             self._push(interval_us, "timer", self._handle_relay_publish, base_id)
 
-    def _handle_relay_deliver(self, base_id: str, src_base: str, ies) -> None:
-        cell = decode_pseudo_beacon(ies)
+    def _handle_relay_deliver(self, base_id: str, src_base: str, cell: CellInfo) -> None:
         rssi = self.mean_rssi(src_base, base_id)
         self.relay_tables[base_id][src_base] = (cell, rssi)
 

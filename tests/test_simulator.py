@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import heapq
 import itertools
 import math
 from pathlib import Path
@@ -20,7 +21,7 @@ from coexsim.config import (
     generate_topology,
     load_config,
 )
-from coexsim import mac_lte, mac_wifi
+from coexsim import mac_lte, mac_wifi, relay, simulator
 from coexsim.mac_lte import LBT_EVENTS, LbtPhase, LbtState
 from coexsim.mac_wifi import DCF_EVENTS, DcfPhase, DcfState, ProtocolViolation
 from coexsim.propagation import Building, Position, PropagationModel, sample_link_gains
@@ -706,6 +707,28 @@ class TestRelayInVivo:
         sim.run()
         assert sim.relay_tables["ap1"] == {}
 
+    def test_one_publish_decodes_once(self, monkeypatch):
+        decoded = []
+
+        def counting(ies):
+            decoded.append(relay.decode_pseudo_beacon(ies))
+            return decoded[-1]
+
+        monkeypatch.setattr(simulator, "decode_pseudo_beacon", counting)
+        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)))
+        sim._handle_relay_publish("ap1")
+        while sim._heap:
+            event = heapq.heappop(sim._heap)
+            if event.handler == sim._handle_relay_deliver:
+                sim.now_us = event.time_us
+                event.handler(*event.args)
+        # four receiving bases, one decode, every table holding its result
+        receivers = [b for b in sim.relay_tables if b != "ap1"]
+        assert len(receivers) == 4 and len(decoded) == 1
+        assert all(sim.relay_tables[b]["ap1"][0] is decoded[0] for b in receivers)
+        assert decoded[0] == relay.decode_pseudo_beacon(
+            relay.encode_pseudo_beacon(sim.last_cell_info["ap1"]))
+
 
 class TestBeaconSchedule:
     def test_beacons_emitted_each_interval(self):
@@ -723,62 +746,165 @@ class TestBeaconSchedule:
 
 
 class TestSkipIdleSlots:
+    """The joint walk over every contender's idle slots (``walk_idle_slots``).
+
+    A Wi-Fi AP and an LTE eNB (figure4) share the 9 us slot grid; the
+    engine is parked at ``now_us`` with an empty heap and an idle medium.
+    """
+
     SLOT = 9.0
 
     def sim_at(self, now_us=1000.0, end_us=1e6):
-        # a fresh engine with an empty heap, parked at now_us
-        sim = Simulator(wifi_pair_scenario(), collect_trace=True)
+        sim = Simulator(full_buffer_figure4(), collect_trace=True)
         sim.now_us = now_us
         sim.end_us = end_us
         return sim
 
+    def contend(self, sim, base, counter):
+        ctrl = sim.controllers[base]
+        ctrl.mac = dataclasses.replace(ctrl.mac, phase=ctrl.BACKOFF, cw=ctrl.mac.cw_max,
+                                       backoff_counter=counter)
+        return ctrl
+
+    def tick(self, sim, ctrl, delay_us):
+        """Queue ``ctrl``'s live slot tick ``delay_us`` from now."""
+        sim._push(delay_us, "slot_tick", ctrl.on_slot, ctrl.gen)
+
     def queue(self, sim, delay_us):
         sim._push(delay_us, "timer", lambda: None)
+
+    def walk(self, sim, base, counter):
+        """Walk as ``base``'s slot tick at now does after decrementing to ``counter``."""
+        ctrl = self.contend(sim, base, counter)
+        sim.walk_idle_slots(ctrl)
+        return ctrl
+
+    def queued(self, sim):
+        """The heap in pop order as (time, kind, the node of a slot tick)."""
+        return [(e.time_us, e.kind,
+                 e.handler.__self__.node.id if e.kind == "slot_tick" else None)
+                for e in sorted(sim._heap)]
 
     def test_stops_before_queued_event_at_equal_time(self):
         sim = self.sim_at()
         self.queue(sim, 5 * self.SLOT)  # exactly on the fifth boundary
-        assert sim.skip_idle_slots("ap1", self.SLOT, 100) == 4
-        assert sim.now_us == 1036.0
+        ap = self.walk(sim, "ap1", 100)
+        assert ap.mac.backoff_counter == 96
+        # the queued timer is older, so it goes before the re-pushed tick
+        assert self.queued(sim) == [(1045.0, "timer", None), (1045.0, "slot_tick", "ap1")]
 
     def test_slot_before_queued_event_is_consumed(self):
         sim = self.sim_at()
         self.queue(sim, 5 * self.SLOT + 1.0)
-        assert sim.skip_idle_slots("ap1", self.SLOT, 100) == 5
-        assert sim.now_us == 1045.0
+        ap = self.walk(sim, "ap1", 100)
+        assert ap.mac.backoff_counter == 95
+        assert self.queued(sim)[-1] == (1054.0, "slot_tick", "ap1")
 
     def test_zero_when_heap_top_within_one_slot(self):
         for delay in (1.0, self.SLOT):
             sim = self.sim_at()
             self.queue(sim, delay)
-            assert sim.skip_idle_slots("ap1", self.SLOT, 100) == 0
-            assert sim.now_us == 1000.0
+            ap = self.walk(sim, "ap1", 100)
+            assert ap.mac.backoff_counter == 100
             assert sim.trace_lines == []
+            assert self.queued(sim)[-1] == (1009.0, "slot_tick", "ap1")
 
     def test_never_passes_end(self):
         for end_us, want in ((1036.0, 4), (1035.9, 3), (1005.0, 0)):
             sim = self.sim_at(end_us=end_us)
-            assert sim.skip_idle_slots("ap1", self.SLOT, 100) == want
-            assert sim.now_us <= end_us
+            ap = self.walk(sim, "ap1", 100)
+            assert ap.mac.backoff_counter == 100 - want
+            assert len(sim.trace_lines) == want
+            assert all(float(line.split(",")[0]) <= end_us for line in sim.trace_lines)
 
     def test_bounded_by_counter_and_traces_each_slot(self):
         sim = self.sim_at()
-        assert sim.skip_idle_slots("ap1", self.SLOT, 3) == 3
+        ap = self.walk(sim, "ap1", 4)
         assert sim.trace_lines == [
             "1009.000,ap1,wifi,decrement,3",
             "1018.000,ap1,wifi,decrement,2",
             "1027.000,ap1,wifi,decrement,1",
         ]
-        assert sim._heap == [] and sim._seq == 0
+        # the slot that ends the countdown stays a real tick
+        assert ap.mac.backoff_counter == 1
+        assert self.queued(sim) == [(1036.0, "slot_tick", "ap1")] and sim._seq == 1
 
     def test_float_path_matches_repeated_push(self):
         # boundaries come from repeated addition, as chained _push calls do
         sim = self.sim_at(now_us=0.1)
-        n = sim.skip_idle_slots("ap1", 0.7, 50)
-        t = 0.1
-        for _ in range(n):
+        ap = self.contend(sim, "ap1", 51)
+        ap.slot_us = 0.7
+        sim.walk_idle_slots(ap)
+        t, times = 0.1, []
+        for _ in range(51):
             t += 0.7
-        assert n == 50 and sim.now_us == t
+            times.append(f"{t:.3f}")
+        assert [line.split(",")[0] for line in sim.trace_lines] == times[:50]
+        assert sim._heap[0].time_us == t
+
+    def test_equal_time_boundaries_keep_seq_order(self):
+        # enb1's tick at 1009 was queued before ap1's walk begins, so at
+        # every shared boundary enb1 counts first, as its older seq says
+        sim = self.sim_at()
+        enb = self.contend(sim, "enb1", 3)
+        self.tick(sim, enb, self.SLOT)
+        self.walk(sim, "ap1", 5)
+        assert sim.trace_lines == [
+            "1009.000,enb1,lte,decrement,2",
+            "1009.000,ap1,wifi,decrement,4",
+            "1018.000,enb1,lte,decrement,1",
+            "1018.000,ap1,wifi,decrement,3",
+        ]
+        # enb1 expires at 1027 before ap1's equal-time boundary; the ticks
+        # go back in the order their last boundaries were taken
+        assert self.queued(sim) == [(1027.0, "slot_tick", "enb1"),
+                                    (1027.0, "slot_tick", "ap1")]
+        assert (enb.mac.backoff_counter, sim.controllers["ap1"].mac.backoff_counter) == (1, 3)
+
+    @pytest.mark.parametrize("stale", ["timer", "old_gen", "busy", "expiring"])
+    def test_never_passes_a_queued_event_or_stale_tick(self, stale):
+        sim = self.sim_at()
+        enb = self.contend(sim, "enb1", 1 if stale == "expiring" else 10)
+        if stale == "timer":
+            self.queue(sim, self.SLOT + 4.0)
+        else:
+            self.tick(sim, enb, self.SLOT + 4.0)
+            enb.gen += stale == "old_gen"
+            enb.busy = stale == "busy"
+        heap = list(sim._heap)
+        ap = self.walk(sim, "ap1", 10)
+        # ap1 takes only its boundary at 1009, before the event at 1013
+        assert [line.split(",")[:2] for line in sim.trace_lines] == [["1009.000", "ap1"]]
+        assert ap.mac.backoff_counter == 9
+        assert sim._heap[0] == heap[0] and sim._heap[1].time_us == 1018.0
+
+    def test_live_ticks_on_either_channel_join(self):
+        # ap2 sits on channel 40 of two_channel_cells; its tick joins ap1's walk
+        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)), collect_trace=True)
+        sim.now_us = 1000.0
+        ap2 = self.contend(sim, "ap2", 3)
+        self.tick(sim, ap2, 4.0)
+        ap1 = self.walk(sim, "ap1", 4)
+        assert [line.split(",")[:2] for line in sim.trace_lines] == [
+            ["1004.000", "ap2"], ["1009.000", "ap1"], ["1013.000", "ap2"], ["1018.000", "ap1"]]
+        # ap2's expiry at 1022 stops both
+        assert (ap1.mac.backoff_counter, ap2.mac.backoff_counter) == (2, 1)
+
+    def test_first_decrement_one_slot_after_difs(self):
+        sim = Simulator(full_buffer_figure4(), collect_trace=True)
+        sim._schedule_first_traffic()
+        ap = sim.controllers["ap1"]
+        ap.maybe_start()
+        ap.mac = dataclasses.replace(ap.mac, backoff_counter=3)
+        difs = heapq.heappop(sim._heap)
+        sim.now_us = difs.time_us
+        difs.handler(*difs.args)
+        assert difs.time_us == ap.cfg.difs_us
+        assert [line for line in sim.trace_lines if ",decrement," in line] == [
+            f"{ap.cfg.difs_us + 9.0:.3f},ap1,wifi,decrement,2",
+            f"{ap.cfg.difs_us + 18.0:.3f},ap1,wifi,decrement,1",
+        ]
+        assert self.queued(sim)[-1] == (ap.cfg.difs_us + 27.0, "slot_tick", "ap1")
 
 
 def run_with_trace(scenario):
@@ -791,9 +917,11 @@ def run_with_trace(scenario):
     lambda: build_scenario(apply_overrides(load_config("figure4_coexistence"), [
         "traffic.model=full_buffer", "simulate.duration_s=0.4", "simulate.adaptive_ed=true",
     ])),
+    lambda: build_scenario(load_config(TWO_CHANNEL_CELLS)),
 ])
 def test_slot_skipping_changes_no_output(make, monkeypatch):
     # the same run with one heap event per slot, as before skipping existed
-    skipped = run_with_trace(make())
-    monkeypatch.setattr(Simulator, "skip_idle_slots", lambda self, *args: 0)
-    assert run_with_trace(make()) == skipped
+    walked = run_with_trace(make())
+    monkeypatch.setattr(Simulator, "walk_idle_slots", lambda self, base: self._push(
+        base.slot_us, "slot_tick", base.on_slot, base.gen))
+    assert run_with_trace(make()) == walked
