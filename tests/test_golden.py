@@ -60,6 +60,15 @@ GOLDEN = {
             "--trace": "255a4a8e5874c50d27f6f66464144ff33dcd894cafdc70b2aa27784d7eb70bfc",
         },
     ),
+    # the same five bases with the relay latency equal to the beacon
+    # interval: each round's deliveries land with the next round's publishes
+    "two_channel_cells_latency_eq_interval": (
+        ["simulate", "--config", TWO_CHANNEL_CELLS, "--set", "relay.latency_ms=100"],
+        {
+            "--out": "580a950d283b50697a4b48cf8313845c72ca204eaa6745086fcb7c7a2cc5f11b",
+            "--trace": "96f011d3449c7f50dd95a7275fbac545f7928119c6d9a0926fa6698fc7b74f49",
+        },
+    ),
     "table1_inh": (
         ["coverage", "--config", "table1_inh"],
         {
