@@ -24,6 +24,9 @@ Model conventions (see README for the full list):
 * SIFS-bound responses (ACK, CTS) are protocol-mandated and sent
   without carrier sensing; the ED-politeness invariant is asserted on
   every contention-based transmission start.
+* The relay bus runs one round per beacon interval: every base publishes
+  its cell, every base holds all of them ``latency_ms`` later, and a
+  base's own cell never enters its scan.
 """
 
 from __future__ import annotations
@@ -649,10 +652,8 @@ class Simulator:
         self._airtime_mark_us = 0.0
         self.completed_files: list[FileJob] = []
         self.delivered_after_warmup: dict[str, float] = {}
-        self.relay_tables: dict[str, dict[str, tuple[CellInfo, float]]] = {
-            n.id: {} for n in scenario.nodes if n.is_base
-        }
         self.last_cell_info: dict[str, CellInfo] = {}
+        self.relayed: dict[str, CellInfo] = {}  # every base's cell off the relay bus
 
     # -- randomness ------------------------------------------------------
 
@@ -984,29 +985,25 @@ class Simulator:
 
     # -- relaying and adaptation ------------------------------------------------
 
-    def _handle_relay_publish(self, base_id: str) -> None:
-        cell = self.controllers[base_id].make_cell_info()
-        self.last_cell_info[base_id] = cell
-        # every receiver reads the same frozen cell off the air: decode it once
-        relayed = decode_pseudo_beacon(encode_pseudo_beacon(cell))
-        latency_us = self.scenario.relay.latency_ms * 1000.0
-        for other_id in self.relay_tables:
-            if other_id != base_id:
-                self._push(latency_us, "timer", self._handle_relay_deliver,
-                           other_id, base_id, relayed)
+    def _handle_relay_publish(self) -> None:
+        """One relay round: every base publishes its cell; all land in one delivery."""
+        cells = {}
+        for node in self.scenario.nodes:
+            if node.is_base:
+                cell = self.last_cell_info[node.id] = self.controllers[node.id].make_cell_info()
+                cells[node.id] = decode_pseudo_beacon(encode_pseudo_beacon(cell))
+        self._push(self.scenario.relay.latency_ms * 1000.0, "timer",
+                   self._handle_relay_deliver, cells)
         interval_us = self.scenario.wifi_mac.beacon_interval_ms * 1000.0
         if self.now_us + interval_us <= self.end_us:
-            self._push(interval_us, "timer", self._handle_relay_publish, base_id)
+            self._push(interval_us, "timer", self._handle_relay_publish)
 
-    def _handle_relay_deliver(self, base_id: str, src_base: str, cell: CellInfo) -> None:
-        rssi = self.mean_rssi(src_base, base_id)
-        self.relay_tables[base_id][src_base] = (cell, rssi)
+    def _handle_relay_deliver(self, cells: dict[str, CellInfo]) -> None:
+        self.relayed = cells
 
     def _scan_at(self, base_id: str) -> list[ScanEntry]:
-        node = self.nodes[base_id]
-        phy = self.scenario.phy
         ota = []
-        if node.technology == "wifi":
+        if self.nodes[base_id].technology == "wifi":
             for other_id, cell in self.last_cell_info.items():
                 if other_id == base_id or self.nodes[other_id].technology != "wifi":
                     continue
@@ -1016,8 +1013,11 @@ class Simulator:
                                          n_attached=cell.station_count,
                                          utilization=cell.channel_utilization))
         relayed = []
-        for src_base, (cell, rssi) in sorted(self.relay_tables[base_id].items()):
-            if rssi >= phy.measurement_floor_dbm:
+        for src_base, cell in sorted(self.relayed.items()):
+            if src_base == base_id:
+                continue
+            rssi = self.mean_rssi(src_base, base_id)
+            if rssi >= self.scenario.phy.measurement_floor_dbm:
                 relayed.append(ScanEntry("relayed", cell, rssi,
                                          n_attached=cell.station_count,
                                          utilization=cell.channel_utilization))
@@ -1048,9 +1048,9 @@ class Simulator:
         for idx, ap in enumerate(aps):
             first = interval_us * (idx + 1) / (len(aps) + 1)
             self._push(first, "timer", self.controllers[ap.id].on_beacon_due)
+        if scenario.relay.enabled:
+            self._push(0.0, "timer", self._handle_relay_publish)
         for base in bases:
-            if scenario.relay.enabled:
-                self._push(0.0, "timer", self._handle_relay_publish, base.id)
             if scenario.adaptive_ed:
                 self._push(self.controllers[base.id].adapt.update_period_s * 1e6,
                            "adapt_tick", self._handle_adapt_tick, base.id)

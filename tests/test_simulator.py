@@ -685,19 +685,18 @@ class TestRelayInVivo:
         cfg["simulate"]["duration_s"] = 1.0
         sim = Simulator(build_scenario(cfg))
         sim.run()
-        # the relay bus delivered each base's encoded cell to the other
-        ap_view = sim.relay_tables["ap1"]
-        enb_view = sim.relay_tables["enb1"]
-        assert "enb1" in ap_view and "ap1" in enb_view
-        cell, rssi = ap_view["enb1"]
+        # the relay bus delivered every base's encoded cell to every base
+        assert set(sim.relayed) == {"ap1", "enb1"}
+        cell = sim.relayed["enb1"]
         assert cell.operator_cell_id == "enb1"
         assert cell.station_count == 1
         assert cell.node_type.name == "REL13_LAA"
-        assert rssi == pytest.approx(-81.8)
-        # the fused scan feeds the adaptive algorithm
+        # the fused scan feeds the adaptive algorithm, each base seeing the other
         scan = sim._scan_at("ap1")
         assert [e.cell.operator_cell_id for e in scan] == ["enb1"]
         assert scan[0].source == "relayed"
+        assert scan[0].rssi_dbm == pytest.approx(-81.8)
+        assert [e.cell.operator_cell_id for e in sim._scan_at("enb1")] == ["ap1"]
 
     def test_relay_disabled_leaves_tables_empty(self):
         cfg = load_config("figure4_coexistence")
@@ -705,7 +704,8 @@ class TestRelayInVivo:
         cfg["relay"] = {"enabled": False}
         sim = Simulator(build_scenario(cfg))
         sim.run()
-        assert sim.relay_tables["ap1"] == {}
+        assert sim.relayed == {}
+        assert sim._scan_at("enb1") == []
 
     def test_one_publish_decodes_once(self, monkeypatch):
         decoded = []
@@ -716,18 +716,49 @@ class TestRelayInVivo:
 
         monkeypatch.setattr(simulator, "decode_pseudo_beacon", counting)
         sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)))
-        sim._handle_relay_publish("ap1")
+        sim._handle_relay_publish()
         while sim._heap:
             event = heapq.heappop(sim._heap)
             if event.handler == sim._handle_relay_deliver:
                 sim.now_us = event.time_us
                 event.handler(*event.args)
-        # four receiving bases, one decode, every table holding its result
-        receivers = [b for b in sim.relay_tables if b != "ap1"]
-        assert len(receivers) == 4 and len(decoded) == 1
-        assert all(sim.relay_tables[b]["ap1"][0] is decoded[0] for b in receivers)
-        assert decoded[0] == relay.decode_pseudo_beacon(
-            relay.encode_pseudo_beacon(sim.last_cell_info["ap1"]))
+        # five bases, one decode each, the table holding every result
+        bases = ["ap1", "enb1", "ap3", "ap2", "enb2"]  # scenario node order
+        assert len(decoded) == 5
+        assert list(sim.relayed) == bases
+        assert all(sim.relayed[b] is cell for b, cell in zip(bases, decoded))
+        for b in bases:
+            assert sim.relayed[b] == relay.decode_pseudo_beacon(
+                relay.encode_pseudo_beacon(sim.last_cell_info[b]))
+
+    def test_one_round_queues_one_delivery_and_the_next_round(self):
+        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)))
+        sim._handle_relay_publish()
+        # latency 10 ms, beacon interval 100 ms
+        queued = sorted((e.time_us, e.handler) for e in sim._heap)
+        assert queued == [(10_000.0, sim._handle_relay_deliver),
+                          (100_000.0, sim._handle_relay_publish)]
+        assert len(sim._heap[0].args[0]) == 5
+
+    def test_no_base_scans_its_own_cell(self, monkeypatch):
+        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)))
+        scans = []
+        scan_at = sim._scan_at
+
+        def recording(base_id):
+            scans.append((base_id, scan_at(base_id)))
+            return scans[-1][1]
+
+        monkeypatch.setattr(sim, "_scan_at", recording)
+        sim.run()
+        # adaptation ticks at 100, 200 and 300 ms, then a scan after the run
+        for base_id in sim._base_ids:
+            recording(base_id)
+        assert len(scans) == 4 * 5
+        for base_id, scan in scans:
+            relayed = [e.cell.operator_cell_id for e in scan if e.source == "relayed"]
+            # the -40 dB cross-channel links put every other channel's base in view
+            assert relayed and base_id not in [e.cell.operator_cell_id for e in scan]
 
 
 class TestBeaconSchedule:
