@@ -267,6 +267,8 @@ def _pooled_rows(rows, raw):
 
 
 def cmd_simulate(args, pooled: bool = True) -> int:
+    if args.runs < 1:
+        raise ConfigError("--runs must be at least 1")
     cfg = load_with_overrides(args)
     first = cfgmod.build_scenario(cfg)
     seeds = [first.seed + i for i in range(args.runs)]

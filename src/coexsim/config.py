@@ -87,8 +87,10 @@ class TrafficConfig:
         if self.model not in ("file_transfer", "full_buffer"):
             raise ValueError(f"unknown traffic model {self.model!r}")
         if self.model == "file_transfer":
-            if self.file_size_bytes <= 0 or self.arrival_rate_per_client <= 0:
-                raise ValueError("file size and arrival rate must be positive")
+            sizes = [self.file_size_bytes, *dict(self.file_size_overrides).values()]
+            rates = [self.arrival_rate_per_client, *dict(self.arrival_rate_overrides).values()]
+            if min(sizes) <= 0 or min(rates) <= 0:
+                raise ValueError("file sizes and arrival rates must be positive")
 
     def rate_for(self, client_id: str) -> float:
         return float(self.arrival_rate_overrides.get(client_id,
@@ -239,6 +241,16 @@ class Scenario:
                 raise ValueError(f"{node.kind} {node.id} cannot attach to "
                                  f"{node.attach_to!r}: clients attach to an existing "
                                  f"{node.technology} base on their channel {node.channel}")
+        clients = {n.id for n in self.nodes if n.attach_to is not None}
+        for name, named, known, kind in (
+                ("links", {nid for pair in self.link_gains for nid in pair}, by_id, "node"),
+                ("traffic.arrival_rate_overrides", self.traffic.arrival_rate_overrides,
+                 clients, "client"),
+                ("traffic.file_size_overrides", self.traffic.file_size_overrides,
+                 clients, "client")):
+            unknown = sorted(map(str, set(named) - set(known)))
+            if unknown:
+                raise ValueError(f"{name} names {unknown[0]!r}, which is no {kind}")
         if self.lte_mac.defer_us < self.wifi_mac.sifs_us + self.lte_mac.slot_us:
             raise ValueError("lte_mac.defer_us must be at least wifi_mac.sifs_us "
                              "+ lte_mac.slot_us")
@@ -250,9 +262,10 @@ def generate_topology(scenario: Scenario, clients: ClientGenConfig,
 
     Bases keep their configured positions; each base receives a fixed
     or Poisson-distributed number of clients placed uniformly over the
-    building and attached to it.
+    building and attached to it.  The result is validated with its
+    generated clients, so per-node maps (``links``, the traffic
+    overrides) may name them.
     """
-    scenario.validate()
     out = list(scenario.nodes)
     for base in (n for n in scenario.nodes if n.is_base):
         if clients.mode == "fixed":
@@ -275,7 +288,9 @@ def generate_topology(scenario: Scenario, clients: ClientGenConfig,
                     attach_to=base.id,
                 )
             )
-    return replace(scenario, nodes=out)
+    scenario = replace(scenario, nodes=out)
+    scenario.validate()
+    return scenario
 
 
 def preset_path(name: str) -> Path:
@@ -443,8 +458,8 @@ def build_scenario(cfg: dict) -> Scenario:
         **_build_run(cfg.get("simulate")),
     )
     if cfg.get("clients"):
-        scenario = generate_topology(scenario, _build(ClientGenConfig, cfg["clients"], "clients"),
-                                     np.random.default_rng([scenario.seed, 42]))
+        return generate_topology(scenario, _build(ClientGenConfig, cfg["clients"], "clients"),
+                                 np.random.default_rng([scenario.seed, 42]))
     scenario.validate()
     return scenario
 
@@ -483,7 +498,7 @@ def build_coverage_spec(cfg: dict) -> CoverageSpec:
              for c in _entries(cov.get("cells") or [
                  {"name": "wifi", "min_sensitivity_dbm": -87.5},
                  {"name": "ulte", "min_sensitivity_dbm": -100.0}], "coverage.cells")]
-    return CoverageSpec(
+    spec = CoverageSpec(
         building=_build(Building, cfg.get("building"), "building"),
         models=models,
         base_position=_position(base.get("position", [25.0, 30.0]), "coverage.base"),
@@ -497,6 +512,13 @@ def build_coverage_spec(cfg: dict) -> CoverageSpec:
         cdf_bin_db=float(cov.get("cdf_bin_db", 1.0)),
         seed=_seed(cfg),
     )
+    if spec.samples < 1000:
+        raise ConfigError("coverage.samples must be at least 1000")
+    if not spec.cdf_bin_db > 0:
+        raise ConfigError("coverage.cdf_bin_db must be positive")
+    if not spec.building.contains(spec.base_position):
+        raise ConfigError("coverage.base.position lies outside the building")
+    return spec
 
 
 def _cell_info(data: dict) -> CellInfo:

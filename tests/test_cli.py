@@ -199,6 +199,15 @@ class TestSimulate:
         assert main(argv + ["--out", str(out_b)]) == 0
         assert filecmp.cmp(out_a, out_b, shallow=False)
 
+    @pytest.mark.parametrize("command, runs", [("simulate", "0"), ("sweep", "-2")])
+    def test_runs_below_one_is_config_error(self, tmp_path, capsys, command, runs):
+        out = tmp_path / "r.csv"
+        rc = main([command, "--config", "figure3_collision", "--runs", runs,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--runs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # a client whose link cannot sustain any rate raises at run time
         cfg = {
@@ -227,6 +236,8 @@ TWO_BASES = [
     {"id": "ap1", "kind": "wifi_ap", "position": [10.0, 10.0]},
     {"id": "enb1", "kind": "lte_enb", "position": [40.0, 100.0]},
 ]
+WITH_STA = TWO_BASES + [{"id": "sta1", "kind": "wifi_sta", "position": [10.0, 20.0],
+                         "attach_to": "ap1"}]
 
 
 class TestScenarioConfigErrors:
@@ -271,6 +282,14 @@ class TestScenarioConfigErrors:
         (TWO_BASES, ["wifi_mac.timing.slot_us=9"]),
         # a base's own threshold is its adaptation ceiling, so t_min bounds it too
         ([{**TWO_BASES[0], "ed_threshold_dbm": -90.0}, TWO_BASES[1]], []),
+        # file-transfer rates and sizes must be positive, overrides too
+        (WITH_STA, ["traffic.arrival_rate_overrides={sta1: 0}"]),
+        (WITH_STA, ["traffic.arrival_rate_overrides={sta1: -1}"]),
+        (WITH_STA, ["traffic.file_size_overrides={sta1: -5}"]),
+        # a per-node map must name a node (a client, for the traffic maps)
+        (WITH_STA, ["links.ap1.nobody=-50"]),
+        (WITH_STA, ["traffic.arrival_rate_overrides={nobody: 2.0}"]),
+        (WITH_STA, ["traffic.file_size_overrides={ap1: 1000}"]),
     ], ids=["unknown_base", "other_technology", "outside_building",
             "client_mode", "defer_below_sifs_plus_slot", "wifi_cw_min_form",
             "wifi_cw_max_form", "lte_cw_max_form", "burst_above_cap",
@@ -279,7 +298,10 @@ class TestScenarioConfigErrors:
             "client_ed_threshold", "client_off_base_channel", "simulate_list",
             "links_list", "nodes_scalar", "duration_text", "seed_text", "link_gain_text",
             "short_rate_row", "negative_duration", "negative_warmup",
-            "mac_threshold_below_t_min", "wifi_timing_key", "node_threshold_below_t_min"])
+            "mac_threshold_below_t_min", "wifi_timing_key", "node_threshold_below_t_min",
+            "zero_rate_override", "negative_rate_override", "negative_size_override",
+            "link_names_no_node", "rate_override_names_no_node",
+            "size_override_names_a_base"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
         argv = ["simulate", "--config", write_config(tmp_path, {
             "nodes": nodes, "simulate": {"duration_s": 0.05}})]
@@ -328,12 +350,18 @@ class TestInputErrors:
          "coverage.models must be a list"),
         # an empty model list would write only the CSV header
         ("coverage", "table1_inh", ["coverage.models=[]"], "coverage.models"),
+        ("coverage", "table1_inh", ["coverage.samples=10"], "coverage.samples"),
+        ("coverage", "table1_inh", ["coverage.samples=2000", "coverage.cdf_bin_db=0"],
+         "coverage.cdf_bin_db"),
+        ("coverage", "table1_inh", ["coverage.samples=2000", "coverage.base.position=[999,999]"],
+         "coverage.base.position"),
     ], ids=["select_channel_7", "adapt_channel_7", "scan_n_atached", "scan_utilisation",
             "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
             "adapt_scan_mapping", "cell_chanel", "cell_list", "coverage_cell_nam",
             "coverage_short_position", "coverage_base_list", "coverage_base_tx_power",
             "coverage_samples_text", "coverage_seed_text", "nodes_mapping",
-            "coverage_cells_mapping", "coverage_models_mapping", "coverage_models_empty"])
+            "coverage_cells_mapping", "coverage_models_mapping", "coverage_models_empty",
+            "coverage_few_samples", "coverage_zero_cdf_bin", "coverage_base_outside"])
     def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):
         if isinstance(cfg, dict):
             cfg = write_config(tmp_path, cfg)

@@ -91,6 +91,16 @@ class TestScenarioAssembly:
         generated = [n for n in scenario.nodes if n.attach_to]
         assert {n.attach_to for n in generated} == {"ap1", "enb1"}
 
+    def test_per_node_maps_may_name_generated_clients(self):
+        cfg = {
+            "nodes": [{"id": "ap1", "kind": "wifi_ap", "position": [10.0, 10.0]}],
+            "clients": {"mode": "fixed", "per_base": 1},
+            "links": {"ap1": {"ap1_c0": -60.0}},
+            "traffic": {"file_size_overrides": {"ap1_c0": 1000}},
+        }
+        scenario = build_scenario(cfg)
+        assert scenario.link_gains[("ap1", "ap1_c0")] == -60.0
+
     def test_symmetric_link_gains(self):
         scenario = build_scenario(load_config("figure4_coexistence"))
         assert scenario.link_gains[("ap1", "enb1")] == -101.8
