@@ -24,9 +24,8 @@ Model conventions (see README for the full list):
 * SIFS-bound responses (ACK, CTS) are protocol-mandated and sent
   without carrier sensing; the ED-politeness invariant is asserted on
   every contention-based transmission start.
-* The relay bus runs one round per beacon interval: every base publishes
-  its cell, every base holds all of them ``latency_ms`` later, and a
-  base's own cell never enters its scan.
+* The relay bus runs one round per beacon interval: every base's cell
+  reaches every base ``latency_ms`` later, and no base scans its own.
 """
 
 from __future__ import annotations
@@ -986,24 +985,25 @@ class Simulator:
     # -- relaying and adaptation ------------------------------------------------
 
     def _handle_relay_publish(self) -> None:
-        """One relay round: every base publishes its cell; all land in one delivery."""
+        """One relay round: every base publishes its cell, encoded and decoded once."""
         cells = {}
         for node in self.scenario.nodes:
             if node.is_base:
-                cell = self.last_cell_info[node.id] = self.controllers[node.id].make_cell_info()
+                cell = self.controllers[node.id].make_cell_info()
+                self.last_cell_info[node.id] = cell
                 cells[node.id] = decode_pseudo_beacon(encode_pseudo_beacon(cell))
+        # the one delivery: every base holds every cell latency_ms later
         self._push(self.scenario.relay.latency_ms * 1000.0, "timer",
-                   self._handle_relay_deliver, cells)
+                   self.relayed.update, cells)
         interval_us = self.scenario.wifi_mac.beacon_interval_ms * 1000.0
         if self.now_us + interval_us <= self.end_us:
             self._push(interval_us, "timer", self._handle_relay_publish)
 
-    def _handle_relay_deliver(self, cells: dict[str, CellInfo]) -> None:
-        self.relayed = cells
-
     def _scan_at(self, base_id: str) -> list[ScanEntry]:
+        node = self.nodes[base_id]
+        phy = self.scenario.phy
         ota = []
-        if self.nodes[base_id].technology == "wifi":
+        if node.technology == "wifi":
             for other_id, cell in self.last_cell_info.items():
                 if other_id == base_id or self.nodes[other_id].technology != "wifi":
                     continue
@@ -1017,7 +1017,7 @@ class Simulator:
             if src_base == base_id:
                 continue
             rssi = self.mean_rssi(src_base, base_id)
-            if rssi >= self.scenario.phy.measurement_floor_dbm:
+            if rssi >= phy.measurement_floor_dbm:
                 relayed.append(ScanEntry("relayed", cell, rssi,
                                          n_attached=cell.station_count,
                                          utilization=cell.channel_utilization))

@@ -719,7 +719,7 @@ class TestRelayInVivo:
         sim._handle_relay_publish()
         while sim._heap:
             event = heapq.heappop(sim._heap)
-            if event.handler == sim._handle_relay_deliver:
+            if event.handler == sim.relayed.update:
                 sim.now_us = event.time_us
                 event.handler(*event.args)
         # five bases, one decode each, the table holding every result
@@ -736,7 +736,7 @@ class TestRelayInVivo:
         sim._handle_relay_publish()
         # latency 10 ms, beacon interval 100 ms
         queued = sorted((e.time_us, e.handler) for e in sim._heap)
-        assert queued == [(10_000.0, sim._handle_relay_deliver),
+        assert queued == [(10_000.0, sim.relayed.update),
                           (100_000.0, sim._handle_relay_publish)]
         assert len(sim._heap[0].args[0]) == 5
 
@@ -756,9 +756,9 @@ class TestRelayInVivo:
             recording(base_id)
         assert len(scans) == 4 * 5
         for base_id, scan in scans:
-            relayed = [e.cell.operator_cell_id for e in scan if e.source == "relayed"]
             # the -40 dB cross-channel links put every other channel's base in view
-            assert relayed and base_id not in [e.cell.operator_cell_id for e in scan]
+            assert any(e.source == "relayed" for e in scan)
+            assert base_id not in [e.cell.operator_cell_id for e in scan]
 
 
 class TestBeaconSchedule:
