@@ -11,6 +11,7 @@ the raw dictionary before construction; values parse as YAML.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -87,10 +88,11 @@ class TrafficConfig:
         if self.model not in ("file_transfer", "full_buffer"):
             raise ValueError(f"unknown traffic model {self.model!r}")
         if self.model == "file_transfer":
-            sizes = [self.file_size_bytes, *dict(self.file_size_overrides).values()]
-            rates = [self.arrival_rate_per_client, *dict(self.arrival_rate_overrides).values()]
-            if min(sizes) <= 0 or min(rates) <= 0:
-                raise ValueError("file sizes and arrival rates must be positive")
+            values = [self.file_size_bytes, self.arrival_rate_per_client,
+                      *dict(self.file_size_overrides).values(),
+                      *dict(self.arrival_rate_overrides).values()]
+            if not all(0 < float(v) < math.inf for v in values):
+                raise ValueError("file sizes and arrival rates must be positive and finite")
 
     def rate_for(self, client_id: str) -> float:
         return float(self.arrival_rate_overrides.get(client_id,

@@ -286,6 +286,8 @@ class TestScenarioConfigErrors:
         (WITH_STA, ["traffic.arrival_rate_overrides={sta1: 0}"]),
         (WITH_STA, ["traffic.arrival_rate_overrides={sta1: -1}"]),
         (WITH_STA, ["traffic.file_size_overrides={sta1: -5}"]),
+        (WITH_STA, ["traffic.arrival_rate_overrides={sta1: .nan}"]),
+        (WITH_STA, ["traffic.file_size_overrides={sta1: .inf}"]),
         # a per-node map must name a node (a client, for the traffic maps)
         (WITH_STA, ["links.ap1.nobody=-50"]),
         (WITH_STA, ["traffic.arrival_rate_overrides={nobody: 2.0}"]),
@@ -300,6 +302,7 @@ class TestScenarioConfigErrors:
             "short_rate_row", "negative_duration", "negative_warmup",
             "mac_threshold_below_t_min", "wifi_timing_key", "node_threshold_below_t_min",
             "zero_rate_override", "negative_rate_override", "negative_size_override",
+            "nan_rate_override", "infinite_size_override",
             "link_names_no_node", "rate_override_names_no_node",
             "size_override_names_a_base"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
