@@ -17,6 +17,22 @@ from coexsim.cli import main as cli_main
 from coexsim.simulator import jain_index
 
 
+def pooled_rows(seed: int, runs: int, out: Path) -> dict:
+    """Run figure4_coexistence on ``runs`` seeds from ``seed`` with adaptation
+    off and on, write the CSV to ``out`` and return its pooled rows keyed
+    by (adaptive, node), adaptive being "false" or "true"."""
+    rc = cli_main([
+        "simulate", "--config", "figure4_coexistence",
+        "--seed", str(seed), "--runs", str(runs),
+        "--compare-adaptive", "--out", str(out),
+    ])
+    if rc != 0:
+        raise SystemExit(rc)
+    with open(out, newline="", encoding="utf-8") as fh:
+        return {(row["adaptive"], row["node"]): row
+                for row in csv.DictReader(fh) if row["seed"] == "pooled"}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=10)
@@ -27,16 +43,7 @@ def main() -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     out = outdir / "coexistence_comparison.csv"
-    rc = cli_main([
-        "simulate", "--config", "figure4_coexistence",
-        "--seed", str(args.seed), "--runs", str(args.runs),
-        "--compare-adaptive", "--out", str(out),
-    ])
-    if rc != 0:
-        raise SystemExit(rc)
-    with open(out, newline="", encoding="utf-8") as fh:
-        pooled = {(row["adaptive"], row["node"]): row
-                  for row in csv.DictReader(fh) if row["seed"] == "pooled"}
+    pooled = pooled_rows(args.seed, args.runs, out)
 
     def median(adaptive, node):
         row = pooled[(adaptive, node)]

@@ -253,6 +253,9 @@ class Scenario:
             unknown = sorted(map(str, set(named) - set(known)))
             if unknown:
                 raise ValueError(f"{name} names {unknown[0]!r}, which is no {kind}")
+        for (a, b), gain in self.link_gains.items():
+            if not math.isfinite(gain):
+                raise ValueError(f"links.{a}.{b} must be a finite gain, not {gain}")
         if self.lte_mac.defer_us < self.wifi_mac.sifs_us + self.lte_mac.slot_us:
             raise ValueError("lte_mac.defer_us must be at least wifi_mac.sifs_us "
                              "+ lte_mac.slot_us")

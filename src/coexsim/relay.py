@@ -28,6 +28,7 @@ identity holds exactly for utilizations on that grid.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
@@ -130,7 +131,7 @@ class ScanEntry:
     def __post_init__(self) -> None:
         if self.source not in ("over_the_air", "relayed"):
             raise ValueError(f"unknown scan source {self.source!r}")
-        if not isinstance(self.rssi_dbm, (int, float)) or self.rssi_dbm != self.rssi_dbm:
+        if not isinstance(self.rssi_dbm, (int, float)) or not math.isfinite(self.rssi_dbm):
             raise ValueError("rssi must be a finite number")
 
 

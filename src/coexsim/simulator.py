@@ -162,7 +162,6 @@ class Transmission:
     kind: str  # data | ack | rts | cts | beacon | burst
     start_us: float
     end_us: float
-    rate_mbps: float
     req_sinr_db: float
     bits: float
     nav_duration_us: float = 0.0
@@ -414,8 +413,7 @@ class _WifiApController(_BaseController):
         self.sim.start_transmission(
             src=self.node.id, dst=None, kind="beacon",
             duration_us=self.cfg.beacon_duration_us,
-            rate_mbps=0.0, req_sinr_db=self.sim.scenario.phy.control_sinr_db,
-            bits=0.0,
+            req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=0.0,
         )
 
     def start_rts(self) -> None:
@@ -428,7 +426,7 @@ class _WifiApController(_BaseController):
                + cfg.sifs_us + cfg.ack_duration_us)
         self.sim.start_transmission(
             src=self.node.id, dst=job.client, kind="rts",
-            duration_us=cfg.rts_duration_us, rate_mbps=0.0,
+            duration_us=cfg.rts_duration_us,
             req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=0.0,
             nav_duration_us=nav, frame_key=self.current_frame_key(),
         )
@@ -443,7 +441,7 @@ class _WifiApController(_BaseController):
         bits, rate, duration = self.next_chunk()
         self.sim.start_transmission(
             src=self.node.id, dst=job.client, kind="data",
-            duration_us=duration, rate_mbps=rate,
+            duration_us=duration,
             req_sinr_db=required_sinr(rate, "wifi", self.sim.scenario.phy),
             bits=bits, nav_duration_us=self.cfg.sifs_us + self.cfg.ack_duration_us,
             frame_key=self.current_frame_key(),
@@ -497,7 +495,7 @@ class _WifiStaController(_Controller):
     def send_cts(self, dst: str, nav: float) -> None:
         self.sim.start_transmission(
             src=self.node.id, dst=dst, kind="cts",
-            duration_us=self.cfg.cts_duration_us, rate_mbps=0.0,
+            duration_us=self.cfg.cts_duration_us,
             req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=0.0,
             nav_duration_us=nav,
         )
@@ -505,7 +503,7 @@ class _WifiStaController(_Controller):
     def send_ack(self, dst: str, frame_key: tuple | None, bits: float) -> None:
         self.sim.start_transmission(
             src=self.node.id, dst=dst, kind="ack",
-            duration_us=self.cfg.ack_duration_us, rate_mbps=0.0,
+            duration_us=self.cfg.ack_duration_us,
             req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=bits,
             frame_key=frame_key,
         )
@@ -561,7 +559,7 @@ class _LteEnbController(_BaseController):
         duration = bits / rate
         self.sim.start_transmission(
             src=self.node.id, dst=job.client, kind="burst",
-            duration_us=duration, rate_mbps=rate,
+            duration_us=duration,
             req_sinr_db=required_sinr(rate, "lte", self.sim.scenario.phy),
             bits=bits, frame_key=(job.file_id, job.done_bits),
         )
@@ -638,20 +636,20 @@ class Simulator:
         self._base_ids = [nid for nid in self._sorted_ids if self.nodes[nid].is_base]
         self._bases_on = {ch: [self.controllers[nid] for nid in self._base_ids
                                if self.nodes[nid].channel == ch] for ch in channels}
-        # third-party NAV listeners of each Wi-Fi source, in id order
+        # the co-channel Wi-Fi nodes that decode each Wi-Fi source's frames
+        # (its NAV listeners and, for an AP, its beacon's hearers), in id order
         wifi = [nid for nid in self._sorted_ids if self.nodes[nid].technology == "wifi"]
         floor = scenario.wifi_mac.decode_floor_dbm
-        self._nav_listeners = {src: [nid for nid in wifi if nid != src
-                                     and self.nodes[nid].channel == self.nodes[src].channel
-                                     and self.mean_rssi(src, nid) >= floor]
-                               for src in wifi}
+        self._decoders = {src: [nid for nid in wifi if nid != src
+                                and self.nodes[nid].channel == self.nodes[src].channel
+                                and self.mean_rssi(src, nid) >= floor]
+                          for src in wifi}
         # airtime so far, credited at frame edges to what was on the air
         self._on_air = {"wifi": 0, "lte": 0}
         self._airtime_us = {"wifi": 0.0, "lte": 0.0, "overlap": 0.0, "idle": 0.0}
         self._airtime_mark_us = 0.0
         self.completed_files: list[FileJob] = []
         self.delivered_after_warmup: dict[str, float] = {}
-        self.last_cell_info: dict[str, CellInfo] = {}
         self.relayed: dict[str, CellInfo] = {}  # every base's cell off the relay bus
 
     # -- randomness ------------------------------------------------------
@@ -836,7 +834,7 @@ class Simulator:
     # -- transmissions -------------------------------------------------------
 
     def start_transmission(self, src: str, dst: str | None, kind: str,
-                           duration_us: float, rate_mbps: float, req_sinr_db: float,
+                           duration_us: float, req_sinr_db: float,
                            bits: float, nav_duration_us: float = 0.0,
                            frame_key: tuple | None = None) -> Transmission:
         self._tx_counter += 1
@@ -848,7 +846,7 @@ class Simulator:
         tx = Transmission(
             tx_id=self._tx_counter, src=src, dst=dst, kind=kind,
             start_us=self.now_us, end_us=self.now_us + duration_us,
-            rate_mbps=rate_mbps, req_sinr_db=req_sinr_db, bits=bits,
+            req_sinr_db=req_sinr_db, bits=bits,
             nav_duration_us=nav_duration_us, frame_key=frame_key, fades_db=fades,
         )
         node = self.nodes[src]
@@ -880,7 +878,7 @@ class Simulator:
             success = self._evaluate_reception(tx)
             self.controllers[tx.dst].handle_rx(tx, success)
         if tx.nav_duration_us > 0:  # only Wi-Fi frames carry a NAV
-            for nid in self._nav_listeners[tx.src]:
+            for nid in self._decoders[tx.src]:
                 if nid != tx.dst:
                     self.controllers[nid].overheard(tx)
         src_ctrl.maybe_start()
@@ -990,7 +988,6 @@ class Simulator:
         for node in self.scenario.nodes:
             if node.is_base:
                 cell = self.controllers[node.id].make_cell_info()
-                self.last_cell_info[node.id] = cell
                 cells[node.id] = decode_pseudo_beacon(encode_pseudo_beacon(cell))
         # the one delivery: every base holds every cell latency_ms later
         self._push(self.scenario.relay.latency_ms * 1000.0, "timer",
@@ -1000,24 +997,20 @@ class Simulator:
             self._push(interval_us, "timer", self._handle_relay_publish)
 
     def _scan_at(self, base_id: str) -> list[ScanEntry]:
-        node = self.nodes[base_id]
-        phy = self.scenario.phy
+        """The APs whose beacons the base decodes, fused with the relayed cells."""
         ota = []
-        if node.technology == "wifi":
-            for other_id, cell in self.last_cell_info.items():
-                if other_id == base_id or self.nodes[other_id].technology != "wifi":
-                    continue
-                level = self.mean_rssi(other_id, base_id)
-                if level >= self.scenario.wifi_mac.decode_floor_dbm:
-                    ota.append(ScanEntry("over_the_air", cell, level,
-                                         n_attached=cell.station_count,
-                                         utilization=cell.channel_utilization))
+        for ap in self._base_ids:
+            if base_id in self._decoders.get(ap, ()):
+                stations = self.attached_count(ap)
+                cell = CellInfo(ap, self.nodes[ap].channel, stations)
+                ota.append(ScanEntry("over_the_air", cell, self.mean_rssi(ap, base_id),
+                                     n_attached=stations))
         relayed = []
         for src_base, cell in sorted(self.relayed.items()):
             if src_base == base_id:
                 continue
             rssi = self.mean_rssi(src_base, base_id)
-            if rssi >= phy.measurement_floor_dbm:
+            if rssi >= self.scenario.phy.measurement_floor_dbm:
                 relayed.append(ScanEntry("relayed", cell, rssi,
                                          n_attached=cell.station_count,
                                          utilization=cell.channel_utilization))

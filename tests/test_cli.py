@@ -292,6 +292,11 @@ class TestScenarioConfigErrors:
         (WITH_STA, ["links.ap1.nobody=-50"]),
         (WITH_STA, ["traffic.arrival_rate_overrides={nobody: 2.0}"]),
         (WITH_STA, ["traffic.file_size_overrides={ap1: 1000}"]),
+        # a link gain must be a finite number of dB
+        (WITH_STA, ["links.ap1.sta1=-.inf"]),
+        (WITH_STA, ["links.ap1.sta1=.nan"]),
+        (WITH_STA, ["links.ap1.enb1=.inf"]),
+        (WITH_STA, ["links.ap1.enb1=.nan"]),
     ], ids=["unknown_base", "other_technology", "outside_building",
             "client_mode", "defer_below_sifs_plus_slot", "wifi_cw_min_form",
             "wifi_cw_max_form", "lte_cw_max_form", "burst_above_cap",
@@ -304,7 +309,8 @@ class TestScenarioConfigErrors:
             "zero_rate_override", "negative_rate_override", "negative_size_override",
             "nan_rate_override", "infinite_size_override",
             "link_names_no_node", "rate_override_names_no_node",
-            "size_override_names_a_base"])
+            "size_override_names_a_base", "client_link_minus_inf", "client_link_nan",
+            "base_link_inf", "base_link_nan"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
         argv = ["simulate", "--config", write_config(tmp_path, {
             "nodes": nodes, "simulate": {"duration_s": 0.05}})]
@@ -327,6 +333,9 @@ class TestInputErrors:
     @pytest.mark.parametrize("command, cfg, overrides, named", [
         ("select", scan_with(channel=7), [], "scan"),
         ("adapt", scan_with(channel=7), [], "scan"),
+        ("adapt", scan_with(rssi_dbm=-math.inf), [], "scan"),
+        ("select", scan_with(rssi_dbm=math.inf), [], "scan"),
+        ("simulate", {"nodes": TWO_BASES}, ["links.ap1.enb1=.inf"], "links.ap1.enb1"),
         ("select", scan_with(n_atached=3), [], "scan.n_atached"),
         ("adapt", scan_with(utilisation=0.3), [], "scan.utilisation"),
         ("select", scan_with(node_typ="wifi"), [], "scan.node_typ"),
@@ -358,7 +367,8 @@ class TestInputErrors:
          "coverage.cdf_bin_db"),
         ("coverage", "table1_inh", ["coverage.samples=2000", "coverage.base.position=[999,999]"],
          "coverage.base.position"),
-    ], ids=["select_channel_7", "adapt_channel_7", "scan_n_atached", "scan_utilisation",
+    ], ids=["select_channel_7", "adapt_channel_7", "adapt_rssi_minus_inf",
+            "select_rssi_inf", "simulate_link_inf", "scan_n_atached", "scan_utilisation",
             "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
             "adapt_scan_mapping", "cell_chanel", "cell_list", "coverage_cell_nam",
             "coverage_short_position", "coverage_base_list", "coverage_base_tx_power",

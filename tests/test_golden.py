@@ -69,6 +69,15 @@ GOLDEN = {
             "--trace": "96f011d3449c7f50dd95a7275fbac545f7928119c6d9a0926fa6698fc7b74f49",
         },
     ),
+    # the same five bases with the relay off: ap1 and ap3 still decode each
+    # other's beacons and adapt to -71 dBm; the eNBs keep their defaults
+    "two_channel_cells_relay_off": (
+        ["simulate", "--config", TWO_CHANNEL_CELLS, "--set", "relay.enabled=false"],
+        {
+            "--out": "0c56b5716db0577c2b83b9e917e1e9592229b96c0cd932c580cebeb70c33d3e7",
+            "--trace": "97cfc96ebfbfc917748508698df269a56e3037179e335e23a6439c19db9ae040",
+        },
+    ),
     "table1_inh": (
         ["coverage", "--config", "table1_inh"],
         {

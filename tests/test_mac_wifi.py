@@ -135,7 +135,7 @@ def ap_overhearing(nav_until_us=0.0):
 
 
 def other_cells_cts(nav_us):
-    return Transmission(0, "sta2", "ap2", "cts", 0.0, 50.0, 0.0, 0.0, 0.0,
+    return Transmission(0, "sta2", "ap2", "cts", 0.0, 50.0, 0.0, 0.0,
                         nav_duration_us=nav_us)
 
 

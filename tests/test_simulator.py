@@ -616,7 +616,7 @@ class TestEdPoliteness:
     def test_politeness_violation_detected(self):
         sc = wifi_pair_scenario()
         sim = Simulator(sc)
-        sim.start_transmission("sta1", None, "beacon", 1000.0, 0.0, 5.0, 0.0)
+        sim.start_transmission("sta1", None, "beacon", 1000.0, 5.0, 0.0)
         with pytest.raises(SimulationError, match="politeness"):
             sim.assert_politeness("ap1", -62.0)
 
@@ -679,6 +679,21 @@ class TestFigure4Preset:
         assert wifi_on + lte_on > wifi_off + lte_off
 
 
+def run_recording_scans(monkeypatch):
+    """Run two_channel_cells; every later ``_scan_at`` call is recorded too."""
+    sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)))
+    scans = []
+    scan_at = sim._scan_at
+
+    def recording(base_id):
+        scans.append((base_id, scan_at(base_id)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(sim, "_scan_at", recording)
+    sim.run()
+    return sim, scans
+
+
 class TestRelayInVivo:
     def test_bases_learn_each_other_through_the_codec(self):
         cfg = load_config("figure4_coexistence")
@@ -708,12 +723,17 @@ class TestRelayInVivo:
         assert sim._scan_at("enb1") == []
 
     def test_one_publish_decodes_once(self, monkeypatch):
-        decoded = []
+        published, decoded = {}, []
+
+        def encoding(cell):
+            published[cell.operator_cell_id] = cell
+            return relay.encode_pseudo_beacon(cell)
 
         def counting(ies):
             decoded.append(relay.decode_pseudo_beacon(ies))
             return decoded[-1]
 
+        monkeypatch.setattr(simulator, "encode_pseudo_beacon", encoding)
         monkeypatch.setattr(simulator, "decode_pseudo_beacon", counting)
         sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)))
         sim._handle_relay_publish()
@@ -725,11 +745,11 @@ class TestRelayInVivo:
         # five bases, one decode each, the table holding every result
         bases = ["ap1", "enb1", "ap3", "ap2", "enb2"]  # scenario node order
         assert len(decoded) == 5
-        assert list(sim.relayed) == bases
+        assert list(published) == list(sim.relayed) == bases
         assert all(sim.relayed[b] is cell for b, cell in zip(bases, decoded))
         for b in bases:
             assert sim.relayed[b] == relay.decode_pseudo_beacon(
-                relay.encode_pseudo_beacon(sim.last_cell_info[b]))
+                relay.encode_pseudo_beacon(published[b]))
 
     def test_one_round_queues_one_delivery_and_the_next_round(self):
         sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)))
@@ -741,24 +761,39 @@ class TestRelayInVivo:
         assert len(sim._heap[0].args[0]) == 5
 
     def test_no_base_scans_its_own_cell(self, monkeypatch):
-        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)))
-        scans = []
-        scan_at = sim._scan_at
-
-        def recording(base_id):
-            scans.append((base_id, scan_at(base_id)))
-            return scans[-1][1]
-
-        monkeypatch.setattr(sim, "_scan_at", recording)
-        sim.run()
+        sim, scans = run_recording_scans(monkeypatch)
         # adaptation ticks at 100, 200 and 300 ms, then a scan after the run
         for base_id in sim._base_ids:
-            recording(base_id)
+            sim._scan_at(base_id)
         assert len(scans) == 4 * 5
         for base_id, scan in scans:
             # the -40 dB cross-channel links put every other channel's base in view
             assert any(e.source == "relayed" for e in scan)
             assert base_id not in [e.cell.operator_cell_id for e in scan]
+
+    def test_decoded_aps_are_scanned_with_the_relay_off(self):
+        # ap1 and ap3 decode each other's beacons at -70 dBm, so they adapt
+        # to each other with no relay; eNBs learn only from the relay
+        cfg = load_config(TWO_CHANNEL_CELLS)
+        cfg["relay"]["enabled"] = False
+        sim = Simulator(build_scenario(cfg))
+        m = sim.run()
+        scan = sim._scan_at("ap3")
+        assert [(e.source, e.cell.operator_cell_id, e.rssi_dbm) for e in scan] == [
+            ("over_the_air", "ap1", -70.0)]
+        assert scan[0].n_attached == 1 and scan[0].utilization is None
+        assert m.final_ed_thresholds == {"ap1": -71.0, "ap3": -71.0, "ap2": -62.0,
+                                         "enb1": -72.0, "enb2": -72.0}
+
+    def test_no_air_entry_from_another_channel(self, monkeypatch):
+        sim, scans = run_recording_scans(monkeypatch)
+        assert len(scans) == 3 * 5
+        # the -40 dB links reach across channels, but no frame does
+        air = [(base_id, e.cell.operator_cell_id) for base_id, scan in scans
+               for e in scan if e.source == "over_the_air"]
+        assert all(sim.nodes[base_id].channel == sim.nodes[cell_id].channel
+                   for base_id, cell_id in air)
+        assert sorted(set(air)) == [("ap1", "ap3"), ("ap3", "ap1")]
 
 
 class TestBeaconSchedule:
