@@ -43,6 +43,18 @@ def check_window(state: State) -> None:
         raise ValueError("backoff counter may not exceed cw")
 
 
+def _next(state: State, **changes) -> State:
+    """``replace`` without ``__post_init__``, for a step that keeps the window valid.
+
+    Only steps that leave ``cw`` as it is and never raise the counter
+    use it; ``start_access``, ``redraw`` and the constructors still run
+    ``check_window``.
+    """
+    new = object.__new__(type(state))
+    new.__dict__.update(state.__dict__, **changes)
+    return new
+
+
 def start_access(state: State, rng: np.random.Generator) -> State:
     """Begin a channel-access attempt: draw a backoff counter.
 
@@ -71,14 +83,14 @@ def idle_slots(state: State, n: int) -> State:
                          f"{state.backoff_counter}")
     if n == 0:
         return state
-    return replace(state, backoff_counter=state.backoff_counter - n)
+    return _next(state, backoff_counter=state.backoff_counter - n)
 
 
 def count_slot(state: State, tx_phase) -> State:
     """One idle slot: decrement, or enter ``tx_phase`` at 0 (last slot, or a counter drawn 0)."""
     if state.backoff_counter > 1:
-        return replace(state, backoff_counter=state.backoff_counter - 1)
-    return replace(state, phase=tx_phase, backoff_counter=0)
+        return _next(state, backoff_counter=state.backoff_counter - 1)
+    return _next(state, phase=tx_phase, backoff_counter=0)
 
 
 def redraw(state: State, rng: np.random.Generator, **changes) -> State:
@@ -140,7 +152,7 @@ def dcf_step(state: DcfState, event: str, rng: np.random.Generator) -> DcfState:
     if event == "tx_done":
         if phase != DcfPhase.TX_DATA:
             raise ProtocolViolation(f"tx_done is illegal in phase {phase.value}")
-        return replace(state, phase=DcfPhase.AWAIT_ACK)
+        return _next(state, phase=DcfPhase.AWAIT_ACK)
 
     if event in ("ack_received", "ack_timeout") and phase != DcfPhase.AWAIT_ACK:
         raise ProtocolViolation(f"{event} is illegal in phase {phase.value}")

@@ -55,6 +55,11 @@ from .relay import (
 )
 
 
+# frames whose fades one ``rng_fades`` call draws; the stream is the same
+# for any block size, so outputs do not depend on it
+FADE_BLOCK_FRAMES = 256
+
+
 class SimulationError(RuntimeError):
     """An engine invariant was violated; the run is not trustworthy."""
 
@@ -166,7 +171,7 @@ class Transmission:
     bits: float
     nav_duration_us: float = 0.0
     frame_key: tuple | None = None
-    fades_db: dict = field(default_factory=dict)
+    fades: np.ndarray | None = None  # linear fade factor per node, in sorted id order
     overlaps: list = field(default_factory=list)  # (co-channel Transmission, start, end)
 
 
@@ -185,7 +190,7 @@ class FileJob:
 # ---------------------------------------------------------------------------
 
 class _Controller:
-    """One node's MAC; the defaults ignore every call the engine makes."""
+    """One node's MAC; the no-op defaults serve the calls every node gets."""
 
     def __init__(self, sim: "Simulator", node: Node):
         self.sim = sim
@@ -196,12 +201,6 @@ class _Controller:
         pass
 
     def handle_own_tx_end(self, tx: Transmission) -> None:
-        pass
-
-    def handle_rx(self, tx: Transmission, success: bool) -> None:
-        pass
-
-    def overheard(self, tx: Transmission) -> None:
         pass
 
 
@@ -618,6 +617,9 @@ class Simulator:
         self._traffic_rngs: dict = {}
         self.rng_links = np.random.default_rng([scenario.seed, 1])
         self.rng_fades = np.random.default_rng([scenario.seed, 2])
+        # the current block of frames' fades and the next row to hand out
+        self._fade_block = np.empty((0, len(self._sorted_ids)))
+        self._fade_row = 0
         self.gains = self._build_gain_matrix()
         # linear mean received power, rx_lin[src][dst], summed by carrier sensing
         self.rx_lin = {src: {dst: _lin(self.nodes[src].tx_power_dbm + g)
@@ -651,6 +653,7 @@ class Simulator:
         self.completed_files: list[FileJob] = []
         self.delivered_after_warmup: dict[str, float] = {}
         self.relayed: dict[str, CellInfo] = {}  # every base's cell off the relay bus
+        self._air_scans: dict[str, list[ScanEntry]] = {}  # _scan_at's over-the-air half
 
     # -- randomness ------------------------------------------------------
 
@@ -817,10 +820,18 @@ class Simulator:
                 total += self.rx_lin[tx.src][node_id]
         return _dbm(total)
 
-    def recompute_busy(self, channel: int) -> None:
-        """Carrier-sense at the channel's bases; clients never contend, so never sense."""
+    def recompute_busy(self, channel: int, rising: bool) -> None:
+        """Carrier-sense at the channel's bases whose verdict can flip.
+
+        Clients never contend, so never sense.  A frame start (``rising``)
+        appends one non-negative term to the start-order power sum, and
+        rounded addition is monotone, so no busy base can turn idle; a
+        frame end leaves a same-order subset sum that is never larger,
+        so no idle base can turn busy.  Only the other bases are sensed.
+        """
         for ctrl in self._bases_on[channel]:
-            ctrl.sense()
+            if ctrl.busy != rising:
+                ctrl.sense()
 
     def assert_politeness(self, node_id: str, threshold_dbm: float) -> None:
         sensed = self.sensed_power_dbm(node_id)
@@ -838,16 +849,21 @@ class Simulator:
                            bits: float, nav_duration_us: float = 0.0,
                            frame_key: tuple | None = None) -> Transmission:
         self._tx_counter += 1
-        # one (nodes x branches) draw, row i for the i-th node in sorted id order
-        factors = self.rng_fades.exponential(
-            1.0, size=(len(self._sorted_ids), self.scenario.phy.fading_branches)).mean(axis=1)
-        fades = {nid: 10.0 * math.log10(f)
-                 for nid, f in zip(self._sorted_ids, factors.tolist())}
+        # one (frames x nodes x branches) draw per block of frames gives the
+        # stream of one (nodes x branches) draw per frame; a frame takes the
+        # next row, entry i for the i-th node in sorted id order
+        if self._fade_row == len(self._fade_block):
+            self._fade_block = self.rng_fades.exponential(
+                1.0, size=(FADE_BLOCK_FRAMES, len(self._sorted_ids),
+                           self.scenario.phy.fading_branches)).mean(axis=2)
+            self._fade_row = 0
+        fades = self._fade_block[self._fade_row]
+        self._fade_row += 1
         tx = Transmission(
             tx_id=self._tx_counter, src=src, dst=dst, kind=kind,
             start_us=self.now_us, end_us=self.now_us + duration_us,
             req_sinr_db=req_sinr_db, bits=bits,
-            nav_duration_us=nav_duration_us, frame_key=frame_key, fades_db=fades,
+            nav_duration_us=nav_duration_us, frame_key=frame_key, fades=fades,
         )
         node = self.nodes[src]
         active = self.active[node.channel]
@@ -862,7 +878,7 @@ class Simulator:
         self._on_air[node.technology] += 1
         self.trace(src, "tx_start", f"kind={kind};dst={dst};dur={duration_us:.1f}")
         self._push(duration_us, "tx_end", self._finish_transmission, tx)
-        self.recompute_busy(node.channel)
+        self.recompute_busy(node.channel, True)
         return tx
 
     def _finish_transmission(self, tx: Transmission) -> None:
@@ -871,7 +887,7 @@ class Simulator:
         self._count_airtime()
         self._on_air[node.technology] -= 1
         self.trace(tx.src, "tx_end", f"kind={tx.kind};dst={tx.dst}")
-        self.recompute_busy(node.channel)
+        self.recompute_busy(node.channel, False)
         src_ctrl = self.controllers[tx.src]
         src_ctrl.handle_own_tx_end(tx)
         if tx.dst is not None:
@@ -891,7 +907,9 @@ class Simulator:
             if other.src == dst:
                 self.trace(dst, "rx_fail", f"half_duplex;from={tx.src}")
                 return False
-        signal_db = self.mean_rssi(tx.src, dst) + tx.fades_db[dst]
+        # fades are kept linear and read in dB only here
+        row = self._node_index[dst]
+        signal_db = self.mean_rssi(tx.src, dst) + 10.0 * math.log10(tx.fades[row])
         floor = (self.scenario.wifi_mac.decode_floor_dbm
                  if self.nodes[dst].technology == "wifi"
                  else self.scenario.lte_mac.decode_floor_dbm)
@@ -907,7 +925,7 @@ class Simulator:
                 for other, s, e in tx.overlaps:
                     if s <= a and e >= b:
                         seg += _lin(self.mean_rssi(other.src, dst)
-                                    + other.fades_db[dst])
+                                    + 10.0 * math.log10(other.fades[row]))
                 max_interference = max(max_interference, seg)
         sinr_db = signal_db - _dbm(noise_lin + max_interference)
         required = tx.req_sinr_db
@@ -997,14 +1015,20 @@ class Simulator:
             self._push(interval_us, "timer", self._handle_relay_publish)
 
     def _scan_at(self, base_id: str) -> list[ScanEntry]:
-        """The APs whose beacons the base decodes, fused with the relayed cells."""
-        ota = []
-        for ap in self._base_ids:
-            if base_id in self._decoders.get(ap, ()):
-                stations = self.attached_count(ap)
-                cell = CellInfo(ap, self.nodes[ap].channel, stations)
-                ota.append(ScanEntry("over_the_air", cell, self.mean_rssi(ap, base_id),
-                                     n_attached=stations))
+        """The APs whose beacons the base decodes, fused with the relayed cells.
+
+        The over-the-air half reads only what a run never changes, so it
+        is built once per base.
+        """
+        ota = self._air_scans.get(base_id)
+        if ota is None:
+            ota = self._air_scans[base_id] = []
+            for ap in self._base_ids:
+                if base_id in self._decoders.get(ap, ()):
+                    stations = self.attached_count(ap)
+                    cell = CellInfo(ap, self.nodes[ap].channel, stations)
+                    ota.append(ScanEntry("over_the_air", cell, self.mean_rssi(ap, base_id),
+                                         n_attached=stations))
         relayed = []
         for src_base, cell in sorted(self.relayed.items()):
             if src_base == base_id:

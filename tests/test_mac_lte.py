@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexsim.mac_lte import LBT_EVENTS, LbtPhase, LbtState, lbt_step
-from coexsim.mac_wifi import ProtocolViolation, idle_slots, start_access
+from coexsim.mac_wifi import ProtocolViolation, check_window, idle_slots, start_access
 
 
 def rng():
@@ -93,6 +93,27 @@ def test_cw_bounds_under_random_legal_streams():
             assert s.cw_min <= s.cw <= s.cw_max
             assert (s.cw + 1) & s.cw == 0
             assert 0 <= s.backoff_counter <= s.cw
+
+
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.integers(min_value=0, max_value=10**6), max_size=80))
+@settings(derandomize=True, max_examples=200)
+def test_every_returned_state_passes_check_window(k_min, k_extra, seed, picks):
+    # some steps build their state without __post_init__, so the window
+    # check must hold by construction: check it on every state returned
+    cw_min, cw_max = 2 ** k_min - 1, 2 ** (k_min + k_extra) - 1
+    gen = np.random.default_rng(seed)
+    s = LbtState(cw=cw_min, cw_min=cw_min, cw_max=cw_max)
+    for pick in picks:
+        if s.phase == LbtPhase.IDLE:
+            s = start_access(s, gen)
+        elif s.phase == LbtPhase.BACKOFF and s.backoff_counter > 1 and pick % 2:
+            s = idle_slots(s, pick % s.backoff_counter)
+        else:
+            events = sorted(e for p, e in LEGAL if p == s.phase)
+            s = lbt_step(s, events[pick % len(events)], gen)
+        check_window(s)
 
 
 def first_grant_slot(energy_trace, threshold, counter, defer_slots=3):

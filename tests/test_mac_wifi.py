@@ -8,6 +8,7 @@ from coexsim.mac_wifi import (
     DcfPhase,
     DcfState,
     ProtocolViolation,
+    check_window,
     dcf_step,
     idle_slots,
     start_access,
@@ -117,6 +118,27 @@ def test_cw_bounds_under_random_legal_streams():
             assert s.cw_min <= s.cw <= s.cw_max
             assert (s.cw + 1) & s.cw == 0
             assert 0 <= s.backoff_counter <= s.cw
+
+
+@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=2**32 - 1),
+       st.lists(st.integers(min_value=0, max_value=10**6), max_size=80))
+@settings(derandomize=True, max_examples=200)
+def test_every_returned_state_passes_check_window(k_min, k_extra, retry_limit, seed, picks):
+    # some steps build their state without __post_init__, so the window
+    # check must hold by construction: check it on every state returned
+    cw_min, cw_max = 2 ** k_min - 1, 2 ** (k_min + k_extra) - 1
+    gen = np.random.default_rng(seed)
+    s = DcfState(cw=cw_min, cw_min=cw_min, cw_max=cw_max, retry_limit=retry_limit)
+    for pick in picks:
+        if s.phase == DcfPhase.IDLE:
+            s = start_access(s, gen)
+        elif s.phase == DcfPhase.BACKOFF and s.backoff_counter > 1 and pick % 2:
+            s = idle_slots(s, pick % s.backoff_counter)
+        else:
+            legal = sorted(e for p, e in LEGAL if p == s.phase.value)
+            s = dcf_step(s, legal[pick % len(legal)], gen)
+        check_window(s)
 
 
 def ap_overhearing(nav_until_us=0.0):

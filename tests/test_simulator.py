@@ -21,7 +21,7 @@ from coexsim.config import (
     generate_topology,
     load_config,
 )
-from coexsim import mac_lte, mac_wifi, relay, simulator
+from coexsim import cli, mac_lte, mac_wifi, relay, simulator
 from coexsim.mac_lte import LBT_EVENTS, LbtPhase, LbtState
 from coexsim.mac_wifi import DCF_EVENTS, DcfPhase, DcfState, ProtocolViolation
 from coexsim.propagation import Building, Position, PropagationModel, sample_link_gains
@@ -244,7 +244,8 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("branches", [1, 4])
     def test_frame_fades_equal_per_node_draws(self, branches):
-        sim = Simulator(dataclasses.replace(two_bss_scenario(duration_s=0.05),
+        # each frame's row of linear factors, across block boundaries
+        sim = Simulator(dataclasses.replace(two_bss_scenario(duration_s=0.2),
                                             phy=PhyConfig(fading_branches=branches)))
         frames = []
         start = sim.start_transmission
@@ -255,14 +256,24 @@ class TestBatchedDraws:
 
         sim.start_transmission = recording
         sim.run()
-        assert len(frames) > 10
+        assert len(frames) > simulator.FADE_BLOCK_FRAMES
         rng = np.random.default_rng([sim.scenario.seed, 2])
         for tx in frames:
-            expected = {}
-            for nid in sorted(sim.nodes):
-                factor = float(np.mean(rng.exponential(1.0, size=branches)))
-                expected[nid] = 10.0 * math.log10(factor)
-            assert tx.fades_db == expected
+            expected = [float(np.mean(rng.exponential(1.0, size=branches)))
+                        for _ in sorted(sim.nodes)]
+            assert tx.fades.tolist() == expected
+
+    def test_fade_block_size_changes_no_output(self, tmp_path, monkeypatch):
+        def run(name):
+            out, trace = tmp_path / f"{name}.csv", tmp_path / f"{name}.trace"
+            assert cli.main(["simulate", "--config", TWO_CHANNEL_CELLS,
+                             "--out", str(out), "--trace", str(trace)]) == 0
+            return out.read_bytes(), trace.read_bytes()
+
+        default = run("default")
+        assert default[1].count(b",tx_start,") > simulator.FADE_BLOCK_FRAMES
+        monkeypatch.setattr(simulator, "FADE_BLOCK_FRAMES", 1)
+        assert run("per_frame") == default
 
 
 class TestScenarioValidation:
@@ -475,9 +486,10 @@ class TestMediumPerChannel:
     """Sensing and airtime on ``two_channel_cells.yaml``, whose golden in
     ``test_golden.py`` pins the per-channel overlaps and NAV."""
 
-    def spy(self, monkeypatch, labels):
+    def spy(self, monkeypatch, labels, after=None):
         """Wrap each ``Simulator`` method named in ``labels``; every call
-        appends ``(label(sim, *args, **kw), [nodes it carrier-sensed])``."""
+        appends ``(label(sim, *args, **kw), [nodes it carrier-sensed])``
+        and, once it returns, calls ``after(sim)``."""
         calls, open_calls = [], []
         sensed = Simulator.sensed_power_dbm
 
@@ -492,9 +504,12 @@ class TestMediumPerChannel:
                 calls.append(call)
                 open_calls.append(call)
                 try:
-                    return fn(sim, *args, **kw)
+                    result = fn(sim, *args, **kw)
                 finally:
                     open_calls.pop()
+                if after is not None:
+                    after(sim)
+                return result
             return wrapped
 
         monkeypatch.setattr(Simulator, "sensed_power_dbm", sensed_power_dbm)
@@ -507,15 +522,28 @@ class TestMediumPerChannel:
         return sim, sim.run()
 
     def test_frame_edge_senses_only_its_channel(self, monkeypatch):
+        sensed_power_dbm = Simulator.sensed_power_dbm
+        checked = []
+
+        def verdicts_hold(sim):
+            # every base's verdict is what a fresh carrier sense gives
+            for nid in sim._base_ids:
+                ctrl = sim.controllers[nid]
+                assert ctrl.busy == (sensed_power_dbm(sim, nid) >= ctrl.ed_threshold_dbm)
+            checked.append(sim.now_us)
+
         edges = self.spy(monkeypatch, {
             "start_transmission": lambda sim, **kw: sim.nodes[kw["src"]].channel,
             "_finish_transmission": lambda sim, tx: sim.nodes[tx.src].channel,
-        })
+        }, after=verdicts_hold)
         self.run_cells()
         bases_on = {36: ["ap1", "ap3", "enb1"], 40: ["ap2", "enb2"]}
         assert {channel for channel, _ in edges} == {36, 40}
+        assert len(checked) == len(edges)
         for channel, sensed in edges:
-            assert sensed == bases_on[channel]
+            # a subset of the channel's bases, in id order: those that can flip
+            assert sensed == [nid for nid in bases_on[channel] if nid in sensed]
+        assert any(len(sensed) < len(bases_on[channel]) for channel, sensed in edges)
 
     def test_adapt_tick_senses_only_its_base(self, monkeypatch):
         ticks = self.spy(monkeypatch, {
@@ -619,6 +647,18 @@ class TestEdPoliteness:
         sim.start_transmission("sta1", None, "beacon", 1000.0, 5.0, 0.0)
         with pytest.raises(SimulationError, match="politeness"):
             sim.assert_politeness("ap1", -62.0)
+
+
+class TestBelowFloor:
+    def test_frame_faded_below_the_decode_floor_fails(self):
+        # mean RSSI 20 - 106 = -86 dBm: still the lowest Wi-Fi rate, and
+        # 1.5 dB above the -87.5 dBm decode floor, so a deeper fade drops
+        # the frame before any SINR test
+        sim = Simulator(wifi_pair_scenario(link_gains={("ap1", "sta1"): -106.0}),
+                        collect_trace=True)
+        sim.run()
+        records = [line.split(",", 3)[1:] for line in sim.trace_lines]
+        assert ["sta1", "wifi", "rx_fail,below_floor;from=ap1"] in records
 
 
 class TestAdaptiveIntegration:
@@ -782,6 +822,7 @@ class TestRelayInVivo:
         assert [(e.source, e.cell.operator_cell_id, e.rssi_dbm) for e in scan] == [
             ("over_the_air", "ap1", -70.0)]
         assert scan[0].n_attached == 1 and scan[0].utilization is None
+        assert sim._scan_at("ap3")[0] is scan[0]  # the air half is built once per base
         assert m.final_ed_thresholds == {"ap1": -71.0, "ap3": -71.0, "ap2": -62.0,
                                          "enb1": -72.0, "enb2": -72.0}
 
