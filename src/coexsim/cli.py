@@ -23,6 +23,7 @@ import argparse
 import sys
 from dataclasses import asdict, replace
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -350,10 +351,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_output_dirs(args) -> None:
+    """Reject an output path that is a directory or lies in a missing one, before any run."""
+    for flag in ("out", "trace", "cdf_out"):
+        path = getattr(args, flag, None)
+        if path not in (None, "-") and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ConfigError(f"--{flag.replace('_', '-')} {path}: "
+                              "not a file in an existing directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_output_dirs(args)
         return args.func(args)
     except (ConfigError, BeaconDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

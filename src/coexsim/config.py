@@ -256,6 +256,10 @@ class Scenario:
         for (a, b), gain in self.link_gains.items():
             if not math.isfinite(gain):
                 raise ValueError(f"links.{a}.{b} must be a finite gain, not {gain}")
+            if a == b:
+                raise ValueError(f"links.{a}.{b} links a node to itself")
+            if self.link_gains.get((b, a), gain) != gain:
+                raise ValueError(f"links.{a}.{b} and links.{b}.{a} give different gains")
         if self.lte_mac.defer_us < self.wifi_mac.sifs_us + self.lte_mac.slot_us:
             raise ValueError("lte_mac.defer_us must be at least wifi_mac.sifs_us "
                              "+ lte_mac.slot_us")
@@ -310,8 +314,11 @@ def load_config(path_or_preset: str) -> dict:
         path = preset_path(path_or_preset)
     if not path.exists():
         raise ConfigError(f"config not found: {path_or_preset}")
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a mapping: {path}")
     return data
@@ -323,7 +330,10 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key_path, raw_value = item.split("=", 1)
-        value = yaml.safe_load(raw_value)
+        try:
+            value = yaml.safe_load(raw_value)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override {key_path}: {exc}") from exc
         parts = key_path.split(".")
         cursor = cfg
         for part in parts[:-1]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -115,14 +115,6 @@ def rate_from_sinr(sinr_db: float, technology: str, phy: PhyConfig | None = None
     return rate
 
 
-def required_sinr(rate_mbps: float, technology: str, phy: PhyConfig) -> float:
-    table = phy.wifi_rates if technology == "wifi" else phy.lte_rates
-    for threshold, mbps in sorted(table):
-        if mbps == rate_mbps:
-            return threshold
-    raise ValueError(f"rate {rate_mbps} not in the {technology} table")
-
-
 def percentile(values, pct: float) -> float:
     """Exact percentile by sorting with linear interpolation."""
     vals = sorted(values)
@@ -184,6 +176,11 @@ class FileJob:
     done_bits: float = 0.0
     complete_us: float | None = None
 
+    @property
+    def chunk_key(self) -> tuple:
+        """The ``frame_key`` of the file's next chunk: its id and the bits credited."""
+        return (self.file_id, self.done_bits)
+
 
 # ---------------------------------------------------------------------------
 # MAC controllers
@@ -210,15 +207,15 @@ class _BaseController(_Controller):
 
     A subclass holds its state machine's state in ``mac``, names its
     ``IDLE`` and ``BACKOFF`` phases and its ``SLOT_EVENT``, sets
-    ``slot_us`` and ``wait_us`` (DIFS or the LBT defer), and defines
-    ``step`` (replace ``mac`` by the machine's next state),
-    ``end_countdown`` (transmit) and ``on_wait`` (is the wait a slot?).
-    The machines return state only, so the controllers read the phase:
-    a slot step that leaves ``BACKOFF`` transmits.  A slot that
-    decrements (the LBT defer counts as one) and the end of DIFS start
-    the engine's joint walk (``Simulator.walk_idle_slots``), which
-    counts the idle slots of all contenders up to the next other event
-    or the next slot that ends a countdown; that slot is a real tick.
+    ``slot_us`` and ``wait`` (the delay, event kind and handler of DIFS,
+    a timer, or of the LBT defer, the first slot tick), and defines
+    ``step`` (replace ``mac`` by the machine's next state) and
+    ``end_countdown`` (transmit).  The machines return state only, so
+    the controllers read the phase: a slot step that leaves ``BACKOFF``
+    transmits.  A slot that decrements and the end of DIFS start the
+    engine's joint walk (``Simulator.walk_idle_slots``), which counts
+    the idle slots of all contenders up to the next other event or the
+    next slot that ends a countdown; that slot is a real tick.
     A busy medium only cancels the pending wait or slot, which freezes
     the counter; it is no machine event.  A node's own
     ``ed_threshold_dbm`` is also its adaptation ceiling
@@ -247,14 +244,6 @@ class _BaseController(_Controller):
     def head(self) -> FileJob | None:
         return self.files[0] if self.files else None
 
-    def pop_if_done(self) -> None:
-        while self.files and self.files[0].done_bits >= self.files[0].size_bits:
-            self.files.popleft()
-
-    def has_traffic(self) -> bool:
-        self.pop_if_done()
-        return bool(self.files)
-
     def handle_own_tx_end(self, tx: Transmission) -> None:
         self.busy_us += tx.end_us - tx.start_us
 
@@ -281,13 +270,13 @@ class _BaseController(_Controller):
         return self.contending()
 
     def maybe_start(self) -> None:
-        if self.mac.phase == self.IDLE and self.has_traffic():
+        if self.mac.phase == self.IDLE and self.files:
             self.mac = start_access(self.mac, self.rng)
             # a new attempt, its backoff drawn; pinned traces keep the name
             self.sim.trace(self.node.id, "phase", "defer")
         if self.wants_medium() and not self.blocked():
             self.gen += 1
-            self.sim._push(self.wait_us, "timer", self.on_wait, self.gen)
+            self.sim._push(*self.wait, self.gen)
 
     def cancel_countdown(self) -> None:
         self.gen += 1
@@ -302,7 +291,7 @@ class _BaseController(_Controller):
     def on_medium(self, busy: bool) -> None:
         if busy:
             self.cancel_countdown()
-        elif self.contending() or self.has_traffic():
+        elif self.contending() or self.files:
             self.maybe_start()
 
     def counts_slot(self, gen: int) -> bool:
@@ -332,7 +321,7 @@ class _WifiApController(_BaseController):
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
         cfg = self.cfg
-        self.slot_us, self.wait_us = cfg.slot_us, cfg.difs_us
+        self.slot_us, self.wait = cfg.slot_us, (cfg.difs_us, "timer", self.on_wait)
         self.mac = DcfState(cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max,
                             retry_limit=cfg.retry_limit)
         self.resp_gen = 0     # invalidates stale ack/cts timeouts
@@ -357,11 +346,11 @@ class _WifiApController(_BaseController):
     # -- queue / access management ------------------------------------
 
     def next_chunk(self) -> tuple[float, float, float]:
-        """The head file's next data frame: payload bits, link rate, airtime."""
+        """The head file's next data frame: payload bits, required SINR, airtime."""
         job = self.head()
         bits = min(self.cfg.frame_payload_bytes * 8.0, job.size_bits - job.done_bits)
-        rate = self.sim.link_rate(self.node.id, job.client)
-        return bits, rate, bits / rate + self.cfg.preamble_us
+        rate, req_sinr_db = self.sim.link_rate(self.node.id, job.client)
+        return bits, req_sinr_db, bits / rate + self.cfg.preamble_us
 
     def maybe_start(self) -> None:
         if self.mac.phase not in self.EXCHANGE:
@@ -401,10 +390,6 @@ class _WifiApController(_BaseController):
 
     # -- transmissions -----------------------------------------------------
 
-    def current_frame_key(self) -> tuple:
-        job = self.head()
-        return (job.file_id, job.done_bits)
-
     def start_beacon(self) -> None:
         self.beacon_pending = False
         self.cancel_countdown()
@@ -427,7 +412,7 @@ class _WifiApController(_BaseController):
             src=self.node.id, dst=job.client, kind="rts",
             duration_us=cfg.rts_duration_us,
             req_sinr_db=self.sim.scenario.phy.control_sinr_db, bits=0.0,
-            nav_duration_us=nav, frame_key=self.current_frame_key(),
+            nav_duration_us=nav, frame_key=job.chunk_key,
         )
 
     def start_data(self) -> None:
@@ -437,13 +422,12 @@ class _WifiApController(_BaseController):
 
     def transmit_data_frame(self) -> None:
         job = self.head()
-        bits, rate, duration = self.next_chunk()
+        bits, req_sinr_db, duration = self.next_chunk()
         self.sim.start_transmission(
             src=self.node.id, dst=job.client, kind="data",
-            duration_us=duration,
-            req_sinr_db=required_sinr(rate, "wifi", self.sim.scenario.phy),
+            duration_us=duration, req_sinr_db=req_sinr_db,
             bits=bits, nav_duration_us=self.cfg.sifs_us + self.cfg.ack_duration_us,
-            frame_key=self.current_frame_key(),
+            frame_key=job.chunk_key,
         )
 
     def handle_own_tx_end(self, tx: Transmission) -> None:
@@ -534,7 +518,7 @@ class _LteEnbController(_BaseController):
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
         cfg = self.cfg
-        self.slot_us, self.wait_us = cfg.slot_us, cfg.defer_us
+        self.slot_us, self.wait = cfg.slot_us, (cfg.defer_us, "slot_tick", self.on_slot)
         self.mac = LbtState(cw=cfg.cw_min, cw_min=cfg.cw_min, cw_max=cfg.cw_max)
 
     def step(self, event: str) -> None:
@@ -543,24 +527,19 @@ class _LteEnbController(_BaseController):
     def end_countdown(self) -> None:
         self.start_burst()
 
-    def on_wait(self, gen: int) -> None:
-        """The defer period passed idle; it counts as the first slot."""
-        self.on_slot(gen)
-
     def start_burst(self) -> None:
         self.cancel_countdown()
         self.sim.assert_politeness(self.node.id, self.ed_threshold_dbm)
         job = self.head()
-        rate = self.sim.link_rate(self.node.id, job.client)
+        rate, req_sinr_db = self.sim.link_rate(self.node.id, job.client)
         remaining = job.size_bits - job.done_bits
         max_bits = rate * self.cfg.burst_ms * 1000.0
         bits = min(remaining, max_bits)
         duration = bits / rate
         self.sim.start_transmission(
             src=self.node.id, dst=job.client, kind="burst",
-            duration_us=duration,
-            req_sinr_db=required_sinr(rate, "lte", self.sim.scenario.phy),
-            bits=bits, frame_key=(job.file_id, job.done_bits),
+            duration_us=duration, req_sinr_db=req_sinr_db,
+            bits=bits, frame_key=job.chunk_key,
         )
 
     def burst_feedback(self, tx: Transmission, success: bool) -> None:
@@ -651,7 +630,7 @@ class Simulator:
         self._airtime_us = {"wifi": 0.0, "lte": 0.0, "overlap": 0.0, "idle": 0.0}
         self._airtime_mark_us = 0.0
         self.completed_files: list[FileJob] = []
-        self.delivered_after_warmup: dict[str, float] = {}
+        self.delivered_after_warmup: defaultdict[str, float] = defaultdict(float)
         self.relayed: dict[str, CellInfo] = {}  # every base's cell off the relay bus
         self._air_scans: dict[str, list[ScanEntry]] = {}  # _scan_at's over-the-air half
 
@@ -701,18 +680,20 @@ class Simulator:
     def mean_rssi(self, src: str, dst: str) -> float:
         return self.nodes[src].tx_power_dbm + self.gains[src][dst]
 
-    def link_rate(self, src: str, dst: str) -> float:
+    def link_rate(self, src: str, dst: str) -> tuple[float, float]:
+        """The link's PHY rate in Mbps and the SINR in dB that rate requires."""
         key = (src, dst)
         if key not in self._rate_cache:
-            tech = self.nodes[src].technology
-            snr = self.mean_rssi(src, dst) - self.scenario.phy.noise_floor_dbm
-            rate = rate_from_sinr(snr - self.scenario.phy.rate_margin_db, tech,
-                                  self.scenario.phy)
+            tech, phy = self.nodes[src].technology, self.scenario.phy
+            snr = self.mean_rssi(src, dst) - phy.noise_floor_dbm
+            rate = rate_from_sinr(snr - phy.rate_margin_db, tech, phy)
             if rate <= 0:
                 raise SimulationError(
                     f"link {src}->{dst} falls below the minimum rate threshold"
                 )
-            self._rate_cache[key] = rate
+            table = phy.wifi_rates if tech == "wifi" else phy.lte_rates
+            # a rate listed twice requires its lower threshold
+            self._rate_cache[key] = (rate, min(t for t, mbps in table if mbps == rate))
         return self._rate_cache[key]
 
     def attached_count(self, base_id: str) -> int:
@@ -741,13 +722,14 @@ class Simulator:
         its slot tick has just decremented the counter, or its DIFS has
         passed.  The walk takes slot boundaries in the (time, seq) order
         that one heap event per slot would give them.  A queued live
-        tick (a contending, unblocked base's, on any channel) joins the
-        walk when it is reached.  From then on, each base's next boundary
-        lies ``slot_us`` on by ``+=`` (the float path ``_push`` takes) and
-        ranks after every queued event, in the order its previous
-        boundary was taken.  The walk stops at the first of: a boundary
-        that would end a countdown, a queued event that is not a live
-        tick (a stale tick included) and a boundary after ``end_us``.
+        tick (a contending, unblocked base's, on any channel; an LBT
+        defer is one) joins the walk when it is reached.  From then on,
+        each base's next boundary lies ``slot_us`` on by ``+=`` (the float
+        path ``_push`` takes) and ranks after every queued event, in the
+        order its previous boundary was taken.  The walk stops at the
+        first of: a boundary that would end a countdown, a queued event
+        that is not a live tick (a stale tick or a DIFS included) and a
+        boundary after ``end_us``.
         Each boundary taken emits its ``decrement`` record at its time.
         A slot changes only its own base's counter, so outputs are those
         of one event per slot.  At the stop, each base's counter drops by
@@ -902,11 +884,6 @@ class Simulator:
     def _evaluate_reception(self, tx: Transmission) -> bool:
         dst = tx.dst
         phy = self.scenario.phy
-        # half duplex: a receiver that transmitted during the frame hears nothing
-        for other, _, _ in tx.overlaps:
-            if other.src == dst:
-                self.trace(dst, "rx_fail", f"half_duplex;from={tx.src}")
-                return False
         # fades are kept linear and read in dB only here
         row = self._node_index[dst]
         signal_db = self.mean_rssi(tx.src, dst) + 10.0 * math.log10(tx.fades[row])
@@ -917,20 +894,21 @@ class Simulator:
             self.trace(dst, "rx_fail", f"below_floor;from={tx.src}")
             return False
         noise_lin = _lin(phy.noise_floor_dbm)
+        required = tx.req_sinr_db
         max_interference = 0.0
         if tx.overlaps:
+            required = max(required, phy.capture_threshold_db)
+            # each overlapping frame's power once, summed per segment in overlap order
+            powers = [_lin(self.mean_rssi(other.src, dst) + 10.0 * math.log10(other.fades[row]))
+                      for other, _, _ in tx.overlaps]
             bounds = sorted({b for _, s, e in tx.overlaps for b in (s, e)})
             for a, b in zip(bounds, bounds[1:]):
                 seg = 0.0
-                for other, s, e in tx.overlaps:
+                for (_, s, e), power in zip(tx.overlaps, powers):
                     if s <= a and e >= b:
-                        seg += _lin(self.mean_rssi(other.src, dst)
-                                    + 10.0 * math.log10(other.fades[row]))
+                        seg += power
                 max_interference = max(max_interference, seg)
         sinr_db = signal_db - _dbm(noise_lin + max_interference)
-        required = tx.req_sinr_db
-        if tx.overlaps:
-            required = max(required, phy.capture_threshold_db)
         success = sinr_db >= required
         if not success:
             clean_sinr = signal_db - phy.noise_floor_dbm
@@ -951,23 +929,19 @@ class Simulator:
 
     # -- traffic ---------------------------------------------------------------
 
-    def credit_frame(self, base_id: str, frame_key: tuple | None, bits: float) -> None:
+    def credit_frame(self, base_id: str, frame_key: tuple, bits: float) -> None:
+        """Credit the base's head chunk, the only frame an ACK or HARQ can confirm."""
         ctrl = self.controllers[base_id]
         job = ctrl.head()
-        if job is None or frame_key is None:
-            return
-        file_id, offset = frame_key
-        if job.file_id != file_id or job.done_bits != offset:
-            return  # duplicate delivery of an already-credited frame
+        if job is None or frame_key != job.chunk_key:
+            raise SimulationError(f"{base_id} credited frame {frame_key}, not its head chunk")
         job.done_bits += bits
         if self.now_us >= self.warmup_us:
-            self.delivered_after_warmup[job.client] = (
-                self.delivered_after_warmup.get(job.client, 0.0) + bits
-            )
-        if job.done_bits >= job.size_bits and math.isfinite(job.size_bits):
+            self.delivered_after_warmup[job.client] += bits
+        if job.done_bits >= job.size_bits:  # never under full buffer: its size is inf
             job.complete_us = self.now_us
             self.completed_files.append(job)
-            ctrl.pop_if_done()
+            ctrl.files.popleft()
             self.trace(base_id, "file_done", f"client={job.client};id={job.file_id}")
 
     def _schedule_first_traffic(self) -> None:

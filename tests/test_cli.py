@@ -297,6 +297,9 @@ class TestScenarioConfigErrors:
         (WITH_STA, ["links.ap1.sta1=.nan"]),
         (WITH_STA, ["links.ap1.enb1=.inf"]),
         (WITH_STA, ["links.ap1.enb1=.nan"]),
+        # a pair given both ways must agree, and a node has no link to itself
+        (WITH_STA, ["links.ap1.sta1=-50", "links.sta1.ap1=-60"]),
+        (WITH_STA, ["links.ap1.ap1=-50"]),
     ], ids=["unknown_base", "other_technology", "outside_building",
             "client_mode", "defer_below_sifs_plus_slot", "wifi_cw_min_form",
             "wifi_cw_max_form", "lte_cw_max_form", "burst_above_cap",
@@ -310,7 +313,7 @@ class TestScenarioConfigErrors:
             "nan_rate_override", "infinite_size_override",
             "link_names_no_node", "rate_override_names_no_node",
             "size_override_names_a_base", "client_link_minus_inf", "client_link_nan",
-            "base_link_inf", "base_link_nan"])
+            "base_link_inf", "base_link_nan", "link_both_ways_differ", "self_link"])
     def test_exits_with_config_error(self, tmp_path, capsys, nodes, overrides):
         argv = ["simulate", "--config", write_config(tmp_path, {
             "nodes": nodes, "simulate": {"duration_s": 0.05}})]
@@ -367,6 +370,34 @@ class TestInputErrors:
          "coverage.cdf_bin_db"),
         ("coverage", "table1_inh", ["coverage.samples=2000", "coverage.base.position=[999,999]"],
          "coverage.base.position"),
+        ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.cw_min=2047"], "wifi_mac"),
+        ("simulate", {"nodes": TWO_BASES},
+         ["nodes=[{id: x, kind: bogus, position: [1, 1]}]"], "nodes"),
+        ("simulate", {"nodes": TWO_BASES}, ["traffic.model=bogus"], "traffic"),
+        ("simulate", [1, 2], [], "config root"),
+        ("simulate", {"nodes": TWO_BASES}, ["seed.x=1"], "seed"),
+        ("simulate", {"nodes": TWO_BASES}, ["propagation.carrier_freq_ghz=0"], "propagation"),
+        ("simulate", {"nodes": TWO_BASES}, ["propagation.shadow_sigma_los_db=-1"],
+         "propagation"),
+        ("simulate", {"nodes": TWO_BASES}, ["propagation.diffusion_length_m=0"], "propagation"),
+        ("simulate", {"nodes": TWO_BASES}, ["propagation.los_mode=bogus"], "propagation"),
+        ("simulate", {"nodes": TWO_BASES}, ["coordination.wifi.update_period_s=0"],
+         "coordination.wifi"),
+        ("simulate", {"nodes": TWO_BASES}, ["coordination.select.w1=-1"],
+         "coordination.select"),
+        ("simulate", {"nodes": TWO_BASES}, ["coordination.select.lte_timeshare_penalty=0.5"],
+         "coordination.select"),
+        # file-level errors: raw bytes are written as the config file as they are
+        ("simulate", b"nodes: [1, 2\n", [], "cannot read config"),
+        ("simulate", {"nodes": TWO_BASES}, ["nodes=[a"], "override nodes"),
+        ("simulate", b"seed: 1\n\xff\xfe\n", [], "utf-8"),
+        ("simulate", ".", [], "cannot read config"),
+        # an output in a missing directory, or a directory, fails before the run
+        ("simulate --out no_such_dir/rows.csv", {"nodes": TWO_BASES}, [], "--out"),
+        ("simulate --out .", {"nodes": TWO_BASES}, [], "--out"),
+        ("simulate --trace no_such_dir/trace.csv", {"nodes": TWO_BASES}, [], "--trace"),
+        ("coverage --cdf-out no_such_dir/cdf.csv", "table1_inh", ["coverage.samples=2000"],
+         "--cdf-out"),
     ], ids=["select_channel_7", "adapt_channel_7", "adapt_rssi_minus_inf",
             "select_rssi_inf", "simulate_link_inf", "scan_n_atached", "scan_utilisation",
             "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
@@ -374,9 +405,19 @@ class TestInputErrors:
             "coverage_short_position", "coverage_base_list", "coverage_base_tx_power",
             "coverage_samples_text", "coverage_seed_text", "nodes_mapping",
             "coverage_cells_mapping", "coverage_models_mapping", "coverage_models_empty",
-            "coverage_few_samples", "coverage_zero_cdf_bin", "coverage_base_outside"])
+            "coverage_few_samples", "coverage_zero_cdf_bin", "coverage_base_outside",
+            "wifi_cw_min_above_cw_max", "unknown_node_kind", "unknown_traffic_model",
+            "config_root_list", "seed_mapping", "zero_carrier_freq", "negative_shadow_sigma",
+            "zero_diffusion_length", "unknown_los_mode", "zero_update_period",
+            "negative_select_weight", "timeshare_penalty_below_one", "malformed_yaml_file",
+            "malformed_yaml_override", "non_utf8_file", "config_is_directory",
+            "out_in_missing_dir", "out_is_directory", "trace_in_missing_dir",
+            "cdf_out_in_missing_dir"])
     def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):
-        if isinstance(cfg, dict):
+        if isinstance(cfg, bytes):
+            (tmp_path / "raw.yaml").write_bytes(cfg)
+            cfg = str(tmp_path / "raw.yaml")
+        elif not isinstance(cfg, str):
             cfg = write_config(tmp_path, cfg)
         argv = command.split() + ["--config", cfg]
         for item in overrides:

@@ -997,6 +997,34 @@ class TestSkipIdleSlots:
         # ap2's expiry at 1022 stops both
         assert (ap1.mac.backoff_counter, ap2.mac.backoff_counter) == (2, 1)
 
+    def test_lbt_defer_queued_during_a_walk_joins_it(self):
+        # enb1's defer (16 + 9 us) is its first slot tick, taken at 1025
+        sim = self.sim_at()
+        enb = self.contend(sim, "enb1", 3)
+        enb.maybe_start()
+        self.walk(sim, "ap1", 5)
+        assert sim.trace_lines == [
+            "1009.000,ap1,wifi,decrement,4",
+            "1018.000,ap1,wifi,decrement,3",
+            "1025.000,enb1,lte,decrement,2",
+            "1027.000,ap1,wifi,decrement,2",
+            "1034.000,enb1,lte,decrement,1",
+            "1036.000,ap1,wifi,decrement,1",
+        ]
+        # enb1's expiring boundary at 1043 stops the walk
+        assert self.queued(sim) == [(1043.0, "slot_tick", "enb1"),
+                                    (1045.0, "slot_tick", "ap1")]
+
+    def test_difs_queued_during_a_walk_stops_it(self):
+        # DIFS (16 + 2 x 9 us) is no slot, so enb1 stops short of 1034
+        sim = self.sim_at()
+        self.contend(sim, "ap1", 3).maybe_start()
+        enb = self.walk(sim, "enb1", 5)
+        assert [line.split(",")[:2] for line in sim.trace_lines] == [
+            ["1009.000", "enb1"], ["1018.000", "enb1"], ["1027.000", "enb1"]]
+        assert enb.mac.backoff_counter == 2
+        assert self.queued(sim) == [(1034.0, "timer", None), (1036.0, "slot_tick", "enb1")]
+
     def test_first_decrement_one_slot_after_difs(self):
         sim = Simulator(full_buffer_figure4(), collect_trace=True)
         sim._schedule_first_traffic()
@@ -1012,6 +1040,18 @@ class TestSkipIdleSlots:
             f"{ap.cfg.difs_us + 18.0:.3f},ap1,wifi,decrement,1",
         ]
         assert self.queued(sim)[-1] == (ap.cfg.difs_us + 27.0, "slot_tick", "ap1")
+
+
+class TestCreditFrame:
+    @pytest.mark.parametrize("first_bits", [12_000.0, 24_000.0])
+    def test_credit_of_no_head_chunk_raises(self, first_bits):
+        # a second credit of one frame_key: the chunk moved on, or the file completed
+        sim = Simulator(wifi_pair_scenario(traffic=TrafficConfig()))
+        ap = sim.controllers["ap1"]
+        ap.files.append(simulator.FileJob(1, "sta1", 24_000.0, 0.0))
+        sim.credit_frame("ap1", (1, 0.0), first_bits)
+        with pytest.raises(SimulationError, match="not its head chunk"):
+            sim.credit_frame("ap1", (1, 0.0), first_bits)
 
 
 def run_with_trace(scenario):
