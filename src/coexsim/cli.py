@@ -219,13 +219,19 @@ SIM_HEADER = [
 ]
 
 
-def _run_batch(cfg: dict, seeds, adaptive_values, trace_path=None):
+def _seeded(cfg: dict, first, runs: int):
+    """The batch's scenario per seed: ``first``, then one build for each later seed."""
+    yield first
+    for i in range(1, runs):
+        cfg["seed"] = first.seed + i
+        yield cfgmod.build_scenario(cfg)
+
+
+def _run_batch(scenarios, adaptive_values, trace_path=None):
     rows = []
     raw: dict = {}
     trace_lines = None
-    for seed in seeds:
-        cfg["seed"] = seed
-        seeded = cfgmod.build_scenario(cfg)
+    for seeded in scenarios:
         for adaptive in adaptive_values:
             scenario = replace(seeded, adaptive_ed=adaptive)
             want_trace = trace_path is not None and trace_lines is None
@@ -233,7 +239,7 @@ def _run_batch(cfg: dict, seeds, adaptive_values, trace_path=None):
             metrics = sim.run()
             if want_trace:
                 trace_lines = sim.trace_lines
-            rows.extend(_metric_rows(seed, adaptive, scenario, metrics))
+            rows.extend(_metric_rows(seeded.seed, adaptive, scenario, metrics))
             for node, tputs in metrics.file_throughputs_mbps.items():
                 key = (str(adaptive).lower(), node)
                 raw.setdefault(key, []).extend(tputs)
@@ -272,9 +278,9 @@ def cmd_simulate(args, pooled: bool = True) -> int:
         raise ConfigError("--runs must be at least 1")
     cfg = load_with_overrides(args)
     first = cfgmod.build_scenario(cfg)
-    seeds = [first.seed + i for i in range(args.runs)]
     adaptive_values = [False, True] if args.compare_adaptive else [first.adaptive_ed]
-    rows, raw = _run_batch(cfg, seeds, adaptive_values, trace_path=args.trace)
+    rows, raw = _run_batch(_seeded(cfg, first, args.runs), adaptive_values,
+                           trace_path=args.trace)
     if pooled and (args.runs > 1 or args.compare_adaptive):
         rows = rows + _pooled_rows(rows, raw)
     write_rows(args.out, SIM_HEADER, rows)

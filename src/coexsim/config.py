@@ -27,6 +27,11 @@ from .relay import CellInfo, MacSpec, NodeType, ScanEntry
 PRESET_NAMES = ("table1_inh", "table1_diffusion", "figure3_collision",
                 "figure4_coexistence")
 
+# libyaml's scanner and parser where PyYAML was built with them; the
+# Python SafeConstructor and Resolver still turn scalars into values, so
+# both loaders give the same config
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Bad configuration input: unknown key, missing file, invalid value."""
@@ -316,7 +321,7 @@ def load_config(path_or_preset: str) -> dict:
         raise ConfigError(f"config not found: {path_or_preset}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -331,7 +336,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key_path, raw_value = item.split("=", 1)
         try:
-            value = yaml.safe_load(raw_value)
+            value = yaml.load(raw_value, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {key_path}: {exc}") from exc
         parts = key_path.split(".")

@@ -660,16 +660,19 @@ class Simulator:
         overrides = {}
         for (a, b), g in self.scenario.link_gains.items():
             overrides[(a, b)] = overrides[(b, a)] = float(g)
-        gains: dict[str, dict[str, float]] = {nid: {} for nid in self._sorted_ids}
+        ids = self._sorted_ids
+        gains: dict[str, dict[str, float]] = {nid: {} for nid in ids}
+        xy = [(self.nodes[nid].position.x, self.nodes[nid].position.y) for nid in ids]
         pairs, dists = [], []
-        for i, a in enumerate(self._sorted_ids):
-            for b in self._sorted_ids[i + 1:]:
+        for i, (a, (xa, ya)) in enumerate(zip(ids, xy)):
+            for b, (xb, yb) in zip(ids[i + 1:], xy[i + 1:]):
                 g = overrides.get((a, b))
                 if g is None:
                     pairs.append((a, b))
-                    # co-located nodes take the 1 m value (distance 0 is rejected)
-                    dists.append(max(self.nodes[a].position.distance_to(
-                        self.nodes[b].position), 1.0))
+                    # Position.distance_to; co-located nodes take the 1 m
+                    # value (distance 0 is rejected)
+                    d = math.hypot(xa - xb, ya - yb)
+                    dists.append(d if d > 1.0 else 1.0)
                 else:
                     gains[a][b] = gains[b][a] = g
         drawn = sample_link_gains(np.array(dists), self.scenario.propagation, self.rng_links)

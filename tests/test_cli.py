@@ -4,7 +4,7 @@ import math
 import pytest
 import yaml
 
-from coexsim import sensing
+from coexsim import config, sensing
 from coexsim.cli import main
 
 SCAN_CFG = {
@@ -167,6 +167,19 @@ class TestSimulate:
         assert len(lines) == 7
         seeds = [int(line.split(",")[0]) for line in lines[1:]]
         assert seeds == sorted(seeds)
+
+    @pytest.mark.parametrize("extra", [[], ["--compare-adaptive"]], ids=["plain", "compare"])
+    def test_one_scenario_build_per_seed(self, tmp_path, monkeypatch, extra):
+        seen, build = [], config.build_scenario
+        monkeypatch.setattr(config, "build_scenario",
+                            lambda cfg: seen.append(cfg["seed"]) or build(cfg))
+        out = tmp_path / "s.csv"
+        rc = main(["simulate", "--config", "figure3_collision", "--seed", "7", "--runs", "3",
+                   "--set", "simulate.duration_s=0.05", "--out", str(out)] + extra)
+        assert rc == 0
+        assert seen == [7, 8, 9]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert sorted({r[0] for r in rows if r[0] != "pooled"}) == ["7", "8", "9"]
 
     def test_compare_adaptive_doubles_rows(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -1,4 +1,7 @@
 import ast
+import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +12,7 @@ import yaml
 
 import coexsim
 import coexsim.cli
+from coexsim import config
 from coexsim.config import (
     ConfigError,
     apply_overrides,
@@ -31,6 +35,54 @@ class TestLoadConfig:
         p = tmp_path / "c.yaml"
         p.write_text("seed: 3\nnodes: []\n")
         assert load_config(str(p))["seed"] == 3
+
+
+REPO = Path(__file__).resolve().parent.parent
+YAML_FILES = sorted([*(REPO / "src" / "coexsim" / "presets").glob("*.yaml"),
+                     *(REPO / "tests").glob("*.yaml")])
+
+
+def dense_configs() -> dict:
+    """One generated ``dense_cells`` config per benchmark rung, as the JSON text it writes."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return {f"dense_{cols * rows * (1 + workloads.DENSE_CLIENTS_PER_BASE)}":
+            json.dumps(workloads.dense_config((cols, rows), 1, duration_s))
+            for (cols, rows), duration_s in workloads.DENSE_LADDER}
+
+
+CONFIG_TEXTS = {**{p.name: p.read_text(encoding="utf-8") for p in YAML_FILES},
+                **dense_configs()}
+
+
+class TestLoader:
+    """libyaml, where PyYAML has it, parses configs to the values of the Python parser."""
+
+    def test_uses_libyaml_when_pyyaml_has_it(self):
+        assert config._LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @pytest.mark.parametrize("name", CONFIG_TEXTS)
+    def test_files_parse_to_equal_values(self, name, tmp_path):
+        path = tmp_path / name
+        path.write_text(CONFIG_TEXTS[name], encoding="utf-8")
+        assert repr(load_config(str(path))) == repr(
+            yaml.load(CONFIG_TEXTS[name], Loader=yaml.SafeLoader))
+
+    @pytest.mark.parametrize("raw", [
+        "1e5", "1.0e5", ".inf", "-.inf", ".nan", "0x1f", "0o17", "yes", "off", "~", "1_000",
+        "'36'", "[36, 40]", "{a: 1}",
+    ])
+    def test_override_scalars_parse_to_equal_values(self, raw, monkeypatch):
+        fast = apply_overrides({}, [f"k={raw}"])["k"]
+        monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+        slow = apply_overrides({}, [f"k={raw}"])["k"]
+        if raw == ".nan":
+            assert math.isnan(fast) and math.isnan(slow)
+        else:
+            assert (type(fast), repr(fast)) == (type(slow), repr(slow))
 
 
 class TestOverrides:
