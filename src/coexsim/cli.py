@@ -38,7 +38,7 @@ from .relay import (
     ies_to_hex,
 )
 from .sensing import EdConfig, coverage_of, ed_success_factors, ed_success_prob, sample_rssi_dbm
-from .simulator import Simulator, summarize
+from .simulator import AIRTIME_KEYS, Simulator, summarize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -192,31 +192,29 @@ def cmd_beacon(args) -> int:
 
 # -- simulate / sweep ------------------------------------------------------------------
 
-def _metric_rows(seed: int, adaptive: bool, scenario, metrics):
-    rows = []
-    clients = sorted(n.id for n in scenario.nodes if n.attach_to is not None)
-    for client in clients:
-        node = next(n for n in scenario.nodes if n.id == client)
-        tputs = metrics.file_throughputs_mbps.get(client, [])
-        rows.append((
-            seed, str(adaptive).lower(), client, node.technology, "client",
-            len(tputs),
-            summarize(tputs) if tputs else 0.0,
-            (sum(tputs) / len(tputs)) if tputs else 0.0,
-            metrics.collision_count,
-            metrics.ack_window_collisions,
-            metrics.retransmissions,
-            metrics.airtime["wifi"], metrics.airtime["lte"],
-            metrics.airtime["overlap"], metrics.airtime["idle"],
-        ))
-    return rows
-
 SIM_HEADER = [
     "seed", "adaptive", "node", "tech", "role", "files",
     "median_mbps", "mean_mbps", "collisions", "ack_window_collisions",
-    "retransmissions", "airtime_wifi", "airtime_lte", "airtime_overlap",
-    "airtime_idle",
+    "retransmissions", *(f"airtime_{key}" for key in AIRTIME_KEYS),
 ]
+
+
+def _client_row(seed, adaptive: bool, node: Node, runs: list) -> tuple:
+    """``node``'s row over the Metrics of ``runs``, one per seed row or many pooled.
+
+    The file throughputs are pooled, the counters summed and the airtime
+    fractions averaged over the runs.
+    """
+    tputs = [t for m in runs for t in m.file_throughputs_mbps.get(node.id, [])]
+    return (
+        seed, adaptive, node.id, node.technology, "client", len(tputs),
+        summarize(tputs) if tputs else 0.0,
+        sum(tputs) / len(tputs) if tputs else 0.0,
+        sum(m.collision_count for m in runs),
+        sum(m.ack_window_collisions for m in runs),
+        sum(m.retransmissions for m in runs),
+        *(sum(m.airtime[key] for m in runs) / len(runs) for key in AIRTIME_KEYS),
+    )
 
 
 def _seeded(cfg: dict, first, runs: int):
@@ -227,50 +225,31 @@ def _seeded(cfg: dict, first, runs: int):
         yield cfgmod.build_scenario(cfg)
 
 
-def _run_batch(scenarios, adaptive_values, trace_path=None):
+def _run_batch(scenarios, adaptive_values, pooled=False, trace_path=None):
+    """A row per (seed, adaptive, client), then with ``pooled`` one per (adaptive, client)."""
     rows = []
-    raw: dict = {}
+    runs: dict = {}  # (adaptive, client id) -> (node, Metrics of each run it is in)
     trace_lines = None
     for seeded in scenarios:
+        clients = sorted((n for n in seeded.nodes if n.attach_to is not None),
+                         key=lambda n: n.id)
         for adaptive in adaptive_values:
-            scenario = replace(seeded, adaptive_ed=adaptive)
             want_trace = trace_path is not None and trace_lines is None
-            sim = Simulator(scenario, collect_trace=want_trace)
+            sim = Simulator(replace(seeded, adaptive_ed=adaptive), collect_trace=want_trace)
             metrics = sim.run()
             if want_trace:
                 trace_lines = sim.trace_lines
-            rows.extend(_metric_rows(seeded.seed, adaptive, scenario, metrics))
-            for node, tputs in metrics.file_throughputs_mbps.items():
-                key = (str(adaptive).lower(), node)
-                raw.setdefault(key, []).extend(tputs)
+            for node in clients:
+                rows.append(_client_row(seeded.seed, adaptive, node, [metrics]))
+                runs.setdefault((adaptive, node.id), (node, []))[1].append(metrics)
     if trace_path and trace_lines is not None:
         with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("time_us,node,tech,record,detail\n")
             fh.writelines(line + "\n" for line in trace_lines)
-    return rows, raw
-
-
-def _pooled_rows(rows, raw):
-    """Aggregate per-seed rows into one summary row per (adaptive, node)."""
-    groups = {}
-    for row in rows:
-        groups.setdefault((row[1], row[2]), []).append(row)
-    pooled = []
-    for (adaptive, node), members in sorted(groups.items()):
-        files = sum(r[5] for r in members)
-        tputs = raw.get((adaptive, node), [])
-        med = summarize(tputs) if tputs else 0.0
-        mean = sum(tputs) / len(tputs) if tputs else 0.0
-        n = len(members)
-        pooled.append((
-            "pooled", adaptive, node, members[0][3], members[0][4], files,
-            med, mean,
-            sum(r[8] for r in members), sum(r[9] for r in members),
-            sum(r[10] for r in members),
-            sum(r[11] for r in members) / n, sum(r[12] for r in members) / n,
-            sum(r[13] for r in members) / n, sum(r[14] for r in members) / n,
-        ))
-    return pooled
+    if pooled:
+        rows += [_client_row("pooled", adaptive, node, node_runs)
+                 for (adaptive, _), (node, node_runs) in sorted(runs.items())]
+    return rows
 
 
 def cmd_simulate(args, pooled: bool = True) -> int:
@@ -279,10 +258,9 @@ def cmd_simulate(args, pooled: bool = True) -> int:
     cfg = load_with_overrides(args)
     first = cfgmod.build_scenario(cfg)
     adaptive_values = [False, True] if args.compare_adaptive else [first.adaptive_ed]
-    rows, raw = _run_batch(_seeded(cfg, first, args.runs), adaptive_values,
-                           trace_path=args.trace)
-    if pooled and (args.runs > 1 or args.compare_adaptive):
-        rows = rows + _pooled_rows(rows, raw)
+    rows = _run_batch(_seeded(cfg, first, args.runs), adaptive_values,
+                      pooled=pooled and (args.runs > 1 or args.compare_adaptive),
+                      trace_path=args.trace)
     write_rows(args.out, SIM_HEADER, rows)
     return EXIT_OK
 

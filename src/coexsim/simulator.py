@@ -59,6 +59,9 @@ from .relay import (
 # for any block size, so outputs do not depend on it
 FADE_BLOCK_FRAMES = 256
 
+# what the air carries between two frame edges, over all channels
+AIRTIME_KEYS = ("wifi", "lte", "overlap", "idle")
+
 
 class SimulationError(RuntimeError):
     """An engine invariant was violated; the run is not trustworthy."""
@@ -66,13 +69,13 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class Metrics:
-    duration_s: float = 0.0
     file_throughputs_mbps: dict = field(default_factory=dict)
     collision_count: int = 0
     ack_window_collisions: int = 0
     retransmissions: int = 0
-    airtime: dict = field(default_factory=lambda: {"wifi": 0.0, "lte": 0.0,
-                                                   "overlap": 0.0, "idle": 1.0})
+    # fraction of the run per AIRTIME_KEYS; a run of no time is all idle
+    airtime: dict = field(default_factory=lambda: {**dict.fromkeys(AIRTIME_KEYS, 0.0),
+                                                   "idle": 1.0})
     final_ed_thresholds: dict = field(default_factory=dict)
 
 
@@ -586,7 +589,7 @@ class Simulator:
         self._seq = 0
         self._tx_counter = 0
         self._file_counter = 0
-        self.metrics = Metrics(duration_s=scenario.duration_s)
+        self.metrics = Metrics()
         self.trace_lines: list[str] | None = [] if collect_trace else None
 
         self.nodes: dict[str, Node] = {n.id: n for n in scenario.nodes}
@@ -627,7 +630,7 @@ class Simulator:
                           for src in wifi}
         # airtime so far, credited at frame edges to what was on the air
         self._on_air = {"wifi": 0, "lte": 0}
-        self._airtime_us = {"wifi": 0.0, "lte": 0.0, "overlap": 0.0, "idle": 0.0}
+        self._airtime_us = dict.fromkeys(AIRTIME_KEYS, 0.0)
         self._airtime_mark_us = 0.0
         self.completed_files: list[FileJob] = []
         self.delivered_after_warmup: defaultdict[str, float] = defaultdict(float)
@@ -890,10 +893,7 @@ class Simulator:
         # fades are kept linear and read in dB only here
         row = self._node_index[dst]
         signal_db = self.mean_rssi(tx.src, dst) + 10.0 * math.log10(tx.fades[row])
-        floor = (self.scenario.wifi_mac.decode_floor_dbm
-                 if self.nodes[dst].technology == "wifi"
-                 else self.scenario.lte_mac.decode_floor_dbm)
-        if signal_db < floor:
+        if signal_db < self.controllers[dst].cfg.decode_floor_dbm:
             self.trace(dst, "rx_fail", f"below_floor;from={tx.src}")
             return False
         noise_lin = _lin(phy.noise_floor_dbm)
@@ -1092,7 +1092,7 @@ class Simulator:
                     throughputs[client] = [bits / window_us]
         else:
             for job in self.completed_files:
-                if job.arrival_us >= self.warmup_us and job.complete_us is not None:
+                if job.arrival_us >= self.warmup_us:
                     elapsed = job.complete_us - job.arrival_us
                     if elapsed > 0:
                         throughputs.setdefault(job.client, []).append(

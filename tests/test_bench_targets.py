@@ -14,9 +14,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
 import yaml
 
-from coexsim import mac_lte, mac_wifi
+from coexsim import cli, mac_lte, mac_wifi
 from coexsim.config import apply_overrides, build_scenario, load_config
 from coexsim.simulator import SimEvent, Simulator
 
@@ -112,3 +113,23 @@ def test_link_gain_probe_counts_one_array_draw_per_scenario(tmp_path):
     assert calls == 2
     # 10 pairs, one pinned by ``links``, drawn once per seed
     assert result["counters"]["links"] == 2 * 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["simulate", "--compare-adaptive", "--runs", "2"], ["sweep", "--runs", "2"],
+], ids=["simulate", "simulate_compare", "sweep"])
+def test_every_batch_runs_through_run_batch(tmp_path, monkeypatch, argv):
+    # the ``cli.run_batch`` span wraps ``cli._run_batch``; a command that
+    # routed around it would leave that span reading 0
+    calls = []
+    run_batch = cli._run_batch
+
+    def counting(*args, **kwargs):
+        calls.append(argv[0])
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_run_batch", counting)
+    rc = cli.main(argv + ["--config", "figure3_collision", "--set", "simulate.duration_s=0.05",
+                          "--out", str(tmp_path / "out.csv")])
+    assert rc == 0
+    assert calls == [argv[0]]

@@ -4,7 +4,7 @@ import math
 import pytest
 import yaml
 
-from coexsim import config, sensing
+from coexsim import cli, config, sensing
 from coexsim.cli import main
 
 SCAN_CFG = {
@@ -127,6 +127,33 @@ class TestSelectAdapt:
         assert rc == 0
         assert "ed_threshold_dbm=-70" in out
 
+    def test_select_entry_without_n_attached_counts_its_cell(self, tmp_path):
+        # an entry with no n_attached falls back to its cell's station count,
+        # which a scan file sets to 0
+        metrics = {}
+        for label, attached in (("missing", None), ("zero", 0), ("four", 4)):
+            busy = {k: v for k, v in SCAN_CFG["scan"][0].items() if k != "n_attached"}
+            if attached is not None:
+                busy["n_attached"] = attached
+            path = tmp_path / f"{label}.yaml"
+            path.write_text(yaml.safe_dump({**SCAN_CFG, "scan": [busy, SCAN_CFG["scan"][1]]}))
+            out = tmp_path / f"{label}.csv"
+            assert main(["select", "--config", str(path), "--out", str(out)]) == 0
+            metrics[label] = out.read_text().splitlines()[1]
+        assert metrics["missing"].startswith("36,")
+        assert metrics["missing"] == metrics["zero"] != metrics["four"]
+
+    def test_adapt_entry_without_n_attached_is_inactive(self, tmp_path, capsys):
+        # the relayed cell carries no n_attached, so its station count (0)
+        # leaves only the -60 dBm neighbour active, clamped to t_default
+        laa = {k: v for k, v in SCAN_CFG["scan"][1].items() if k != "n_attached"}
+        path = tmp_path / "scan.yaml"
+        path.write_text(yaml.safe_dump({**SCAN_CFG, "scan": [SCAN_CFG["scan"][0], laa]}))
+        rc = main(["adapt", "--config", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "ed_threshold_dbm=-62" in out
+
 
 class TestBeacon:
     def test_encode_decode_round_trip(self, capsys):
@@ -192,6 +219,19 @@ class TestSimulate:
         assert len(lines) == 9
         pooled = [line for line in lines if line.startswith("pooled,")]
         assert len(pooled) == 4
+
+    def test_single_run_pooled_row_is_its_seed_row(self, tmp_path):
+        out = tmp_path / "p.csv"
+        rc = main(["simulate", "--config", "figure4_coexistence", "--runs", "1",
+                   "--set", "traffic.model=full_buffer", "--set", "simulate.duration_s=0.5",
+                   "--set", "simulate.warmup_s=0", "--compare-adaptive", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        seeded = {(r[1], r[2]): r[1:] for r in rows if r[0] != "pooled"}
+        pooled = {(r[1], r[2]): r[1:] for r in rows if r[0] == "pooled"}
+        assert len(pooled) == 4
+        assert pooled == seeded
+        assert any(int(r[5]) > 0 and int(r[8]) > 0 for r in rows)  # files, collisions
 
     def test_trace_written(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -411,6 +451,11 @@ class TestInputErrors:
         ("simulate --trace no_such_dir/trace.csv", {"nodes": TWO_BASES}, [], "--trace"),
         ("coverage --cdf-out no_such_dir/cdf.csv", "table1_inh", ["coverage.samples=2000"],
          "--cdf-out"),
+        # an override path through a scalar: figure3_collision sets seed
+        ("simulate", "figure3_collision", ["seed.x.y=1"], "unknown config key: seed.x.y"),
+        ("simulate", "figure3_collision", ["seed.x=1"], "unknown config key: seed.x"),
+        ("select", SCAN_CFG, ["select.running_on=bogus"], "select.running_on"),
+        ("select", SCAN_CFG, ["channels=[]"], "channels list"),
     ], ids=["select_channel_7", "adapt_channel_7", "adapt_rssi_minus_inf",
             "select_rssi_inf", "simulate_link_inf", "scan_n_atached", "scan_utilisation",
             "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
@@ -425,7 +470,8 @@ class TestInputErrors:
             "negative_select_weight", "timeshare_penalty_below_one", "malformed_yaml_file",
             "malformed_yaml_override", "non_utf8_file", "config_is_directory",
             "out_in_missing_dir", "out_is_directory", "trace_in_missing_dir",
-            "cdf_out_in_missing_dir"])
+            "cdf_out_in_missing_dir", "override_below_scalar_seed", "override_into_scalar_seed",
+            "select_running_on_bogus", "select_no_channels"])
     def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):
         if isinstance(cfg, bytes):
             (tmp_path / "raw.yaml").write_bytes(cfg)
@@ -440,3 +486,57 @@ class TestInputErrors:
         assert rc == 2
         assert err.startswith("config error:")
         assert named in err
+
+    def test_edprob_rssi_text(self, capsys):
+        rc = main(["edprob", "--rssi=-52,abc", "--threshold", "-62"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: cannot parse rssi list")
+
+
+
+def pooling_scenario(seed, with_ap2):
+    """ap1/sta1 and enb1/ue1 hidden from each other, plus ap2/sta2 if ``with_ap2``."""
+    nodes = TWO_BASES + [
+        {"id": "sta1", "kind": "wifi_sta", "position": [12.0, 30.0], "attach_to": "ap1"},
+        {"id": "ue1", "kind": "lte_ue", "position": [40.0, 90.0], "attach_to": "enb1"}]
+    if with_ap2:
+        nodes += [{"id": "ap2", "kind": "wifi_ap", "position": [40.0, 10.0]},
+                  {"id": "sta2", "kind": "wifi_sta", "position": [40.0, 20.0],
+                   "attach_to": "ap2"}]
+    return config.build_scenario({
+        "nodes": nodes, "seed": seed, "traffic": {"model": "full_buffer"},
+        "links": {"ap1": {"enb1": -90.0, "ue1": -70.0}, "enb1": {"sta1": -70.0}},
+        "simulate": {"duration_s": 0.2}})
+
+
+class TestPooledRows:
+    """A pooled row pools a client's runs: files and counters summed, airtime averaged."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        # sta2 is a client in the first run only
+        rows = cli._run_batch([pooling_scenario(1, True), pooling_scenario(2, False)],
+                              [False], pooled=True)
+        return {(r[0], r[2]): dict(zip(cli.SIM_HEADER, r)) for r in rows}
+
+    def test_rows_per_seed_then_pooled(self, batch):
+        assert list(batch) == [(1, "sta1"), (1, "sta2"), (1, "ue1"), (2, "sta1"), (2, "ue1"),
+                               ("pooled", "sta1"), ("pooled", "sta2"), ("pooled", "ue1")]
+
+    def test_client_in_one_run_pools_that_run_alone(self, batch):
+        pooled, seed_row = batch["pooled", "sta2"], batch[1, "sta2"]
+        assert {k: v for k, v in pooled.items() if k != "seed"} == \
+            {k: v for k, v in seed_row.items() if k != "seed"}
+        assert pooled["files"] == 1
+
+    def test_client_in_both_runs_sums_counters_and_averages_airtime(self, batch):
+        pooled, a, b = batch["pooled", "sta1"], batch[1, "sta1"], batch[2, "sta1"]
+        assert pooled["files"] == a["files"] + b["files"] == 2
+        for counter in ("collisions", "ack_window_collisions", "retransmissions"):
+            assert pooled[counter] == a[counter] + b[counter]
+        assert pooled["retransmissions"] > a["retransmissions"] > 0
+        for key in (k for k in cli.SIM_HEADER if k.startswith("airtime_")):
+            assert pooled[key] == (a[key] + b[key]) / 2
+        assert pooled["airtime_wifi"] != a["airtime_wifi"]
+        assert pooled["mean_mbps"] == pytest.approx((a["mean_mbps"] + b["mean_mbps"]) / 2)
