@@ -105,8 +105,28 @@ def _check_distance(d) -> np.ndarray:
     arr = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError(f"distance must be finite and positive, got {d!r}")
-    # below-1m distances clamp to the 1 m value to avoid gain divergence
-    return np.maximum(arr, 1.0)
+    # below-1m distances clamp to the 1 m value to avoid gain divergence; the
+    # clamped copy is at least 1-d and the caller's to overwrite
+    return np.atleast_1d(np.maximum(arr, 1.0))
+
+
+def _inh_loss(logd: np.ndarray, fc_ghz: float, los: bool, out: np.ndarray) -> np.ndarray:
+    """Indoor-hotspot path loss (dB) of ``logd`` = log10(d), written into ``out``."""
+    slope, intercept = (16.9, 32.8) if los else (43.3, 11.5)
+    np.multiply(logd, slope, out=out)
+    out += intercept
+    out += 20.0 * math.log10(fc_ghz)
+    return out
+
+
+def _diffusion_gain(dd: np.ndarray, model: PropagationModel) -> np.ndarray:
+    """Diffusion-law gain (dB) of the distances ``dd``, written over them."""
+    term = np.log10(dd)
+    term *= 10.0
+    np.subtract(model.diffusion_ref_gain_db, term, out=term)
+    dd *= DB_PER_NEPER
+    dd /= model.diffusion_length_m
+    return np.subtract(term, dd, out=dd)
 
 
 def path_gain_inh(d, fc_ghz: float = 5.0, los: bool = True):
@@ -116,14 +136,9 @@ def path_gain_inh(d, fc_ghz: float = 5.0, los: bool = True):
     NLOS: PL = 43.3 log10(d) + 11.5 + 20 log10(fc)
     """
     dd = _check_distance(d)
-    logd = np.log10(dd)
-    logf = math.log10(fc_ghz)
-    if los:
-        pl = 16.9 * logd + 32.8 + 20.0 * logf
-    else:
-        pl = 43.3 * logd + 11.5 + 20.0 * logf
-    out = -pl
-    return float(out) if np.isscalar(d) or np.ndim(d) == 0 else out
+    logd = np.log10(dd, out=dd)
+    out = np.negative(_inh_loss(logd, fc_ghz, los, out=logd), out=logd)
+    return float(out[0]) if np.ndim(d) == 0 else out
 
 
 def los_probability_inh(d):
@@ -144,13 +159,8 @@ def path_gain_diffusion(d, model: PropagationModel):
     dB form of G = G0 * e^(-d/L) / d:
     gain = ref_gain - 10 log10(d) - (10/ln 10) * d / L
     """
-    dd = _check_distance(d)
-    out = (
-        model.diffusion_ref_gain_db
-        - 10.0 * np.log10(dd)
-        - DB_PER_NEPER * dd / model.diffusion_length_m
-    )
-    return float(out) if np.isscalar(d) or np.ndim(d) == 0 else out
+    out = _diffusion_gain(_check_distance(d), model)
+    return float(out[0]) if np.ndim(d) == 0 else out
 
 
 def sample_shadow(sigma_db: float, rng: np.random.Generator, size=None):
@@ -199,21 +209,28 @@ def sample_link_gains(
     and the matching shadow sigma applies; the diffusion variant is a
     single law and uses the NLOS sigma.  Fast fading is never included
     here -- callers add it per transmission attempt.
+
+    The gains are built in place in the clamped copy of ``dists``, with
+    one ``log10`` over the whole array; ``dists`` itself is never written.
     """
-    arr = _check_distance(dists)
-    scalar = np.ndim(dists) == 0
-    arr = np.atleast_1d(arr)
+    gain = _check_distance(dists)
     if model.variant == "diffusion":
-        gain = path_gain_diffusion(arr, model)
-        sigma = np.full(arr.shape, model.shadow_sigma_nlos_db)
+        _diffusion_gain(gain, model)
     else:
-        los = _los_flags(arr, model, rng)
-        gain = np.where(
-            los,
-            path_gain_inh(arr, model.carrier_freq_ghz, los=True),
-            path_gain_inh(arr, model.carrier_freq_ghz, los=False),
-        )
-        sigma = np.where(los, model.shadow_sigma_los_db, model.shadow_sigma_nlos_db)
+        los = _los_flags(gain, model, rng)
+        logd = np.log10(gain, out=gain)
+        los_loss = _inh_loss(logd, model.carrier_freq_ghz, True, out=np.empty_like(logd))
+        _inh_loss(logd, model.carrier_freq_ghz, False, out=gain)
+        np.copyto(gain, los_loss, where=los)
+        del los_loss
+        np.negative(gain, out=gain)
     if include_shadow:
-        gain = gain + rng.normal(0.0, 1.0, size=arr.shape) * sigma
-    return float(gain[0]) if scalar else gain
+        shadow = rng.normal(0.0, 1.0, size=gain.shape)
+        if model.variant == "diffusion":
+            shadow *= model.shadow_sigma_nlos_db
+        else:
+            np.multiply(shadow, model.shadow_sigma_los_db, out=shadow, where=los)
+            np.logical_not(los, out=los)
+            np.multiply(shadow, model.shadow_sigma_nlos_db, out=shadow, where=los)
+        gain += shadow
+    return float(gain[0]) if np.ndim(dists) == 0 else gain

@@ -98,11 +98,19 @@ def sample_rssi_dbm(
     pos = base.position
     if not building.contains(pos):
         raise ValueError("base position lies outside the building")
-    xs = rng.uniform(0.0, building.width_m, n_samples)
+    # the distances are formed in the x draw, and the y draw is freed before
+    # the gains are drawn, so at most four sample arrays are alive at once
+    dists = rng.uniform(0.0, building.width_m, n_samples)
     ys = rng.uniform(0.0, building.depth_m, n_samples)
-    dists = np.maximum(np.hypot(xs - pos.x, ys - pos.y), 1.0)
-    gains = sample_link_gains(dists, model, rng, include_shadow=include_shadow)
-    return base.tx_power_dbm + gains - margin_db
+    dists -= pos.x
+    ys -= pos.y
+    np.hypot(dists, ys, out=dists)
+    del ys
+    np.maximum(dists, 1.0, out=dists)
+    rssis = sample_link_gains(dists, model, rng, include_shadow=include_shadow)
+    rssis += base.tx_power_dbm
+    rssis -= margin_db
+    return rssis
 
 
 def coverage_of(rssis: np.ndarray, ed: EdConfig) -> CoverageResult:

@@ -107,6 +107,10 @@ class TestChannelMetric:
         m = channel_metric([e], cfg)
         assert m.metric == pytest.approx(10.0 * 0.5)
 
+    def test_negative_metric_rejected(self):
+        with pytest.raises(ValueError, match="metric"):
+            ChannelMetric(36, -1.0)
+
 
 class TestSelectChannel:
     def test_empty_channel_wins(self):

@@ -98,6 +98,12 @@ def test_transition_table_exhaustive(phase, event):
             dcf_step(s, event, rng())
 
 
+@pytest.mark.parametrize("phase", [p for p in DcfPhase if p != DcfPhase.IDLE])
+def test_start_access_only_from_idle(phase):
+    with pytest.raises(ProtocolViolation, match="cannot start access"):
+        start_access(DcfState(phase=phase, backoff_counter=3), rng())
+
+
 def test_unknown_event_rejected():
     with pytest.raises(ProtocolViolation):
         dcf_step(DcfState(), "solar_flare", rng())

@@ -196,6 +196,81 @@ class TestSampleLinkGains:
         assert isinstance(g, float)
 
 
+def where_link_gains(dists, model, rng, include_shadow=True):
+    """The two-law ``np.where`` form of ``sample_link_gains``, written out.
+
+    Both inh laws are evaluated over every link and joined per link, and
+    the shadow term is the unit normal draw times a per-link sigma array.
+    """
+    arr = np.atleast_1d(np.maximum(np.asarray(dists, dtype=float), 1.0))
+    if model.variant == "diffusion":
+        gain = (model.diffusion_ref_gain_db - 10.0 * np.log10(arr)
+                - 10.0 / math.log(10.0) * arr / model.diffusion_length_m)
+        sigma = np.full(arr.shape, model.shadow_sigma_nlos_db)
+    else:
+        if model.los_mode == "range":
+            los = arr <= model.los_range_m
+        elif model.los_mode == "bernoulli":
+            los = rng.random(arr.shape) < los_probability_inh(arr)
+        else:
+            los = np.full(arr.shape, model.los_mode == "los")
+        logd = np.log10(arr)
+        logf = math.log10(model.carrier_freq_ghz)
+        gain = np.where(los, -(16.9 * logd + 32.8 + 20.0 * logf),
+                        -(43.3 * logd + 11.5 + 20.0 * logf))
+        sigma = np.where(los, model.shadow_sigma_los_db, model.shadow_sigma_nlos_db)
+    if include_shadow:
+        gain = gain + rng.normal(0.0, 1.0, size=arr.shape) * sigma
+    return float(gain[0]) if np.ndim(dists) == 0 else gain
+
+
+def bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=float)).view(np.int64)
+
+
+MODELS = [PropagationModel(los_mode=mode) for mode in ("range", "bernoulli", "nlos", "los")] + [
+    PropagationModel(variant="diffusion")]
+MODEL_IDS = ["inh_range", "inh_bernoulli", "inh_nlos", "inh_los", "diffusion"]
+# links of 0.3 m to 130 m: clamped, LOS, around los_range_m and NLOS; 1,001
+# links so the vector loops run a ragged tail
+LINKS = np.random.default_rng(21).uniform(0.3, 130.0, 1001)
+
+
+class TestSampleLinkGainsBitwise:
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("include_shadow", [True, False], ids=["shadow", "no_shadow"])
+    @pytest.mark.parametrize("dists", [float(LINKS[7]), np.float64(0.5), np.array(31.0), LINKS,
+                                       LINKS[:9].reshape(3, 3)],
+                             ids=["scalar", "np_scalar", "0d", "1d", "2d"])
+    def test_equals_where_form(self, model, include_shadow, dists):
+        rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+        got = sample_link_gains(dists, model, rng_a, include_shadow)
+        want = where_link_gains(dists, model, rng_b, include_shadow)
+        assert type(got) is type(want)
+        assert np.array_equal(bits(got), bits(want))
+        # the same draws were taken, in the same order
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_leaves_dists_unchanged(self, model):
+        dists = LINKS.copy()
+        sample_link_gains(dists, model, np.random.default_rng(2))
+        assert np.array_equal(dists.view(np.int64), LINKS.view(np.int64))
+
+    @pytest.mark.parametrize("d", [LINKS, 0.4, 17.0])
+    def test_gain_laws_equal_written_out(self, d):
+        dd = np.maximum(np.asarray(d, dtype=float), 1.0)
+        logf = math.log10(2.4)
+        assert np.array_equal(bits(path_gain_inh(d, 2.4, los=True)),
+                              bits(-(16.9 * np.log10(dd) + 32.8 + 20.0 * logf)))
+        assert np.array_equal(bits(path_gain_inh(d, 2.4, los=False)),
+                              bits(-(43.3 * np.log10(dd) + 11.5 + 20.0 * logf)))
+        model = PropagationModel(variant="diffusion")
+        assert np.array_equal(bits(path_gain_diffusion(d, model)), bits(
+            model.diffusion_ref_gain_db - 10.0 * np.log10(dd)
+            - 10.0 / math.log(10.0) * dd / model.diffusion_length_m))
+
+
 class TestGeometry:
     def test_distance(self):
         assert Position(0, 0).distance_to(Position(3, 4)) == 5.0

@@ -8,7 +8,11 @@ from coexsim.relay import (
     IE_HT_OPERATION,
     IE_SSID,
     IE_VENDOR,
+    SUBTYPE_MAC_SPEC,
+    SUBTYPE_NODE_TYPE,
+    SUBTYPE_TX_OFFSET,
     VALID_CHANNELS,
+    VENDOR_OUI,
     BeaconDecodeError,
     CellInfo,
     InformationElement,
@@ -41,6 +45,22 @@ def sample_cell(**overrides):
     )
     base.update(overrides)
     return CellInfo(**base)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: InformationElement(256, b""), "element id"),
+    (lambda: InformationElement(IE_SSID, b"x" * 256), "255 bytes"),
+    (lambda: sample_cell(channel_utilization=1.01), "utilization"),
+    (lambda: sample_cell(station_count=0x10000), "station count"),
+    (lambda: sample_cell(available_admission_capacity=-1), "admission capacity"),
+    (lambda: sample_cell(tx_power_offset_db=128), "tx power offset"),
+    (lambda: ScanEntry("sniffed", sample_cell(), -60.0), "scan source"),
+], ids=["element_id_over_255", "payload_over_255", "utilization_over_1",
+        "station_count_over_16_bits", "admission_capacity_negative",
+        "tx_offset_over_signed_byte", "unknown_scan_source"])
+def test_invalid_field_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestEncode:
@@ -116,6 +136,31 @@ class TestDecode:
     def test_missing_mandatory_elements(self):
         with pytest.raises(BeaconDecodeError):
             decode_pseudo_beacon([InformationElement(IE_SSID, b"x")])
+
+    @pytest.mark.parametrize("ies, element_id, message", [
+        (lambda: [ie if ie.element_id != IE_HT_OPERATION
+                  else InformationElement(IE_HT_OPERATION, b"")
+                  for ie in encode_pseudo_beacon(sample_cell())], 61, "empty HT"),
+        (lambda: [InformationElement(IE_SSID, b"cell"),
+                  InformationElement(IE_DS_PARAMS, bytes([14]))], 3, "unlicensed"),
+        (lambda: with_vendor_value(SUBTYPE_NODE_TYPE, b"\x01\x01"), 221, "node-type"),
+        (lambda: with_vendor_value(SUBTYPE_NODE_TYPE, b"\x09"), 221, "unknown node type 9"),
+        (lambda: with_vendor_value(SUBTYPE_MAC_SPEC, b""), 221, "mac-spec"),
+        (lambda: with_vendor_value(SUBTYPE_MAC_SPEC, b"\x00"), 221, "unknown mac spec 0"),
+        (lambda: with_vendor_value(SUBTYPE_TX_OFFSET, b"\x00\x06"), 221, "tx-offset"),
+    ], ids=["empty_ht_operation", "ds_channel_not_unlicensed", "node_type_two_bytes",
+            "node_type_unknown", "mac_spec_empty", "mac_spec_unknown", "tx_offset_two_bytes"])
+    def test_malformed_element_names_it(self, ies, element_id, message):
+        with pytest.raises(BeaconDecodeError, match=message) as err:
+            decode_pseudo_beacon(ies())
+        assert err.value.element_id == element_id
+
+
+def with_vendor_value(subtype, value):
+    """The sample cell's beacon with one vendor element's value bytes replaced."""
+    return [InformationElement(IE_VENDOR, VENDOR_OUI + bytes([subtype]) + value)
+            if ie.element_id == IE_VENDOR and ie.payload[3] == subtype else ie
+            for ie in encode_pseudo_beacon(sample_cell())]
 
 
 class TestByteStream:

@@ -1,11 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexsim.config import Node
-from coexsim.propagation import Building, Position, PropagationModel, sample_fast_fade
+from coexsim.propagation import (
+    Building,
+    Position,
+    PropagationModel,
+    sample_fast_fade,
+    sample_link_gains,
+)
 from coexsim.sensing import (
     CoverageResult,
     EdConfig,
@@ -13,6 +20,7 @@ from coexsim.sensing import (
     ed_success_factors,
     ed_success_prob,
     fractional_ed_coverage,
+    sample_rssi_dbm,
     uplink_ed_failure,
 )
 
@@ -34,6 +42,21 @@ class TestDetect:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             detect(float("nan"), -62.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EdConfig(threshold_dbm=math.nan), "threshold"),
+    (lambda: EdConfig(threshold_dbm=math.inf), "threshold"),
+    (lambda: EdConfig(min_sensitivity_dbm=math.nan), "min_sensitivity"),
+    (lambda: EdConfig(min_sensitivity_dbm=-math.inf), "min_sensitivity"),
+    (lambda: CoverageResult(1.2, 0.5, 1000), "fractions"),
+    (lambda: CoverageResult(0.9, -0.1, 1000), "fractions"),
+    (lambda: ed_success_factors([], -62.0), "nonempty"),
+], ids=["threshold_nan", "threshold_plus_inf", "sensitivity_nan", "sensitivity_minus_inf",
+        "cell_fraction_above_1", "ed_fraction_below_0", "factors_of_no_links"])
+def test_invalid_input_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 class TestEdSuccessProb:
@@ -141,6 +164,38 @@ class TestFractionalEdCoverage:
         b = fractional_ed_coverage(Building(), reference_base(), PropagationModel(),
                                    EdConfig(), rng=np.random.default_rng(6), **kw)
         assert (a.cell_fraction, a.ed_fraction) == (b.cell_fraction, b.ed_fraction)
+
+
+COVERAGE_MODELS = [PropagationModel(), PropagationModel(variant="diffusion")]
+
+
+class TestSampleRssi:
+    @pytest.mark.parametrize("model", COVERAGE_MODELS, ids=["inh", "diffusion"])
+    def test_equals_tx_plus_gains_minus_margin(self, model):
+        base = Node(id="b", kind="wifi_ap", position=Position(13.0, 71.0), tx_power_dbm=17.0)
+        got = sample_rssi_dbm(Building(), base, model, 20_001, np.random.default_rng(9),
+                              margin_db=2.3)
+        rng = np.random.default_rng(9)
+        xs = rng.uniform(0.0, 50.0, 20_001)
+        ys = rng.uniform(0.0, 120.0, 20_001)
+        dists = np.maximum(np.hypot(xs - 13.0, ys - 71.0), 1.0)
+        want = 17.0 + sample_link_gains(dists, model, rng) - 2.3
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("model", COVERAGE_MODELS, ids=["inh", "diffusion"])
+    def test_peak_memory_is_a_few_sample_arrays(self, model):
+        # the sampler works in place, so its traced peak stays within five
+        # float arrays of the sample size; evaluating both inh laws and a
+        # sigma array out of place takes about ten
+        n = 200_000
+        tracemalloc.start()
+        try:
+            sample_rssi_dbm(Building(), reference_base(), model, n, np.random.default_rng(1),
+                            margin_db=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n
 
 
 class TestUplinkEdFailure:
