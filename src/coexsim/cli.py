@@ -38,7 +38,7 @@ from .relay import (
     ies_to_hex,
 )
 from .sensing import EdConfig, coverage_of, ed_success_factors, ed_success_prob, sample_rssi_dbm
-from .simulator import AIRTIME_KEYS, Simulator, summarize
+from .simulator import AIRTIME_KEYS, Simulator, median
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -208,7 +208,7 @@ def _client_row(seed, adaptive: bool, node: Node, runs: list) -> tuple:
     tputs = [t for m in runs for t in m.file_throughputs_mbps.get(node.id, [])]
     return (
         seed, adaptive, node.id, node.technology, "client", len(tputs),
-        summarize(tputs) if tputs else 0.0,
+        median(tputs) if tputs else 0.0,
         sum(tputs) / len(tputs) if tputs else 0.0,
         sum(m.collision_count for m in runs),
         sum(m.ack_window_collisions for m in runs),

@@ -7,10 +7,12 @@ Two path-gain models are supported:
 * ``diffusion`` -- exponential-in-distance attenuation times geometric
   spreading, G(d) = G0 * e^(-d/L) / d in linear terms.
 
-All functions are pure and accept an injected ``numpy.random.Generator``
-where randomness is involved, so identical seeds reproduce identical
-sample streams.  Scalar arguments work everywhere; the gain laws also
-accept numpy arrays.
+``sample_link_gains`` draws a link's mean gain (path gain plus
+lognormal shadowing), once per link; ``fast_fades`` draws the linear
+fast-fade factors the simulator applies per frame and receiver.  The
+random functions take an injected ``numpy.random.Generator``, so
+identical seeds reproduce identical sample streams.  The gain laws
+accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -87,20 +89,6 @@ class PropagationModel:
             raise ValueError(f"unknown los_mode: {self.los_mode!r}")
 
 
-@dataclass
-class LinkBudget:
-    """One link's budget terms: dB values plus a linear fast-fade factor."""
-
-    tx_power_dbm: float = 20.0
-    path_gain_db: float = 0.0
-    shadow_db: float = 0.0
-    fast_fade: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.fast_fade <= 0:
-            raise ValueError("fast_fade must be a positive linear power factor")
-
-
 def _check_distance(d) -> np.ndarray:
     arr = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
@@ -163,28 +151,15 @@ def path_gain_diffusion(d, model: PropagationModel):
     return float(out[0]) if np.ndim(d) == 0 else out
 
 
-def sample_shadow(sigma_db: float, rng: np.random.Generator, size=None):
-    """Zero-mean lognormal shadowing term in dB."""
-    if sigma_db < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma_db == 0:
-        return 0.0 if size is None else np.zeros(size)
-    out = rng.normal(0.0, sigma_db, size=size)
-    return float(out) if size is None else out
+def fast_fades(rng: np.random.Generator, frames: int, nodes: int, branches: int) -> np.ndarray:
+    """Linear fast-fade power factors, one row of ``nodes`` per frame.
 
-
-def sample_fast_fade(rng: np.random.Generator, size=None):
-    """Unit-mean exponential power factor (chi-square with 2 dof, normalized)."""
-    out = rng.exponential(1.0, size=size)
-    return float(out) if size is None else out
-
-
-def rssi(tx_power_dbm: float, link: LinkBudget, include_fast_fade: bool = False) -> float:
-    """Received power in dBm from a link budget."""
-    value = tx_power_dbm + link.path_gain_db + link.shadow_db
-    if include_fast_fade:
-        value += 10.0 * math.log10(link.fast_fade)
-    return value
+    Each factor is the mean of ``branches`` unit-mean exponential draws
+    (frequency diversity); one branch is a plain Rayleigh fade.  The
+    (frames x nodes x branches) draw gives the same stream as ``frames``
+    draws of (nodes x branches) each.
+    """
+    return rng.exponential(1.0, size=(frames, nodes, branches)).mean(axis=2)
 
 
 def _los_flags(dists: np.ndarray, model: PropagationModel, rng: np.random.Generator) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Energy-detection predicates and coverage analytics.
+"""Energy-detection analytics: ED success probabilities and ED coverage.
 
-Covers the sensing-side math: the boolean ED comparison, the closed-form
-probability that every link in a set is simultaneously sensed above an
-ED threshold under unit-mean exponential fading, Monte-Carlo fractional
-ED coverage over a building, and the uplink failure complement.
+``ed_success_prob`` is the closed-form probability that every link in a
+set is sensed above an ED threshold under unit-mean exponential fading.
+``sample_rssi_dbm`` draws mean RSSIs at points spread uniformly over a
+building, and ``coverage_of`` counts the cell and ED coverage fractions
+of such a draw, as ``coexsim coverage`` does for Table 1.
 """
 
 from __future__ import annotations
@@ -40,16 +41,6 @@ class CoverageResult:
     def __post_init__(self) -> None:
         if not (0.0 <= self.cell_fraction <= 1.0 and 0.0 <= self.ed_fraction <= 1.0):
             raise ValueError("fractions must lie in [0, 1]")
-
-
-def detect(rssi_dbm: float, threshold_dbm: float) -> bool:
-    """Energy detection: true iff the received power reaches the threshold.
-
-    The comparison is inclusive at the boundary.
-    """
-    if math.isnan(rssi_dbm) or math.isnan(threshold_dbm):
-        raise ValueError("detect() requires non-NaN inputs")
-    return rssi_dbm >= threshold_dbm
 
 
 def ed_success_prob(mean_rssi_dbm, threshold_dbm: float) -> float:
@@ -142,17 +133,12 @@ def fractional_ed_coverage(
     include_shadow: bool = True,
     margin_db: float = 0.0,
 ) -> CoverageResult:
-    """Monte-Carlo cell and ED coverage fractions of one ``sample_rssi_dbm`` draw."""
+    """Monte-Carlo cell and ED coverage fractions of one ``sample_rssi_dbm`` draw.
+
+    No command calls this; it is kept as the target of the benchmark's
+    ``sensing.coverage`` span (``perfbench/child.py``).
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
     rssis = sample_rssi_dbm(building, base, model, n_samples, rng,
                             include_shadow, margin_db)
     return coverage_of(rssis, ed)
-
-
-def uplink_ed_failure(coverage: CoverageResult) -> float:
-    """P{uplink transmission not sensed} = 1 - ed_fraction.
-
-    Assumes client EIRP equal to the downlink so uplink coverage mirrors
-    the downlink fractions by reciprocity.
-    """
-    return 1.0 - coverage.ed_fraction

@@ -43,7 +43,7 @@ from .config import Node, PhyConfig, Scenario
 from .coordination import adapt_ed_threshold
 from .mac_lte import LbtPhase, LbtState
 from .mac_wifi import DcfPhase, DcfState, idle_slots, start_access
-from .propagation import sample_link_gains
+from .propagation import fast_fades, sample_link_gains
 from .relay import (
     CellInfo,
     MacSpec,
@@ -55,7 +55,7 @@ from .relay import (
 )
 
 
-# frames whose fades one ``rng_fades`` call draws; the stream is the same
+# frames whose fades one ``fast_fades`` call draws; the stream is the same
 # for any block size, so outputs do not depend on it
 FADE_BLOCK_FRAMES = 256
 
@@ -105,11 +105,10 @@ def _dbm(linear: float) -> float:
     return 10.0 * math.log10(linear) if linear > 0 else -math.inf
 
 
-def rate_from_sinr(sinr_db: float, technology: str, phy: PhyConfig | None = None) -> float:
+def rate_from_sinr(sinr_db: float, technology: str, phy: PhyConfig) -> float:
     """Monotone step map from SINR to PHY rate in Mbps."""
     if math.isnan(sinr_db):
         raise ValueError("sinr must not be NaN")
-    phy = phy or PhyConfig()
     table = phy.wifi_rates if technology == "wifi" else phy.lte_rates
     rate = 0.0
     for threshold, mbps in sorted(table):
@@ -118,25 +117,13 @@ def rate_from_sinr(sinr_db: float, technology: str, phy: PhyConfig | None = None
     return rate
 
 
-def percentile(values, pct: float) -> float:
-    """Exact percentile by sorting with linear interpolation."""
+def median(values) -> float:
+    """The middle value of ``values``, or the mean of the middle two."""
     vals = sorted(values)
     if not vals:
-        raise ValueError("cannot take a percentile of an empty list")
-    if not (0.0 <= pct <= 100.0):
-        raise ValueError("percentile must lie in [0, 100]")
-    if len(vals) == 1:
-        return float(vals[0])
-    rank = pct / 100.0 * (len(vals) - 1)
-    lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    frac = rank - lo
-    return float(vals[lo] * (1.0 - frac) + vals[hi] * frac)
-
-
-def summarize(throughputs, pct: float = 50.0) -> float:
-    """Percentile summary of a throughput list; pct 50 is the median."""
-    return percentile(throughputs, pct)
+        raise ValueError("cannot take the median of an empty list")
+    lo, hi = (len(vals) - 1) // 2, len(vals) // 2
+    return float(vals[lo] * 0.5 + vals[hi] * 0.5)
 
 
 def jain_index(values) -> float:
@@ -837,13 +824,12 @@ class Simulator:
                            bits: float, nav_duration_us: float = 0.0,
                            frame_key: tuple | None = None) -> Transmission:
         self._tx_counter += 1
-        # one (frames x nodes x branches) draw per block of frames gives the
-        # stream of one (nodes x branches) draw per frame; a frame takes the
-        # next row, entry i for the i-th node in sorted id order
+        # one draw serves a block of frames; a frame takes the next row,
+        # entry i for the i-th node in sorted id order
         if self._fade_row == len(self._fade_block):
-            self._fade_block = self.rng_fades.exponential(
-                1.0, size=(FADE_BLOCK_FRAMES, len(self._sorted_ids),
-                           self.scenario.phy.fading_branches)).mean(axis=2)
+            self._fade_block = fast_fades(self.rng_fades, FADE_BLOCK_FRAMES,
+                                          len(self._sorted_ids),
+                                          self.scenario.phy.fading_branches)
             self._fade_row = 0
         fades = self._fade_block[self._fade_row]
         self._fade_row += 1

@@ -6,6 +6,7 @@ post-hoc calibration.
 """
 
 import contextlib
+import csv
 import filecmp
 import math
 import time
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from coexsim.cli import main
-from coexsim.config import Node, apply_overrides, build_scenario, load_config
+from coexsim.config import PhyConfig, apply_overrides, build_scenario, load_config
 from coexsim.coordination import (
     AdaptiveEdConfig,
     ChannelMetric,
@@ -23,7 +24,7 @@ from coexsim.coordination import (
 )
 from coexsim.mac_lte import LbtPhase, LbtState, lbt_step
 from coexsim.mac_wifi import DcfPhase, DcfState, dcf_step, start_access
-from coexsim.propagation import Building, Position, PropagationModel, sample_fast_fade
+from coexsim.propagation import fast_fades
 from coexsim.relay import (
     BeaconDecodeError,
     CellInfo,
@@ -34,8 +35,8 @@ from coexsim.relay import (
     encode_pseudo_beacon,
     parse_ies,
 )
-from coexsim.sensing import EdConfig, ed_success_prob, fractional_ed_coverage, uplink_ed_failure
-from coexsim.simulator import Simulator, jain_index, summarize
+from coexsim.sensing import ed_success_prob
+from coexsim.simulator import Simulator, jain_index, median
 
 
 @contextlib.contextmanager
@@ -50,26 +51,21 @@ def criterion(number, name):
     print(f"ACCEPTANCE {number} ({name}): PASS [{time.monotonic() - started:.1f}s]")
 
 
-def reference_base():
-    return Node(id="base", kind="wifi_ap", position=Position(25.0, 30.0),
-                tx_power_dbm=20.0)
-
-
-def coverage_for(model, threshold, sensitivity, seed):
-    return fractional_ed_coverage(
-        Building(), reference_base(), model,
-        EdConfig(threshold_dbm=threshold, min_sensitivity_dbm=sensitivity),
-        n_samples=100_000, rng=np.random.default_rng(seed),
-    )
-
-
 def test_criterion_1_fast_fade_tail():
     with criterion(1, "fast-fade deep-fade tail"):
         start = time.monotonic()
-        draws = sample_fast_fade(np.random.default_rng(101), size=1_000_000)
-        frac = float(np.mean(draws < 0.1))
-        expected = 1.0 - math.exp(-0.1)
-        assert abs(frac - expected) <= 0.002, (frac, expected)
+        n = 1_000_000
+        # a plain Rayleigh fade and the engine's default diversity
+        for branches in (1, PhyConfig().fading_branches):
+            draws = fast_fades(np.random.default_rng(101), n, 1, branches)
+            frac = float(np.mean(draws < 0.1))
+            # Gamma(k, 1/k) CDF of the mean of k unit exponentials at 0.1
+            kx = branches * 0.1
+            expected = 1.0 - math.exp(-kx) * sum(kx**i / math.factorial(i)
+                                                 for i in range(branches))
+            # one branch: 1 - e^-0.1 within 0.002; more: 5 binomial standard errors
+            tol = 0.002 if branches == 1 else 5.0 * math.sqrt(expected * (1.0 - expected) / n)
+            assert abs(frac - expected) <= tol, (branches, frac, expected)
         assert time.monotonic() - start < 5.0
 
 
@@ -84,70 +80,72 @@ def test_criterion_2_ed_success_product(capsys):
                    "--threshold", "-62"])
         out = capsys.readouterr().out
         assert rc == 0 and "ed_success_prob=0.367879" in out
-        # Monte Carlo cross-check with the fading sampler
+        # Monte Carlo cross-check with the engine's fade draw, one branch
         rng = np.random.default_rng(202)
-        fades = sample_fast_fade(rng, size=(1_000_000, 10))
+        fades = fast_fades(rng, 1_000_000, 10, 1)
         inst = -52.0 + 10.0 * np.log10(fades)
         mc = float(np.mean(np.all(inst >= -62.0, axis=1)))
         assert abs(mc - closed) <= 0.01, (mc, closed)
         assert time.monotonic() - start < 10.0
 
 
-def test_criterion_3_table1_inh_row():
-    with criterion(3, "coverage table, indoor-hotspot row"):
+@pytest.fixture(scope="module")
+def table1(tmp_path_factory):
+    """Each Table-1 preset's ``coexsim coverage`` row, read back from its CSV.
+
+    Keyed by model, then by column (``wifi_ed_-62``, ``wifi_cell_fraction``, ...).
+    """
+    out_dir = tmp_path_factory.mktemp("table1")
+    rows = {}
+    for preset in ("table1_inh", "table1_diffusion"):
         start = time.monotonic()
-        model = PropagationModel()
-        wifi_62 = coverage_for(model, -62.0, -87.5, 31)
-        ulte_62 = coverage_for(model, -62.0, -100.0, 32)
-        wifi_72 = coverage_for(model, -72.0, -87.5, 33)
-        ulte_72 = coverage_for(model, -72.0, -100.0, 34)
-        assert wifi_62.ed_fraction == pytest.approx(0.51, abs=0.05)
-        assert ulte_62.ed_fraction == pytest.approx(0.45, abs=0.05)
-        assert wifi_72.ed_fraction == pytest.approx(0.58, abs=0.05)
-        assert ulte_72.ed_fraction == pytest.approx(0.52, abs=0.05)
-        assert wifi_62.cell_fraction == pytest.approx(0.87, abs=0.05)
+        out = out_dir / f"{preset}.csv"
+        assert main(["coverage", "--config", preset, "--out", str(out)]) == 0
         assert time.monotonic() - start < 30.0
-        test_criterion_3_table1_inh_row.results = {
-            "ulte_62": ulte_62, "wifi_72": wifi_72,
-        }
+        with open(out, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        model = row.pop("model")
+        rows[model] = {column: float(v) for column, v in row.items()}
+    return rows
 
 
-def test_criterion_4_table1_diffusion_row():
+def test_criterion_3_table1_inh_row(table1):
+    with criterion(3, "coverage table, indoor-hotspot row"):
+        inh = table1["inh"]
+        assert inh["wifi_ed_-62"] == pytest.approx(0.51, abs=0.05)
+        assert inh["ulte_ed_-62"] == pytest.approx(0.45, abs=0.05)
+        assert inh["wifi_ed_-72"] == pytest.approx(0.58, abs=0.05)
+        assert inh["ulte_ed_-72"] == pytest.approx(0.52, abs=0.05)
+        assert inh["wifi_cell_fraction"] == pytest.approx(0.87, abs=0.05)
+
+
+def test_criterion_4_table1_diffusion_row(table1):
     with criterion(4, "coverage table, diffusion row (calibrated)"):
-        model = PropagationModel(variant="diffusion")
-        wifi_62 = coverage_for(model, -62.0, -87.5, 41)
-        ulte_62 = coverage_for(model, -62.0, -100.0, 42)
-        wifi_72 = coverage_for(model, -72.0, -87.5, 43)
-        ulte_72 = coverage_for(model, -72.0, -100.0, 44)
+        diff = table1["diffusion"]
         # documented calibration pins Wi-Fi cell coverage near 62%
-        assert wifi_62.cell_fraction == pytest.approx(0.62, abs=0.05)
-        assert wifi_62.ed_fraction == pytest.approx(0.32, abs=0.07)
-        assert ulte_62.ed_fraction == pytest.approx(0.26, abs=0.07)
+        assert diff["wifi_cell_fraction"] == pytest.approx(0.62, abs=0.05)
+        assert diff["wifi_ed_-62"] == pytest.approx(0.32, abs=0.07)
+        assert diff["ulte_ed_-62"] == pytest.approx(0.26, abs=0.07)
         # the -72 dBm diffusion cells are calibration-gated: threshold
         # monotonicity only
-        assert wifi_72.ed_fraction >= wifi_62.ed_fraction
-        assert ulte_72.ed_fraction >= ulte_62.ed_fraction
-        test_criterion_4_table1_diffusion_row.results = {
-            "ulte_62": ulte_62, "wifi_72": wifi_72,
-        }
+        assert diff["wifi_ed_-72"] >= diff["wifi_ed_-62"]
+        assert diff["ulte_ed_-72"] >= diff["ulte_ed_-62"]
 
 
-def test_criterion_5_uplink_failure_identities():
+def test_criterion_5_uplink_failure_identities(table1):
     with criterion(5, "uplink ED failure identities"):
-        inh = getattr(test_criterion_3_table1_inh_row, "results", None)
-        diff = getattr(test_criterion_4_table1_diffusion_row, "results", None)
-        if inh is None or diff is None:
-            pytest.skip("criteria 3/4 must run first")
-        # exact arithmetic complement of the measured fractions
-        for cov in list(inh.values()) + list(diff.values()):
-            assert uplink_ed_failure(cov) + cov.ed_fraction == 1.0
+        inh, diff = table1["inh"], table1["diffusion"]
+        for row in (inh, diff):
+            assert all(0.0 <= v <= 1.0 for v in row.values()), row
+        # with client EIRP equal to the downlink's, uplink coverage mirrors
+        # the downlink fractions, so P{uplink not sensed} = 1 - ed_fraction.
         # P{ED failure at Wi-Fi}: 55% inh / 74% diffusion (from the -62
         # column of the uLTE cell); P{ED failure at uLTE}: 42% inh (from
         # the -72 Wi-Fi column); 33% diffusion is calibration-gated
-        assert uplink_ed_failure(inh["ulte_62"]) == pytest.approx(0.55, abs=0.05)
-        assert uplink_ed_failure(diff["ulte_62"]) == pytest.approx(0.74, abs=0.07)
-        assert uplink_ed_failure(inh["wifi_72"]) == pytest.approx(0.42, abs=0.05)
-        assert 0.0 <= uplink_ed_failure(diff["wifi_72"]) <= 1.0
+        assert 1.0 - inh["ulte_ed_-62"] == pytest.approx(0.55, abs=0.05)
+        assert 1.0 - diff["ulte_ed_-62"] == pytest.approx(0.74, abs=0.07)
+        assert 1.0 - inh["wifi_ed_-72"] == pytest.approx(0.42, abs=0.05)
+        assert 0.0 <= 1.0 - diff["wifi_ed_-72"] <= 1.0
 
 
 def test_criterion_6_ack_window_determinism():
@@ -178,7 +176,7 @@ def test_criterion_7_adaptive_ed_throughput():
                 m = Simulator(build_scenario(cfg)).run()
                 wifi += m.file_throughputs_mbps.get("sta1", [])
                 lte += m.file_throughputs_mbps.get("ue1", [])
-            return summarize(wifi), summarize(lte)
+            return median(wifi), median(lte)
 
         wifi_off, lte_off = pooled(False)
         wifi_on, lte_on = pooled(True)

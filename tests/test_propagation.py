@@ -6,16 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from coexsim.propagation import (
     Building,
-    LinkBudget,
     Position,
     PropagationModel,
+    fast_fades,
     los_probability_inh,
     path_gain_diffusion,
     path_gain_inh,
-    rssi,
-    sample_fast_fade,
     sample_link_gains,
-    sample_shadow,
 )
 
 
@@ -96,80 +93,83 @@ def test_gain_laws_strictly_decreasing(d1, d2):
 
 
 class TestSampleShadow:
+    """The shadowing term of ``sample_link_gains``: zero-mean normal in dB."""
+
     def test_zero_sigma(self):
-        rng = np.random.default_rng(0)
-        assert sample_shadow(0.0, rng) == 0.0
+        model = PropagationModel(los_mode="los", shadow_sigma_los_db=0.0)
+        assert sample_link_gains(10.0, model, np.random.default_rng(0)) == path_gain_inh(10.0)
 
     def test_moments(self):
-        rng = np.random.default_rng(7)
-        draws = sample_shadow(4.0, rng, size=100_000)
-        assert abs(np.mean(draws)) < 0.1
-        assert abs(np.std(draws) - 4.0) < 0.1
+        # the LOS branch takes the LOS sigma, the NLOS branch the NLOS one
+        for los, sigma in ((True, 3.0), (False, 4.0)):
+            model = PropagationModel(los_mode="los" if los else "nlos",
+                                     shadow_sigma_los_db=3.0, shadow_sigma_nlos_db=4.0)
+            gains = sample_link_gains(np.full(100_000, 10.0), model, np.random.default_rng(7))
+            draws = gains - path_gain_inh(10.0, 5.0, los)
+            assert abs(np.mean(draws)) < 0.1
+            assert abs(np.std(draws) - sigma) < 0.1
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            sample_shadow(-1.0, np.random.default_rng(0))
+        for field in ("shadow_sigma_los_db", "shadow_sigma_nlos_db"):
+            with pytest.raises(ValueError, match="sigma"):
+                PropagationModel(**{field: -1.0})
+
+
+def fade_cdf(x, branches):
+    """CDF of the mean of ``branches`` unit-mean exponentials, Gamma(k, 1/k).
+
+    For integer k: 1 - e^(-kx) * sum_{i<k} (kx)^i / i!.
+    """
+    kx = branches * np.asarray(x, dtype=float)
+    return 1.0 - np.exp(-kx) * sum(kx**i / math.factorial(i) for i in range(branches))
+
+
+# the engine's default (phy.fading_branches: 4) and a plain Rayleigh fade
+FADE_BRANCHES = (1, 4)
 
 
 class TestSampleFastFade:
+    """``fast_fades``, the draw the simulator makes per block of frames."""
+
     def test_deep_fade_tail(self):
-        rng = np.random.default_rng(11)
-        draws = sample_fast_fade(rng, size=1_000_000)
-        # P(factor < 0.1), i.e. a 10 dB or deeper fade
-        frac = np.mean(draws < 0.1)
-        assert frac == pytest.approx(1 - math.exp(-0.1), abs=0.002)
+        n = 1_000_000
+        for branches in FADE_BRANCHES:
+            draws = fast_fades(np.random.default_rng(11), n, 1, branches)
+            # P(factor < 0.1), i.e. a 10 dB or deeper fade: 1 - e^-0.1 for one
+            # branch; 7.8e-4 for four, within 5 binomial standard errors
+            p = float(fade_cdf(0.1, branches))
+            tol = 0.002 if branches == 1 else 5.0 * math.sqrt(p * (1.0 - p) / n)
+            assert np.mean(draws < 0.1) == pytest.approx(p, abs=tol), branches
 
     def test_unit_mean(self):
-        rng = np.random.default_rng(12)
-        draws = sample_fast_fade(rng, size=1_000_000)
-        assert np.mean(draws) == pytest.approx(1.0, abs=0.01)
+        for branches in FADE_BRANCHES:
+            draws = fast_fades(np.random.default_rng(12), 1_000_000, 1, branches)
+            assert np.mean(draws) == pytest.approx(1.0, abs=0.01), branches
 
     def test_all_positive(self):
-        rng = np.random.default_rng(13)
-        assert np.all(sample_fast_fade(rng, size=10_000) > 0)
+        for branches in FADE_BRANCHES:
+            assert np.all(fast_fades(np.random.default_rng(13), 10_000, 1, branches) > 0)
 
     def test_cdf_matches_exponential(self):
-        # Kolmogorov-Smirnov distance against 1 - e^(-x)
-        rng = np.random.default_rng(14)
-        draws = np.sort(sample_fast_fade(rng, size=1_000_000))
-        n = draws.size
-        cdf = 1.0 - np.exp(-draws)
-        ecdf_hi = np.arange(1, n + 1) / n
-        ecdf_lo = np.arange(0, n) / n
-        ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))
-        assert ks < 0.005
+        # Kolmogorov-Smirnov distance against the Gamma(k, 1/k) CDF, which
+        # is 1 - e^(-x) for one branch
+        for branches in FADE_BRANCHES:
+            draws = np.sort(fast_fades(np.random.default_rng(14), 1_000_000, 1, branches),
+                            axis=None)
+            n = draws.size
+            cdf = fade_cdf(draws, branches)
+            ecdf_hi = np.arange(1, n + 1) / n
+            ecdf_lo = np.arange(0, n) / n
+            ks = max(np.max(np.abs(ecdf_hi - cdf)), np.max(np.abs(cdf - ecdf_lo)))
+            assert ks < 0.005, branches
 
     def test_identical_seed_identical_stream(self):
-        a = sample_fast_fade(np.random.default_rng(99), size=1000)
-        b = sample_fast_fade(np.random.default_rng(99), size=1000)
-        assert np.array_equal(a, b)
+        for branches in FADE_BRANCHES:
+            a = fast_fades(np.random.default_rng(99), 100, 10, branches)
+            b = fast_fades(np.random.default_rng(99), 100, 10, branches)
+            assert a.shape == (100, 10)
+            assert np.array_equal(a, b)
 
-
-class TestRssi:
-    def test_basic_sum(self):
-        link = LinkBudget(path_gain_db=-72.0, shadow_db=0.0)
-        assert rssi(20.0, link) == pytest.approx(-52.0)
-
-    def test_fade_factor(self):
-        link = LinkBudget(path_gain_db=-72.0, shadow_db=0.0, fast_fade=0.1)
-        assert rssi(20.0, link, include_fast_fade=True) == pytest.approx(-62.0)
-
-    def test_zero_gain_identity(self):
-        link = LinkBudget(path_gain_db=0.0)
-        assert rssi(17.0, link) == 17.0
-
-    @given(
-        p=st.floats(min_value=-30, max_value=30),
-        delta=st.floats(min_value=-20, max_value=20),
-    )
-    @settings(derandomize=True, max_examples=100)
-    def test_linear_in_tx_power(self, p, delta):
-        link = LinkBudget(path_gain_db=-60.0, shadow_db=2.5, fast_fade=0.7)
-        assert rssi(p + delta, link, True) == pytest.approx(rssi(p, link, True) + delta, abs=1e-9)
-
-    def test_nonpositive_fade_rejected(self):
-        with pytest.raises(ValueError):
-            LinkBudget(fast_fade=0.0)
 
 
 class TestSampleLinkGains:

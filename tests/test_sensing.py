@@ -10,18 +10,17 @@ from coexsim.propagation import (
     Building,
     Position,
     PropagationModel,
-    sample_fast_fade,
+    fast_fades,
     sample_link_gains,
 )
 from coexsim.sensing import (
     CoverageResult,
     EdConfig,
-    detect,
+    coverage_of,
     ed_success_factors,
     ed_success_prob,
     fractional_ed_coverage,
     sample_rssi_dbm,
-    uplink_ed_failure,
 )
 
 
@@ -30,18 +29,24 @@ def reference_base():
 
 
 class TestDetect:
+    """Energy detection as ``coverage_of`` counts it: inclusive at the threshold."""
+
+    @staticmethod
+    def detected(rssi_dbm, threshold_dbm):
+        ed = EdConfig(threshold_dbm=threshold_dbm, min_sensitivity_dbm=-100.0)
+        return coverage_of(np.array([rssi_dbm]), ed).ed_fraction == 1.0
+
     def test_above(self):
-        assert detect(-52.0, -62.0)
+        assert self.detected(-52.0, -62.0)
 
     def test_boundary_inclusive(self):
-        assert detect(-62.0, -62.0)
+        assert self.detected(-62.0, -62.0)
+        # the decode floor is inclusive too
+        ed = EdConfig(threshold_dbm=-62.0, min_sensitivity_dbm=-87.5)
+        assert coverage_of(np.array([-87.5, -90.0]), ed).cell_fraction == 0.5
 
     def test_below(self):
-        assert not detect(-73.0, -72.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            detect(float("nan"), -62.0)
+        assert not self.detected(-73.0, -72.0)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -89,12 +94,13 @@ class TestEdSuccessProb:
             assert p <= ed_success_prob([r], -62.0) + 1e-12
 
     def test_monte_carlo_oracle(self):
-        # independent check: sample unit-mean exponential fades per link
+        # independent check: the engine's fade draw with one branch, a
+        # unit-mean exponential per link
         rssis = np.array([-52.0, -58.0, -65.0, -70.0])
         threshold = -62.0
         rng = np.random.default_rng(42)
         n = 1_000_000
-        fades = sample_fast_fade(rng, size=(n, rssis.size))
+        fades = fast_fades(rng, n, rssis.size, 1)
         inst = rssis + 10.0 * np.log10(fades)
         mc = np.mean(np.all(inst >= threshold, axis=1))
         assert ed_success_prob(rssis, threshold) == pytest.approx(mc, abs=0.01)
@@ -197,19 +203,3 @@ class TestSampleRssi:
             tracemalloc.stop()
         assert peak <= 5 * 8 * n
 
-
-class TestUplinkEdFailure:
-    def test_paper_column(self):
-        assert uplink_ed_failure(CoverageResult(0.9, 0.45, 1000)) == pytest.approx(0.55)
-
-    def test_inh_wifi_column(self):
-        assert uplink_ed_failure(CoverageResult(0.9, 0.58, 1000)) == pytest.approx(0.42)
-
-    def test_full_coverage(self):
-        assert uplink_ed_failure(CoverageResult(1.0, 1.0, 1000)) == 0.0
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    @settings(derandomize=True, max_examples=50)
-    def test_exact_complement(self, frac):
-        cov = CoverageResult(1.0, frac, 1000)
-        assert uplink_ed_failure(cov) + cov.ed_fraction == 1.0

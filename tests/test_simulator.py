@@ -32,9 +32,8 @@ from coexsim.simulator import (
     Transmission,
     _WifiApController,
     jain_index,
-    percentile,
+    median,
     rate_from_sinr,
-    summarize,
 )
 
 
@@ -54,44 +53,48 @@ def wifi_pair_scenario(**kw):
 
 class TestRateFromSinr:
     def test_below_minimum_is_zero(self):
-        assert rate_from_sinr(-20.0, "wifi") == 0.0
+        assert rate_from_sinr(-20.0, "wifi", PhyConfig()) == 0.0
 
     def test_infinite_snr_gives_maximum(self):
-        assert rate_from_sinr(math.inf, "wifi") == 54.0
-        assert rate_from_sinr(math.inf, "lte") == 50.0
+        assert rate_from_sinr(math.inf, "wifi", PhyConfig()) == 54.0
+        assert rate_from_sinr(math.inf, "lte", PhyConfig()) == 50.0
 
     def test_monotone(self):
         rng = np.random.default_rng(3)
+        phy = PhyConfig()
         for _ in range(200):
             a, b = sorted(rng.uniform(-30, 60, size=2))
-            assert rate_from_sinr(a, "wifi") <= rate_from_sinr(b, "wifi")
-            assert rate_from_sinr(a, "lte") <= rate_from_sinr(b, "lte")
+            assert rate_from_sinr(a, "wifi", phy) <= rate_from_sinr(b, "wifi", phy)
+            assert rate_from_sinr(a, "lte", phy) <= rate_from_sinr(b, "lte", phy)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            rate_from_sinr(float("nan"), "wifi")
+            rate_from_sinr(float("nan"), "wifi", PhyConfig())
 
 
 class TestPercentile:
-    def test_median_of_three(self):
-        assert summarize([10, 20, 30], 50) == 20
+    """``median``: the middle value, or the mean of the middle two."""
 
-    def test_single_value_any_percentile(self):
-        for pct in (0, 25, 50, 99, 100):
-            assert summarize([7.0], pct) == 7.0
+    def test_median_of_three(self):
+        assert median([30, 10, 20]) == 20
+
+    def test_median_of_four(self):
+        assert median([40, 10, 30, 20]) == 25
+
+    def test_single_value(self):
+        assert median([7.0]) == 7.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([], 50)
+        with pytest.raises(ValueError, match="empty"):
+            median([])
 
     def test_matches_numpy_linear_interpolation(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             values = rng.uniform(0, 100, size=int(rng.integers(1, 40))).tolist()
-            pct = float(rng.uniform(0, 100))
-            assert percentile(values, pct) == pytest.approx(
-                float(np.percentile(values, pct)), rel=1e-9, abs=1e-9
-            )
+            # numpy's median, the 50th point of its linear interpolation,
+            # to the bit
+            assert median(values) == float(np.median(values))
 
 
 class TestJain:
@@ -103,6 +106,10 @@ class TestJain:
 
     def test_all_zero(self):
         assert jain_index([0.0, 0.0]) == 1.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            jain_index([])
 
 
 class TestGenerateTopology:
@@ -711,7 +718,7 @@ class TestFigure4Preset:
 
         def median_of(m, node):
             vals = m.file_throughputs_mbps.get(node, [])
-            return summarize(vals) if vals else 0.0
+            return median(vals) if vals else 0.0
 
         wifi_off, wifi_on = median_of(off, "sta1"), median_of(on, "sta1")
         lte_off, lte_on = median_of(off, "ue1"), median_of(on, "ue1")
