@@ -89,13 +89,16 @@ class PropagationModel:
             raise ValueError(f"unknown los_mode: {self.los_mode!r}")
 
 
-def _check_distance(d) -> np.ndarray:
+def _check_distance(d, out: np.ndarray | None = None) -> np.ndarray:
     arr = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError(f"distance must be finite and positive, got {d!r}")
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == arr.shape):
+        raise ValueError("out must be a float array of the distances' shape")
     # below-1m distances clamp to the 1 m value to avoid gain divergence; the
-    # clamped copy is at least 1-d and the caller's to overwrite
-    return np.atleast_1d(np.maximum(arr, 1.0))
+    # clamped array (a copy, or ``out``) is at least 1-d and the caller's to overwrite
+    return np.atleast_1d(np.maximum(arr, 1.0, out=out))
 
 
 def _inh_loss(logd: np.ndarray, fc_ghz: float, los: bool, out: np.ndarray) -> np.ndarray:
@@ -137,7 +140,14 @@ def los_probability_inh(d):
     arr = np.asarray(d, dtype=float)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"distance must be finite and >= 0, got {d!r}")
-    p = np.where(arr <= 18.0, 1.0, np.where(arr >= 37.0, 0.5, np.exp(-(arr - 18.0) / 27.0)))
+    # built in one array (0-d for a scalar, as ufuncs given ``out`` keep it),
+    # in the order of exp(-(d - 18) / 27), then the two flat zones
+    p = np.subtract(arr, 18.0, out=np.empty_like(arr))
+    np.negative(p, out=p)
+    np.divide(p, 27.0, out=p)
+    np.exp(p, out=p)
+    np.copyto(p, 0.5, where=arr >= 37.0)
+    np.copyto(p, 1.0, where=arr <= 18.0)
     return float(p) if np.ndim(d) == 0 else p
 
 
@@ -177,6 +187,7 @@ def sample_link_gains(
     model: PropagationModel,
     rng: np.random.Generator,
     include_shadow: bool = True,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Path gain + shadowing (dB) for an array of link distances.
 
@@ -185,10 +196,13 @@ def sample_link_gains(
     single law and uses the NLOS sigma.  Fast fading is never included
     here -- callers add it per transmission attempt.
 
-    The gains are built in place in the clamped copy of ``dists``, with
-    one ``log10`` over the whole array; ``dists`` itself is never written.
+    The gains are built in place, with one ``log10`` over the whole
+    array: in the clamped copy of ``dists``, or in ``out`` when given.
+    ``out`` is a float64 array of ``dists``' shape, and may be ``dists``
+    itself; it is returned, holding the same floats as the copying call.
+    Without ``out``, ``dists`` is never written.
     """
-    gain = _check_distance(dists)
+    gain = _check_distance(dists, out)
     if model.variant == "diffusion":
         _diffusion_gain(gain, model)
     else:
@@ -208,4 +222,6 @@ def sample_link_gains(
             np.logical_not(los, out=los)
             np.multiply(shadow, model.shadow_sigma_nlos_db, out=shadow, where=los)
         gain += shadow
+    if out is not None:
+        return out
     return float(gain[0]) if np.ndim(dists) == 0 else gain

@@ -89,8 +89,9 @@ def sample_rssi_dbm(
     pos = base.position
     if not building.contains(pos):
         raise ValueError("base position lies outside the building")
-    # the distances are formed in the x draw, and the y draw is freed before
-    # the gains are drawn, so at most four sample arrays are alive at once
+    # the distances are formed in the x draw, the y draw is freed before the
+    # gains are drawn, and the gains are built over the distances, so about
+    # two sample arrays are alive at once
     dists = rng.uniform(0.0, building.width_m, n_samples)
     ys = rng.uniform(0.0, building.depth_m, n_samples)
     dists -= pos.x
@@ -98,7 +99,7 @@ def sample_rssi_dbm(
     np.hypot(dists, ys, out=dists)
     del ys
     np.maximum(dists, 1.0, out=dists)
-    rssis = sample_link_gains(dists, model, rng, include_shadow=include_shadow)
+    rssis = sample_link_gains(dists, model, rng, include_shadow=include_shadow, out=dists)
     rssis += base.tx_power_dbm
     rssis -= margin_db
     return rssis

@@ -56,6 +56,20 @@ class TestLosProbability:
         with pytest.raises(ValueError):
             los_probability_inh(-1.0)
 
+    def test_equals_where_form(self):
+        # 0 to 60 m in 0.1 m steps, 18 m and 37 m exactly among them
+        d = np.arange(601) / 10.0
+        assert 18.0 in d and 37.0 in d
+        want = np.where(d <= 18.0, 1.0, np.where(d >= 37.0, 0.5, np.exp(-(d - 18.0) / 27.0)))
+        assert np.array_equal(bits(los_probability_inh(d)), bits(want))
+
+    @pytest.mark.parametrize("d", [27.0, np.float64(40.0), np.array(10.0)],
+                             ids=["scalar", "np_scalar", "0d"])
+    def test_scalar_input_returns_float(self, d):
+        p = los_probability_inh(d)
+        assert type(p) is float
+        assert p == los_probability_inh(np.array([float(d)]))[0]
+
 
 class TestPathGainDiffusion:
     def test_reference_distance(self):
@@ -256,6 +270,41 @@ class TestSampleLinkGainsBitwise:
         dists = LINKS.copy()
         sample_link_gains(dists, model, np.random.default_rng(2))
         assert np.array_equal(dists.view(np.int64), LINKS.view(np.int64))
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    @pytest.mark.parametrize("include_shadow", [True, False], ids=["shadow", "no_shadow"])
+    def test_out_dists_builds_gains_in_place(self, model, include_shadow):
+        dists = LINKS.copy()
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        got = sample_link_gains(dists, model, rng_a, include_shadow, out=dists)
+        assert got is dists
+        want = sample_link_gains(LINKS, model, rng_b, include_shadow)
+        assert np.array_equal(bits(got), bits(want))
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_separate_out_leaves_dists_unwritten(self, model):
+        dists, out = LINKS.copy(), np.empty_like(LINKS)
+        got = sample_link_gains(dists, model, np.random.default_rng(6), out=out)
+        assert got is out
+        assert np.array_equal(dists.view(np.int64), LINKS.view(np.int64))
+        want = sample_link_gains(LINKS, model, np.random.default_rng(6))
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("out", [np.empty(1000), np.empty((1001, 1)),
+                                     np.empty(1001, dtype=np.float32), [0.0] * 1001],
+                             ids=["short", "2d", "float32", "list"])
+    def test_bad_out_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            sample_link_gains(LINKS, MODELS[0], np.random.default_rng(0), out=out)
+
+    def test_bad_distance_leaves_out_unwritten(self):
+        dists = LINKS.copy()
+        dists[5] = -1.0
+        before = dists.copy()
+        with pytest.raises(ValueError, match="distance"):
+            sample_link_gains(dists, MODELS[0], np.random.default_rng(0), out=dists)
+        assert np.array_equal(dists.view(np.int64), before.view(np.int64))
 
     @pytest.mark.parametrize("d", [LINKS, 0.4, 17.0])
     def test_gain_laws_equal_written_out(self, d):
