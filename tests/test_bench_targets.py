@@ -22,6 +22,7 @@ from coexsim.config import apply_overrides, build_scenario, load_config
 from coexsim.simulator import SimEvent, Simulator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TWO_CHANNEL_CELLS = Path(__file__).resolve().parent / "two_channel_cells.yaml"
 
 
 def load_child(monkeypatch):
@@ -95,6 +96,18 @@ def test_traced_child_run_reads_every_probe(tmp_path):
         "--out", str(tmp_path / "out.csv"), "--trace", str(tmp_path / "trace.csv")])
     for counter in ("sim_s", "fade_draws", "heap_max", "events.slot_tick", "trace.records"):
         assert result["counters"].get(counter, 0) > 0, counter
+
+
+def test_relay_and_coordination_spans_are_called(tmp_path):
+    # the spans wrap the relay codec, the scan merge and the ED adaptation
+    # by name; a function the engine stopped calling would read 0 calls
+    result = run_traced_child(tmp_path, [
+        "simulate", "--config", str(TWO_CHANNEL_CELLS), "--out", str(tmp_path / "out.csv")])
+    calls = Counter()
+    for row in result["spans"]:
+        calls[row[1]] += row[2]
+    for span in ("relay.encode", "relay.decode", "relay.merge", "coordination.adapt"):
+        assert calls[span] > 0, span
 
 
 def test_link_gain_probe_counts_one_array_draw_per_scenario(tmp_path):

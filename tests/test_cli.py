@@ -1,5 +1,6 @@
 import filecmp
 import math
+from pathlib import Path
 
 import pytest
 import yaml
@@ -153,6 +154,37 @@ class TestSelectAdapt:
         out = capsys.readouterr().out
         assert rc == 0
         assert "ed_threshold_dbm=-62" in out
+
+
+SCAN_MIXED = str(Path(__file__).resolve().parent / "scan_mixed.yaml")
+
+
+class TestScanMixed:
+    """The printed decisions on a scan mixing sources, technologies and omitted keys."""
+
+    @pytest.mark.parametrize("overrides, selected", [
+        ([], 44),
+        (["channels=[36, 40]"], 36),
+        (["channels=[36, 40]", "select.running_on=lte_enb"], 40),
+        (["channels=[36, 40]", "coordination.select.symmetric_penalty=false"], 36),
+    ], ids=["empty_channel_wins", "wifi_ap", "lte_enb", "asymmetric"])
+    def test_select(self, tmp_path, capsys, overrides, selected):
+        argv = ["select", "--config", SCAN_MIXED, "--out", str(tmp_path / "m.csv")]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"selected_channel={selected}\n"
+
+    @pytest.mark.parametrize("own_channel, threshold", [
+        # laa_b at -79 dBm less the 1 dB margin; ap_c (-81) has no stations
+        ("36", "-80"),
+        # ap_e at -90 dBm on channel 40, less the margin
+        ("null", "-91"),
+    ], ids=["own_channel_36", "any_channel"])
+    def test_adapt(self, capsys, own_channel, threshold):
+        assert main(["adapt", "--config", SCAN_MIXED,
+                     "--set", f"adapt.own_channel={own_channel}"]) == 0
+        assert capsys.readouterr().out == f"ed_threshold_dbm={threshold}\n"
 
 
 class TestBeacon:

@@ -16,6 +16,7 @@ from coexsim.cli import main
 HERE = Path(__file__).resolve().parent
 TWO_BSS_RTS = str(HERE / "two_bss_rts.yaml")
 TWO_CHANNEL_CELLS = str(HERE / "two_channel_cells.yaml")
+SCAN_MIXED = str(HERE / "scan_mixed.yaml")
 
 # (argv without output paths, {option: sha256 of the file it writes})
 GOLDEN = {
@@ -76,6 +77,27 @@ GOLDEN = {
         {
             "--out": "0c56b5716db0577c2b83b9e917e1e9592229b96c0cd932c580cebeb70c33d3e7",
             "--trace": "97cfc96ebfbfc917748508698df269a56e3037179e335e23a6439c19db9ae040",
+        },
+    ),
+    # channel selection over both scan sources, LTE neighbours with TX
+    # offsets and entries that omit n_attached or utilization
+    "select_scan_mixed": (
+        ["select", "--config", SCAN_MIXED],
+        {
+            "--out": "3f2029c3c4329ad14af9d4fee32b67cab87bd0a3ce88cb592a67fa8fcd56f60b",
+        },
+    ),
+    "select_scan_mixed_on_lte_enb": (
+        ["select", "--config", SCAN_MIXED, "--set", "select.running_on=lte_enb"],
+        {
+            "--out": "bc7c6f1454af77ded8e4d0bf278ca85e4449b89079d5adfc74c5077540fc8b93",
+        },
+    ),
+    "select_scan_mixed_asymmetric": (
+        ["select", "--config", SCAN_MIXED,
+         "--set", "coordination.select.symmetric_penalty=false"],
+        {
+            "--out": "0813fd3471b02ceb1601688f081b0f8a1e19c3ebdd1bc5982a8cbc971b8d2e1b",
         },
     ),
     "table1_inh": (
