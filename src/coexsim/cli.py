@@ -154,14 +154,12 @@ def cmd_edprob(args) -> int:
 def cmd_select(args) -> int:
     scan, channels, running_on, select_cfg = cfgmod.build_select(load_with_overrides(args))
     kept = filter_scan(scan, select_cfg)
-    metrics = []
-    for channel in channels:
-        entries = [e for e in kept if e.cell.channel == channel]
-        metric = channel_metric(entries, select_cfg, running_on)
-        metric.channel = channel
-        metrics.append(metric)
+    on_channel = {channel: [e for e in kept if e.cell.channel == channel]
+                  for channel in channels}
+    metrics = {channel: channel_metric(entries, select_cfg, running_on)
+               for channel, entries in on_channel.items()}
     chosen = select_channel(metrics)
-    rows = [(m.channel, m.metric, len(m.contributors)) for m in metrics]
+    rows = [(channel, metrics[channel], len(on_channel[channel])) for channel in channels]
     write_rows(args.out, ["channel", "metric", "contributors"], rows)
     print(f"selected_channel={chosen}")
     return EXIT_OK

@@ -170,8 +170,9 @@ class PhyConfig:
     def __post_init__(self) -> None:
         if self.fading_branches < 1:
             raise ValueError("fading_branches must be at least 1")
-        self.wifi_rates = [(float(t), float(r)) for t, r in self.wifi_rates]
-        self.lte_rates = [(float(t), float(r)) for t, r in self.lte_rates]
+        for name in ("wifi_rates", "lte_rates"):
+            setattr(self, name, [(_finite(t, f"phy.{name}"), _finite(r, f"phy.{name}"))
+                                 for t, r in getattr(self, name)])
 
 
 @dataclass
@@ -382,9 +383,32 @@ def _reading(name: str):
         raise ConfigError(f"{name}: {detail}") from exc
 
 
+def _finite(value, key: str) -> float:
+    """``value`` (a number, or text float() reads) as a finite float, else fail naming ``key``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, not {value!r}")
+    return number
+
+
+def _whole(value, key: str) -> int:
+    """``value`` as an int when it is a whole number, else fail naming ``key``."""
+    number = value if isinstance(value, int) else _finite(value, key)
+    if number != int(number):
+        raise ConfigError(f"{key} must be a whole number, not {value!r}")
+    return int(number)
+
+
 def _build(cls, data, section: str, **defaults):
-    """Construct a dataclass from a mapping, rejecting unknown keys."""
+    """Construct a dataclass from a mapping, rejecting unknown keys and non-finite numbers."""
     data = _section(data, [f.name for f in fields(cls)], section)
+    numbers = {f.name for f in fields(cls) if type(f.default) in (int, float)}
+    for key, value in data.items():
+        if key in numbers or isinstance(value, float):
+            _finite(value, f"{section}.{key}")
     with _reading(section):
         return cls(**{**defaults, **data})
 
@@ -404,7 +428,7 @@ def _build_macs(cfg: dict) -> tuple:
 def _position(pos, owner: str) -> Position:
     if pos is None or len(pos) != 2:
         raise ConfigError(f"{owner} needs position: [x, y]")
-    return Position(float(pos[0]), float(pos[1]))
+    return Position(_finite(pos[0], f"{owner} position"), _finite(pos[1], f"{owner} position"))
 
 
 @_reading("nodes")
@@ -426,8 +450,8 @@ def _build_links(data) -> dict:
 @_reading("simulate")
 def _build_run(data) -> dict:
     sim = _section(data, ("duration_s", "warmup_s", "adaptive_ed"), "simulate")
-    return {"duration_s": float(sim.get("duration_s", 1.0)),
-            "warmup_s": float(sim.get("warmup_s", 0.0)),
+    return {"duration_s": _finite(sim.get("duration_s", 1.0), "simulate.duration_s"),
+            "warmup_s": _finite(sim.get("warmup_s", 0.0), "simulate.warmup_s"),
             "adaptive_ed": bool(sim.get("adaptive_ed", False))}
 
 
@@ -446,7 +470,7 @@ def _build_coordination(cfg: dict, wifi_mac: WifiMacConfig, lte_mac: LteMacConfi
 
 @_reading("seed")
 def _seed(cfg: dict) -> int:
-    return int(cfg.get("seed", 1))
+    return _whole(cfg.get("seed", 1), "seed")
 
 
 TOP_LEVEL_KEYS = {
@@ -522,14 +546,15 @@ def build_coverage_spec(cfg: dict) -> CoverageSpec:
         building=_build(Building, cfg.get("building"), "building"),
         models=models,
         base_position=_position(base.get("position", [25.0, 30.0]), "coverage.base"),
-        tx_power_dbm=float(base.get("tx_power_dbm", 20.0)),
-        cells=[(c["name"], float(c["min_sensitivity_dbm"])) for c in cells],
-        thresholds_dbm=[float(t) for t in cov.get(
+        tx_power_dbm=_finite(base.get("tx_power_dbm", 20.0), "coverage.base.tx_power_dbm"),
+        cells=[(c["name"], _finite(c["min_sensitivity_dbm"],
+                                   "coverage.cells.min_sensitivity_dbm")) for c in cells],
+        thresholds_dbm=[_finite(t, "coverage.thresholds_dbm") for t in cov.get(
             "thresholds_dbm", [WifiMacConfig.ed_threshold_dbm, LteMacConfig.ed_threshold_dbm])],
-        samples=int(cov.get("samples", 100_000)),
+        samples=_whole(cov.get("samples", 100_000), "coverage.samples"),
         include_shadow=bool(cov.get("include_shadow", True)),
-        margin_db=float(cov.get("margin_db", 0.0)),
-        cdf_bin_db=float(cov.get("cdf_bin_db", 1.0)),
+        margin_db=_finite(cov.get("margin_db", 0.0), "coverage.margin_db"),
+        cdf_bin_db=_finite(cov.get("cdf_bin_db", 1.0), "coverage.cdf_bin_db"),
         seed=_seed(cfg),
     )
     if spec.samples < 1000:
@@ -541,34 +566,38 @@ def build_coverage_spec(cfg: dict) -> CoverageSpec:
     return spec
 
 
-def _cell_info(data: dict) -> CellInfo:
-    """A CellInfo from the keys named as its fields; ``node_type``/``mac_spec`` go by name."""
+def _cell_info(data: dict, section: str) -> CellInfo:
+    """A CellInfo from the keys named as its fields; ``node_type``/``mac_spec`` go by name.
+
+    A count that is no whole number fails naming ``section.key``.
+    """
+    counts = {key: _whole(data[key], f"{section}.{key}") for key in
+              ("channel", "station_count", "available_admission_capacity", "tx_power_offset_db")
+              if key in data}
     return CellInfo(
         operator_cell_id=str(data["operator_cell_id"]),
-        channel=int(data["channel"]),
-        station_count=int(data.get("station_count", 0)),
         channel_utilization=float(data.get("channel_utilization", 0.0)),
-        available_admission_capacity=int(data.get("available_admission_capacity", 0)),
         node_type=NodeType[str(data.get("node_type", "wifi")).upper()],
         mac_spec=MacSpec[str(data.get("mac_spec", "dcf")).upper()],
-        tx_power_offset_db=int(data.get("tx_power_offset_db", 0)),
+        **counts,
     )
 
 
 @_reading("scan")
-def _build_scan(cfg: dict) -> list:
+def _build_scan(cfg: dict, missing_utilization: float) -> list:
+    """The scan entries; an omitted ``n_attached`` is 0, an omitted ``utilization`` the default."""
     entries = []
     for rec in _entries(cfg.get("scan") or [], "scan"):
         rec = _section(rec, ("cell_id", "channel", "source", "rssi_dbm", "n_attached",
                              "utilization", "node_type", "mac_spec", "tx_power_offset_db"), "scan")
+        stations = _whole(rec.get("n_attached") or 0, "scan.n_attached")
+        utilization = rec.get("utilization")
         entries.append(ScanEntry(
             source=rec.get("source", "over_the_air"),
-            cell=_cell_info({**rec, "operator_cell_id": rec["cell_id"],
-                             "station_count": rec.get("n_attached") or 0,
-                             "channel_utilization": rec.get("utilization") or 0.0}),
+            cell=_cell_info({**rec, "operator_cell_id": rec["cell_id"], "station_count": stations,
+                             "channel_utilization": missing_utilization if utilization is None
+                             else utilization}, "scan"),
             rssi_dbm=float(rec["rssi_dbm"]),
-            n_attached=rec.get("n_attached"),
-            utilization=rec.get("utilization"),
         ))
     return entries
 
@@ -581,11 +610,11 @@ def build_select(cfg: dict) -> tuple:
         "running_on", "wifi_ap")
     if running_on not in ("wifi_ap", "lte_enb"):
         raise ConfigError(f"select.running_on must be wifi_ap or lte_enb, not {running_on!r}")
-    channels = [int(c) for c in cfg.get("channels") or []]
+    channels = [_whole(c, "channels") for c in cfg.get("channels") or []]
     if not channels:
         raise ConfigError("select needs a candidate channels list")
     _, _, select = _build_coordination(cfg, *_build_macs(cfg))
-    return _build_scan(cfg), channels, running_on, select
+    return _build_scan(cfg, select.missing_utilization_default), channels, running_on, select
 
 
 @_reading("adapt")
@@ -593,10 +622,11 @@ def build_adapt(cfg: dict) -> tuple:
     """The ``adapt`` inputs: (scan entries, AdaptiveEdConfig, own channel or None)."""
     _section(cfg, TOP_LEVEL_KEYS, "")
     adapt = _section(cfg.get("adapt"), ("technology", "own_channel"), "adapt")
-    wifi, lte, _ = _build_coordination(cfg, *_build_macs(cfg))
+    wifi, lte, select = _build_coordination(cfg, *_build_macs(cfg))
     own_channel = adapt.get("own_channel")
-    return (_build_scan(cfg), {"wifi": wifi, "lte": lte}[adapt.get("technology", "wifi")],
-            None if own_channel is None else int(own_channel))
+    return (_build_scan(cfg, select.missing_utilization_default),
+            {"wifi": wifi, "lte": lte}[adapt.get("technology", "wifi")],
+            None if own_channel is None else _whole(own_channel, "adapt.own_channel"))
 
 
 @_reading("cell")
@@ -605,4 +635,4 @@ def build_cell(cfg: dict, overrides: dict) -> CellInfo:
     _section(cfg, TOP_LEVEL_KEYS, "")
     cell = _section(cfg.get("cell"), [f.name for f in fields(CellInfo)], "cell")
     return _cell_info({"operator_cell_id": "", "channel": 36, "node_type": "rel13_laa",
-                       "mac_spec": "lbt_cat4", **cell, **overrides})
+                       "mac_spec": "lbt_cat4", **cell, **overrides}, "cell")

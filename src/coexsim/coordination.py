@@ -14,7 +14,7 @@ Two algorithms live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .relay import NodeType, ScanEntry
 
@@ -28,7 +28,8 @@ class ChannelSelectConfig:
     # apply the cross-technology penalty on both node kinds, not only
     # when running on the LTE base (directional in the source material)
     symmetric_penalty: bool = True
-    # legacy APs ship no load element; score them pessimistically
+    # the load of a scan-file entry that gives none: legacy APs ship no
+    # load element, so score them pessimistically
     missing_utilization_default: float = 0.5
 
     def __post_init__(self) -> None:
@@ -36,17 +37,8 @@ class ChannelSelectConfig:
             raise ValueError("weights must be >= 0 and not both zero")
         if self.lte_timeshare_penalty < 1.0:
             raise ValueError("timeshare penalty must be >= 1")
-
-
-@dataclass
-class ChannelMetric:
-    channel: int
-    metric: float
-    contributors: list[ScanEntry] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.metric < 0:
-            raise ValueError("metric must be >= 0")
+        if not 0.0 <= self.missing_utilization_default <= 1.0:
+            raise ValueError("missing_utilization_default must lie in [0, 1]")
 
 
 @dataclass
@@ -92,21 +84,18 @@ def channel_metric(
     entries_on_channel: list[ScanEntry],
     cfg: ChannelSelectConfig,
     running_on: str = "wifi_ap",
-) -> ChannelMetric:
-    """Combined predicted/actual airtime score for one channel.
+) -> float:
+    """Combined predicted/actual airtime score for one channel's entries.
 
-    metric = w1 * average(U) + w2 * sum(N_attached), where each
+    metric = w1 * average(U) + w2 * sum(N_attached), with U and
+    N_attached each entry's cell utilization and station count.  Each
     cross-technology entry's contribution to both terms is multiplied by
     the timeshare penalty (always when running on the LTE base;
-    symmetric on the Wi-Fi side when configured).
+    symmetric on the Wi-Fi side when configured).  A channel with no
+    entries scores 0.
     """
     if not entries_on_channel:
-        return ChannelMetric(channel=-1, metric=0.0, contributors=[])
-    channels = {e.cell.channel for e in entries_on_channel}
-    if len(channels) != 1:
-        raise ValueError(f"entries span multiple channels: {sorted(channels)}")
-    channel = channels.pop()
-
+        return 0.0
     util_sum = 0.0
     attached_sum = 0.0
     for entry in entries_on_channel:
@@ -115,24 +104,16 @@ def channel_metric(
             running_on == "lte_enb" or cfg.symmetric_penalty
         ):
             penalty = cfg.lte_timeshare_penalty
-        util = entry.utilization
-        if util is None:
-            util = cfg.missing_utilization_default
-        attached = entry.n_attached
-        if attached is None:
-            attached = entry.cell.station_count
-        util_sum += penalty * util
-        attached_sum += penalty * attached
-    metric = cfg.w1 * (util_sum / len(entries_on_channel)) + cfg.w2 * attached_sum
-    return ChannelMetric(channel=channel, metric=metric, contributors=list(entries_on_channel))
+        util_sum += penalty * entry.cell.channel_utilization
+        attached_sum += penalty * entry.cell.station_count
+    return cfg.w1 * (util_sum / len(entries_on_channel)) + cfg.w2 * attached_sum
 
 
-def select_channel(metrics: list[ChannelMetric]) -> int:
-    """Argmin over channel metrics; ties break to the lowest channel."""
+def select_channel(metrics: dict[int, float]) -> int:
+    """Argmin over ``{channel: metric}``; ties break to the lowest channel."""
     if not metrics:
         raise ValueError("cannot select from an empty metric list")
-    best = min(metrics, key=lambda m: (m.metric, m.channel))
-    return best.channel
+    return min(metrics, key=lambda channel: (metrics[channel], channel))
 
 
 def adapt_ed_threshold(
@@ -152,10 +133,7 @@ def adapt_ed_threshold(
     for entry in scan:
         if own_channel is not None and entry.cell.channel != own_channel:
             continue
-        attached = entry.n_attached
-        if attached is None:
-            attached = entry.cell.station_count
-        if attached > 0:
+        if entry.cell.station_count > 0:
             active.append(entry)
     if not active:
         return cfg.t_default_dbm

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 IE_SSID = 0
@@ -125,8 +125,6 @@ class ScanEntry:
     source: str  # "over_the_air" | "relayed"
     cell: CellInfo
     rssi_dbm: float
-    n_attached: int | None = None
-    utilization: float | None = None
 
     def __post_init__(self) -> None:
         if self.source not in ("over_the_air", "relayed"):
@@ -170,15 +168,6 @@ def _require_length(ie: InformationElement, expected: int) -> None:
             f"element {ie.element_id}: expected {expected} payload bytes, got {ie.length}",
             element_id=ie.element_id,
         )
-
-
-def is_pseudo_beacon(ies: list[InformationElement]) -> bool:
-    """True when the designated vendor elements are present."""
-    subtypes = set()
-    for ie in ies:
-        if ie.element_id == IE_VENDOR and ie.payload[:3] == VENDOR_OUI and ie.length >= 4:
-            subtypes.add(ie.payload[3])
-    return {SUBTYPE_NODE_TYPE, SUBTYPE_MAC_SPEC, SUBTYPE_TX_OFFSET} <= subtypes
 
 
 def decode_pseudo_beacon(ies: list[InformationElement]) -> CellInfo:
@@ -232,7 +221,7 @@ def decode_pseudo_beacon(ies: list[InformationElement]) -> CellInfo:
     node_type = NodeType.WIFI
     mac_spec = MacSpec.DCF
     tx_offset = 0
-    if is_pseudo_beacon(ies):
+    if vendor.keys() >= {SUBTYPE_NODE_TYPE, SUBTYPE_MAC_SPEC, SUBTYPE_TX_OFFSET}:
         for subtype, value in vendor.items():
             if subtype == SUBTYPE_NODE_TYPE:
                 if len(value) != 1:
@@ -306,23 +295,18 @@ def merge_scans(ota: list[ScanEntry], relayed: list[ScanEntry]) -> list[ScanEntr
     """Fuse over-the-air and relayed scan entries.
 
     Entries are keyed by operator/cell id.  When both sources report the
-    same cell the over-the-air RSSI wins and the relayed metadata fills
-    any fields the air scan is missing.  Output is sorted by descending
-    RSSI, cell id as tiebreak, and the merge is idempotent.
+    same cell the over-the-air RSSI wins, and the relayed cell, counts
+    and load included, replaces a plain Wi-Fi air cell; an air cell that
+    already carries a cross-technology payload is kept.  Output is
+    sorted by descending RSSI, cell id as tiebreak, and the merge is
+    idempotent.
     """
-    merged: dict[str, ScanEntry] = {}
-    for entry in ota:
-        merged[entry.cell.operator_cell_id] = entry
+    merged = {entry.cell.operator_cell_id: entry for entry in ota}
     for entry in relayed:
         key = entry.cell.operator_cell_id
-        if key not in merged:
+        base = merged.get(key)
+        if base is None:
             merged[key] = entry
-            continue
-        base = merged[key]
-        merged[key] = replace(
-            base,
-            n_attached=base.n_attached if base.n_attached is not None else entry.n_attached,
-            utilization=base.utilization if base.utilization is not None else entry.utilization,
-            cell=base.cell if base.cell.node_type != NodeType.WIFI else entry.cell,
-        )
+        elif base.cell.node_type == NodeType.WIFI:
+            merged[key] = replace(base, cell=entry.cell)
     return sorted(merged.values(), key=lambda e: (-e.rssi_dbm, e.cell.operator_cell_id))

@@ -988,19 +988,15 @@ class Simulator:
             ota = self._air_scans[base_id] = []
             for ap in self._base_ids:
                 if base_id in self._decoders.get(ap, ()):
-                    stations = self.attached_count(ap)
-                    cell = CellInfo(ap, self.nodes[ap].channel, stations)
-                    ota.append(ScanEntry("over_the_air", cell, self.mean_rssi(ap, base_id),
-                                         n_attached=stations))
+                    cell = CellInfo(ap, self.nodes[ap].channel, self.attached_count(ap))
+                    ota.append(ScanEntry("over_the_air", cell, self.mean_rssi(ap, base_id)))
         relayed = []
         for src_base, cell in sorted(self.relayed.items()):
             if src_base == base_id:
                 continue
             rssi = self.mean_rssi(src_base, base_id)
             if rssi >= self.scenario.phy.measurement_floor_dbm:
-                relayed.append(ScanEntry("relayed", cell, rssi,
-                                         n_attached=cell.station_count,
-                                         utilization=cell.channel_utilization))
+                relayed.append(ScanEntry("relayed", cell, rssi))
         return merge_scans(ota, relayed)
 
     def _handle_adapt_tick(self, base_id: str) -> None:

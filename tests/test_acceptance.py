@@ -18,7 +18,6 @@ from coexsim.cli import main
 from coexsim.config import PhyConfig, apply_overrides, build_scenario, load_config
 from coexsim.coordination import (
     AdaptiveEdConfig,
-    ChannelMetric,
     adapt_ed_threshold,
     select_channel,
 )
@@ -244,10 +243,9 @@ def test_criterion_8_property_suites():
         cfg["simulate"]["duration_s"] = 0.3
         Simulator(build_scenario(cfg)).run()
         # select argmin invariance under positive scaling
-        metrics = [ChannelMetric(36, 9.0), ChannelMetric(40, 2.0),
-                   ChannelMetric(44, 5.0)]
+        metrics = {36: 9.0, 40: 2.0, 44: 5.0}
         for scale in (0.2, 1.0, 3.7, 80.0):
-            scaled = [ChannelMetric(m.channel, m.metric * scale) for m in metrics]
+            scaled = {channel: metric * scale for channel, metric in metrics.items()}
             assert select_channel(scaled) == select_channel(metrics)
         # adaptive threshold range / detection guarantee / monotonicity
         cfg_at = AdaptiveEdConfig(t_default_dbm=-62.0, t_min_dbm=-82.0)
@@ -255,7 +253,7 @@ def test_criterion_8_property_suites():
             cell = CellInfo(operator_cell_id=f"n{i}", channel=36,
                             station_count=1, node_type=NodeType.REL13_LAA,
                             mac_spec=MacSpec.LBT_CAT4)
-            return ScanEntry("relayed", cell, rssi, n_attached=1)
+            return ScanEntry("relayed", cell, rssi)
         for _ in range(300):
             levels = rng.uniform(-100, -40, size=int(rng.integers(0, 6)))
             scan = [mk(r, i) for i, r in enumerate(levels)]

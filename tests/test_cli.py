@@ -488,6 +488,50 @@ class TestInputErrors:
         ("simulate", "figure3_collision", ["seed.x=1"], "unknown config key: seed.x"),
         ("select", SCAN_CFG, ["select.running_on=bogus"], "select.running_on"),
         ("select", SCAN_CFG, ["channels=[]"], "channels list"),
+        # counts are whole numbers: a fraction is never truncated
+        ("select", scan_with(n_attached=2.5), [], "scan.n_attached"),
+        ("adapt", scan_with(n_attached=0.5), [], "scan.n_attached"),
+        ("select", scan_with(tx_power_offset_db=1.5), [], "scan.tx_power_offset_db"),
+        ("select", scan_with(channel=36.5), [], "scan.channel"),
+        ("select", SCAN_CFG, ["channels=[36.5]"], "channels"),
+        ("adapt", SCAN_CFG, ["adapt.own_channel=36.5"], "adapt.own_channel"),
+        ("beacon encode", {"cell": {"station_count": 2.5}}, [], "cell.station_count"),
+        ("beacon encode", {"cell": {"available_admission_capacity": 1.5}}, [],
+         "cell.available_admission_capacity"),
+        # an omitted utilization reads as the default, so the default is a load
+        ("select", SCAN_CFG, ["coordination.select.missing_utilization_default=1.5"],
+         "missing_utilization_default"),
+        ("adapt", SCAN_CFG, ["coordination.select.missing_utilization_default=-0.5"],
+         "missing_utilization_default"),
+        # every number a config gives is finite
+        ("simulate", {"nodes": TWO_BASES}, ["simulate.duration_s=.inf"], "simulate.duration_s"),
+        ("simulate", {"nodes": TWO_BASES}, ["simulate.duration_s=.nan"], "simulate.duration_s"),
+        ("simulate", {"nodes": TWO_BASES}, ["simulate.duration_s=nan"], "simulate.duration_s"),
+        ("simulate", {"nodes": TWO_BASES}, ["simulate.warmup_s=.inf"], "simulate.warmup_s"),
+        ("simulate", {"nodes": TWO_BASES}, ["phy.noise_floor_dbm=.nan"], "phy.noise_floor_dbm"),
+        ("simulate", {"nodes": TWO_BASES}, ["phy.capture_threshold_db=.nan"],
+         "phy.capture_threshold_db"),
+        ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.ed_threshold_dbm=.nan"],
+         "wifi_mac.ed_threshold_dbm"),
+        ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.slot_us=.nan"], "wifi_mac.slot_us"),
+        ("simulate", {"nodes": TWO_BASES}, ["relay.latency_ms=.nan"], "relay.latency_ms"),
+        ("simulate", {"nodes": TWO_BASES}, ["coordination.wifi.safety_margin_db=.nan"],
+         "coordination.wifi.safety_margin_db"),
+        ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.ed_threshold_dbm=abc"],
+         "wifi_mac.ed_threshold_dbm"),
+        ("simulate", {"nodes": TWO_BASES}, ["phy.noise_floor_dbm=abc"], "phy.noise_floor_dbm"),
+        ("simulate", {"nodes": TWO_BASES}, ["phy.wifi_rates=[[.nan, 6.0]]"], "wifi_rates"),
+        ("simulate", {"nodes": TWO_BASES}, ["phy.lte_rates=[[-5.0, .inf]]"], "lte_rates"),
+        ("simulate", {"nodes": [{**TWO_BASES[0], "ed_threshold_dbm": math.nan}, TWO_BASES[1]]},
+         [], "nodes.ed_threshold_dbm"),
+        ("coverage", "table1_inh", ["coverage.thresholds_dbm=[.nan]"], "coverage.thresholds_dbm"),
+        ("coverage", "table1_inh", ["coverage.thresholds_dbm=[.inf]"], "coverage.thresholds_dbm"),
+        ("coverage", "table1_inh", ["coverage.cells=[{name: wifi, min_sensitivity_dbm: .nan}]"],
+         "coverage.cells.min_sensitivity_dbm"),
+        ("coverage", "table1_inh", ["coverage.margin_db=.nan"], "coverage.margin_db"),
+        ("coverage", "table1_inh", ["coverage.base.tx_power_dbm=.nan"],
+         "coverage.base.tx_power_dbm"),
+        ("coverage", "table1_inh", ["coverage.cdf_bin_db=.inf"], "coverage.cdf_bin_db"),
     ], ids=["select_channel_7", "adapt_channel_7", "adapt_rssi_minus_inf",
             "select_rssi_inf", "simulate_link_inf", "scan_n_atached", "scan_utilisation",
             "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
@@ -503,7 +547,18 @@ class TestInputErrors:
             "malformed_yaml_override", "non_utf8_file", "config_is_directory",
             "out_in_missing_dir", "out_is_directory", "trace_in_missing_dir",
             "cdf_out_in_missing_dir", "override_below_scalar_seed", "override_into_scalar_seed",
-            "select_running_on_bogus", "select_no_channels"])
+            "select_running_on_bogus", "select_no_channels",
+            "select_fractional_n_attached", "adapt_fractional_n_attached",
+            "select_fractional_tx_offset", "select_fractional_scan_channel",
+            "select_fractional_candidate", "adapt_fractional_own_channel",
+            "cell_fractional_station_count", "cell_fractional_admission",
+            "select_missing_utilization_above_1", "adapt_missing_utilization_below_0",
+            "duration_inf", "duration_nan", "duration_nan_text", "warmup_inf",
+            "noise_floor_nan", "capture_threshold_nan", "wifi_ed_threshold_nan",
+            "wifi_slot_nan", "relay_latency_nan", "safety_margin_nan", "wifi_ed_threshold_text",
+            "noise_floor_text", "wifi_rate_nan", "lte_rate_inf", "node_ed_threshold_nan",
+            "coverage_threshold_nan", "coverage_threshold_inf", "coverage_sensitivity_nan",
+            "coverage_margin_nan", "coverage_tx_power_nan", "coverage_cdf_bin_inf"])
     def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):
         if isinstance(cfg, bytes):
             (tmp_path / "raw.yaml").write_bytes(cfg)
@@ -518,6 +573,13 @@ class TestInputErrors:
         assert rc == 2
         assert err.startswith("config error:")
         assert named in err
+
+    def test_number_text_float_reads_is_accepted(self, tmp_path):
+        # a reader that calls float() still takes text float() reads
+        out = tmp_path / "e.csv"
+        assert main(["simulate", "--config", write_config(tmp_path, {"nodes": TWO_BASES}),
+                     "--set", "simulate.duration_s=1e-2", "--out", str(out)]) == 0
+        assert out.read_text().startswith("seed,")
 
     def test_edprob_rssi_text(self, capsys):
         rc = main(["edprob", "--rssi=-52,abc", "--threshold", "-62"])

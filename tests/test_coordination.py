@@ -3,13 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from coexsim.coordination import (
     AdaptiveEdConfig,
-    ChannelMetric,
     ChannelSelectConfig,
     adapt_ed_threshold,
     channel_metric,
     filter_scan,
     select_channel,
 )
+from coexsim.config import build_select
 from coexsim.relay import CellInfo, MacSpec, NodeType, ScanEntry
 
 
@@ -17,12 +17,12 @@ def entry(rssi, channel=36, node_type=NodeType.WIFI, source="over_the_air",
           n_attached=0, utilization=0.0, offset=0, cell_id="cell"):
     cell = CellInfo(
         operator_cell_id=cell_id, channel=channel, station_count=n_attached,
-        channel_utilization=min(max(utilization, 0.0), 1.0),
+        channel_utilization=utilization,
         node_type=node_type,
         mac_spec=MacSpec.DCF if node_type == NodeType.WIFI else MacSpec.LBT_CAT4,
         tx_power_offset_db=offset,
     )
-    return ScanEntry(source, cell, rssi, n_attached=n_attached, utilization=utilization)
+    return ScanEntry(source, cell, rssi)
 
 
 class TestFilterScan:
@@ -54,15 +54,12 @@ class TestFilterScan:
         kept = filter_scan(base, cfg)
         if weak_rssi < -75.0:
             with_weak = filter_scan(base + [entry(weak_rssi, cell_id="weak")], cfg)
-            m1 = channel_metric(kept, cfg)
-            m2 = channel_metric(with_weak, cfg)
-            assert m1.metric == m2.metric
+            assert channel_metric(kept, cfg) == channel_metric(with_weak, cfg)
 
 
 class TestChannelMetric:
     def test_empty_channel_zero(self):
-        m = channel_metric([], ChannelSelectConfig())
-        assert m.metric == 0.0
+        assert channel_metric([], ChannelSelectConfig()) == 0.0
 
     def test_hand_computed(self):
         cfg = ChannelSelectConfig(w1=10.0, w2=1.0, lte_timeshare_penalty=1.0)
@@ -70,8 +67,7 @@ class TestChannelMetric:
             entry(-60.0, utilization=0.4, n_attached=2, cell_id="a"),
             entry(-65.0, utilization=0.6, n_attached=3, cell_id="b"),
         ]
-        m = channel_metric(entries, cfg)
-        assert m.metric == pytest.approx(10.0 * 0.5 + 5.0)
+        assert channel_metric(entries, cfg) == pytest.approx(10.0 * 0.5 + 5.0)
 
     def test_penalty_against_brute_force(self):
         cfg = ChannelSelectConfig(w1=10.0, w2=1.0, lte_timeshare_penalty=2.0,
@@ -81,11 +77,11 @@ class TestChannelMetric:
             entry(-65.0, utilization=0.6, n_attached=3, cell_id="lte",
                   node_type=NodeType.REL13_LAA),
         ]
-        m = channel_metric(entries, cfg, running_on="wifi_ap")
+        metric = channel_metric(entries, cfg, running_on="wifi_ap")
         # brute force: penalized terms recomputed from scratch
         util_term = (1.0 * 0.4 + 2.0 * 0.6) / 2
         attached_term = 1.0 * 2 + 2.0 * 3
-        assert m.metric == pytest.approx(10.0 * util_term + attached_term)
+        assert metric == pytest.approx(10.0 * util_term + attached_term)
 
     def test_penalty_direction_on_enb(self):
         cfg = ChannelSelectConfig(w1=10.0, w2=1.0, lte_timeshare_penalty=2.0,
@@ -93,44 +89,40 @@ class TestChannelMetric:
         wifi_neighbor = [entry(-60.0, utilization=0.5, n_attached=1)]
         on_ap = channel_metric(wifi_neighbor, cfg, running_on="wifi_ap")
         on_enb = channel_metric(wifi_neighbor, cfg, running_on="lte_enb")
-        assert on_enb.metric == pytest.approx(2.0 * on_ap.metric)
-
-    def test_mixed_channels_rejected(self):
-        entries = [entry(-60.0, channel=36), entry(-60.0, channel=40, cell_id="x")]
-        with pytest.raises(ValueError, match="channels"):
-            channel_metric(entries, ChannelSelectConfig())
+        assert on_enb == pytest.approx(2.0 * on_ap)
 
     def test_missing_utilization_pessimistic_default(self):
-        cfg = ChannelSelectConfig(w1=10.0, w2=1.0)
-        e = entry(-60.0, n_attached=0)
-        e = ScanEntry(e.source, e.cell, e.rssi_dbm, n_attached=0, utilization=None)
-        m = channel_metric([e], cfg)
-        assert m.metric == pytest.approx(10.0 * 0.5)
+        # a scan-file entry with no utilization and no n_attached is read
+        # as a cell at the default load with 0 stations
+        scan, _, _, cfg = build_select({
+            "channels": [36], "scan": [{"cell_id": "legacy", "channel": 36, "rssi_dbm": -60.0}],
+            "coordination": {"select": {"w1": 10.0, "w2": 1.0}}})
+        assert scan[0].cell.channel_utilization == cfg.missing_utilization_default == 0.5
+        assert scan[0].cell.station_count == 0
+        assert channel_metric(scan, cfg) == pytest.approx(10.0 * 0.5)
 
-    def test_negative_metric_rejected(self):
-        with pytest.raises(ValueError, match="metric"):
-            ChannelMetric(36, -1.0)
+    @pytest.mark.parametrize("default", [-0.1, 1.5, float("nan")])
+    def test_missing_utilization_default_lies_in_unit_interval(self, default):
+        with pytest.raises(ValueError, match="missing_utilization_default"):
+            ChannelSelectConfig(missing_utilization_default=default)
 
 
 class TestSelectChannel:
     def test_empty_channel_wins(self):
-        metrics = [ChannelMetric(36, 10.0), ChannelMetric(40, 0.0)]
-        assert select_channel(metrics) == 40
+        assert select_channel({36: 10.0, 40: 0.0}) == 40
 
     def test_tie_breaks_low(self):
-        metrics = [ChannelMetric(40, 5.0), ChannelMetric(36, 5.0)]
-        assert select_channel(metrics) == 36
+        assert select_channel({40: 5.0, 36: 5.0}) == 36
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select_channel([])
+            select_channel({})
 
     @given(st.floats(min_value=0.01, max_value=1000.0))
     @settings(derandomize=True, max_examples=100)
     def test_argmin_invariant_under_scaling(self, scale):
-        metrics = [ChannelMetric(36, 12.0), ChannelMetric(40, 3.0),
-                   ChannelMetric(44, 7.0)]
-        scaled = [ChannelMetric(m.channel, m.metric * scale) for m in metrics]
+        metrics = {36: 12.0, 40: 3.0, 44: 7.0}
+        scaled = {channel: metric * scale for channel, metric in metrics.items()}
         assert select_channel(scaled) == select_channel(metrics)
 
 

@@ -23,7 +23,6 @@ from coexsim.relay import (
     encode_pseudo_beacon,
     hex_to_ies,
     ies_to_hex,
-    is_pseudo_beacon,
     merge_scans,
     parse_ies,
     serialize_ies,
@@ -87,7 +86,8 @@ class TestEncode:
         vendor = [ie for ie in ies if ie.element_id == IE_VENDOR]
         assert len(vendor) == 3
         assert all(ie.payload[:3] == b"\x00\x00\x00" for ie in vendor)
-        assert is_pseudo_beacon(ies)
+        # the three vendor elements select the cross-technology payload
+        assert decode_pseudo_beacon(ies).node_type == NodeType.REL13_LAA
 
     def test_length_fields_consistent(self):
         for ie in encode_pseudo_beacon(sample_cell()):
@@ -220,9 +220,10 @@ def test_round_trip_identity_randomized():
 
 class TestMergeScans:
     def entry(self, cell_id, rssi, source="over_the_air", node_type=NodeType.WIFI,
-              n_attached=None, utilization=None):
-        cell = sample_cell(operator_cell_id=cell_id, node_type=node_type)
-        return ScanEntry(source, cell, rssi, n_attached, utilization)
+              station_count=0, utilization=0.0):
+        cell = sample_cell(operator_cell_id=cell_id, node_type=node_type,
+                           station_count=station_count, channel_utilization=utilization)
+        return ScanEntry(source, cell, rssi)
 
     def test_disjoint_concatenates_sorted(self):
         ota = [self.entry("a", -70.0)]
@@ -231,24 +232,29 @@ class TestMergeScans:
         assert [e.cell.operator_cell_id for e in merged] == ["b", "a"]
 
     def test_same_cell_ota_rssi_wins_relayed_fills(self):
-        ota = [self.entry("cell1", -60.0, n_attached=None, utilization=None)]
+        # the relayed cell, counts and load included, replaces the plain
+        # Wi-Fi air cell; the air RSSI and source stay
+        ota = [self.entry("cell1", -60.0, station_count=1)]
         relayed = [self.entry("cell1", -70.0, source="relayed",
                               node_type=NodeType.MULTEFIRE,
-                              n_attached=4, utilization=0.25)]
+                              station_count=4, utilization=0.25)]
         merged = merge_scans(ota, relayed)
-        assert len(merged) == 1
-        assert merged[0].rssi_dbm == -60.0
-        assert merged[0].n_attached == 4
-        assert merged[0].utilization == 0.25
-        assert merged[0].cell.node_type == NodeType.MULTEFIRE
+        assert merged == [ScanEntry("over_the_air", relayed[0].cell, -60.0)]
+
+    def test_air_cell_with_payload_is_kept(self):
+        ota = [self.entry("cell1", -60.0, node_type=NodeType.LTE_U, station_count=1)]
+        relayed = [self.entry("cell1", -70.0, source="relayed",
+                              node_type=NodeType.MULTEFIRE, station_count=4)]
+        assert merge_scans(ota, relayed) == ota
 
     def test_empty_inputs(self):
         assert merge_scans([], []) == []
 
     def test_idempotent(self):
-        ota = [self.entry("a", -70.0, n_attached=2),
-               self.entry("b", -65.0, n_attached=1)]
-        relayed = [self.entry("a", -75.0, source="relayed", n_attached=3)]
+        ota = [self.entry("a", -70.0, station_count=2),
+               self.entry("b", -65.0, station_count=1)]
+        relayed = [self.entry("a", -75.0, source="relayed", station_count=3),
+                   self.entry("c", -80.0, source="relayed", node_type=NodeType.LTE_U)]
         once = merge_scans(ota, relayed)
         assert merge_scans(once, once) == once
 

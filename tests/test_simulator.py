@@ -828,7 +828,7 @@ class TestRelayInVivo:
         scan = sim._scan_at("ap3")
         assert [(e.source, e.cell.operator_cell_id, e.rssi_dbm) for e in scan] == [
             ("over_the_air", "ap1", -70.0)]
-        assert scan[0].n_attached == 1 and scan[0].utilization is None
+        assert scan[0].cell == relay.CellInfo("ap1", 36, station_count=1)
         assert sim._scan_at("ap3")[0] is scan[0]  # the air half is built once per base
         assert m.final_ed_thresholds == {"ap1": -71.0, "ap3": -71.0, "ap2": -62.0,
                                          "enb1": -72.0, "enb2": -72.0}
