@@ -170,9 +170,10 @@ class PhyConfig:
     def __post_init__(self) -> None:
         if self.fading_branches < 1:
             raise ValueError("fading_branches must be at least 1")
-        for name in ("wifi_rates", "lte_rates"):
-            setattr(self, name, [(_finite(t, f"phy.{name}"), _finite(r, f"phy.{name}"))
-                                 for t, r in getattr(self, name)])
+        self.wifi_rates = [(_finite(t, "phy.wifi_rates"), _finite(r, "phy.wifi_rates"))
+                           for t, r in self.wifi_rates]
+        self.lte_rates = [(_finite(t, "phy.lte_rates"), _finite(r, "phy.lte_rates"))
+                          for t, r in self.lte_rates]
 
 
 @dataclass
@@ -403,12 +404,18 @@ def _whole(value, key: str) -> int:
 
 
 def _build(cls, data, section: str, **defaults):
-    """Construct a dataclass from a mapping, rejecting unknown keys and non-finite numbers."""
-    data = _section(data, [f.name for f in fields(cls)], section)
-    numbers = {f.name for f in fields(cls) if type(f.default) in (int, float)}
+    """Construct a dataclass from a mapping, rejecting unknown keys and non-finite numbers.
+
+    A field whose default is a number is read as one: an int default takes
+    only a whole number, read as an int, and a float default a float.
+    """
+    data = dict(_section(data, [f.name for f in fields(cls)], section))
+    kinds = {f.name: type(f.default) for f in fields(cls)}
     for key, value in data.items():
-        if key in numbers or isinstance(value, float):
-            _finite(value, f"{section}.{key}")
+        if kinds[key] is int:
+            data[key] = _whole(value, f"{section}.{key}")
+        elif kinds[key] is float or isinstance(value, float):
+            data[key] = _finite(value, f"{section}.{key}")
     with _reading(section):
         return cls(**{**defaults, **data})
 
@@ -572,10 +579,11 @@ def _cell_info(data: dict, section: str) -> CellInfo:
     A count that is no whole number fails naming ``section.key``.
     """
     counts = {key: _whole(data[key], f"{section}.{key}") for key in
-              ("channel", "station_count", "available_admission_capacity", "tx_power_offset_db")
+              ("station_count", "available_admission_capacity", "tx_power_offset_db")
               if key in data}
     return CellInfo(
         operator_cell_id=str(data["operator_cell_id"]),
+        channel=_whole(data["channel"], f"{section}.channel"),
         channel_utilization=float(data.get("channel_utilization", 0.0)),
         node_type=NodeType[str(data.get("node_type", "wifi")).upper()],
         mac_spec=MacSpec[str(data.get("mac_spec", "dcf")).upper()],

@@ -112,7 +112,7 @@ def channel_metric(
 def select_channel(metrics: dict[int, float]) -> int:
     """Argmin over ``{channel: metric}``; ties break to the lowest channel."""
     if not metrics:
-        raise ValueError("cannot select from an empty metric list")
+        raise ValueError("cannot select from no channel metrics")
     return min(metrics, key=lambda channel: (metrics[channel], channel))
 
 

@@ -498,6 +498,11 @@ class TestInputErrors:
         ("beacon encode", {"cell": {"station_count": 2.5}}, [], "cell.station_count"),
         ("beacon encode", {"cell": {"available_admission_capacity": 1.5}}, [],
          "cell.available_admission_capacity"),
+        # so is every field whose default is an int
+        ("simulate", {"nodes": TWO_BASES}, ["phy.fading_branches=2.5"], "phy.fading_branches"),
+        ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.retry_limit=2.5"], "wifi_mac.retry_limit"),
+        ("simulate", {"nodes": [{**TWO_BASES[0], "channel": 36.5}, TWO_BASES[1]]}, [],
+         "nodes.channel"),
         # an omitted utilization reads as the default, so the default is a load
         ("select", SCAN_CFG, ["coordination.select.missing_utilization_default=1.5"],
          "missing_utilization_default"),
@@ -552,6 +557,7 @@ class TestInputErrors:
             "select_fractional_tx_offset", "select_fractional_scan_channel",
             "select_fractional_candidate", "adapt_fractional_own_channel",
             "cell_fractional_station_count", "cell_fractional_admission",
+            "fractional_fading_branches", "fractional_retry_limit", "fractional_node_channel",
             "select_missing_utilization_above_1", "adapt_missing_utilization_below_0",
             "duration_inf", "duration_nan", "duration_nan_text", "warmup_inf",
             "noise_floor_nan", "capture_threshold_nan", "wifi_ed_threshold_nan",
@@ -574,11 +580,13 @@ class TestInputErrors:
         assert err.startswith("config error:")
         assert named in err
 
-    def test_number_text_float_reads_is_accepted(self, tmp_path):
-        # a reader that calls float() still takes text float() reads
+    @pytest.mark.parametrize("override", ["simulate.duration_s=1e-2", "phy.fading_branches=2.0"])
+    def test_whole_and_finite_numbers_are_accepted(self, tmp_path, override):
+        # text float() reads is a number, and a whole float is a whole number
         out = tmp_path / "e.csv"
         assert main(["simulate", "--config", write_config(tmp_path, {"nodes": TWO_BASES}),
-                     "--set", "simulate.duration_s=1e-2", "--out", str(out)]) == 0
+                     "--set", "simulate.duration_s=0.01", "--set", override,
+                     "--out", str(out)]) == 0
         assert out.read_text().startswith("seed,")
 
     def test_edprob_rssi_text(self, capsys):
