@@ -584,7 +584,8 @@ class TestInputErrors:
     def test_whole_and_finite_numbers_are_accepted(self, tmp_path, override):
         # text float() reads is a number, and a whole float is a whole number
         out = tmp_path / "e.csv"
-        assert main(["simulate", "--config", write_config(tmp_path, {"nodes": TWO_BASES}),
+        cfg = {"nodes": WITH_STA, "traffic": {"model": "full_buffer"}}
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
                      "--set", "simulate.duration_s=0.01", "--set", override,
                      "--out", str(out)]) == 0
         assert out.read_text().startswith("seed,")

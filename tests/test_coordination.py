@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coexsim.config import build_select
 from coexsim.coordination import (
     AdaptiveEdConfig,
     ChannelSelectConfig,
@@ -9,7 +10,6 @@ from coexsim.coordination import (
     filter_scan,
     select_channel,
 )
-from coexsim.config import build_select
 from coexsim.relay import CellInfo, MacSpec, NodeType, ScanEntry
 
 
