@@ -2,10 +2,14 @@
 
 The dataclasses below define and check every scenario the simulator
 runs.  Config files are nested YAML mirroring the dataclass tree.  Only
-this module reads a raw config dict: every section passes one key check
-(a misspelled key fails with its exact name) and one error mapping (a
-wrong type or shape raises ``ConfigError`` naming the section), and each
-dataclass checks its own values.  ``--set a.b.c=value`` overrides walk
+this module reads a raw config dict, and ``_typed`` reads every key as
+the type of its default: an int default takes a whole number, a float
+default a finite one, a bool default only ``true`` or ``false``, a str
+default text and an Enum default a member name in any case; any other
+default passes the value through, a float only if finite.  Every section
+passes one key check (a misspelled key fails with its exact name) and one
+error mapping (a wrong type or shape raises ``ConfigError`` naming the
+section), and each dataclass checks its own values.  ``--set a.b.c=value`` overrides walk
 the raw dictionary before construction; values parse as YAML.
 """
 
@@ -13,7 +17,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
 from importlib import resources
 from pathlib import Path
 
@@ -22,7 +27,7 @@ import yaml
 
 from .coordination import AdaptiveEdConfig, ChannelSelectConfig
 from .propagation import Building, Position, PropagationModel
-from .relay import CellInfo, MacSpec, NodeType, ScanEntry
+from .relay import VALID_CHANNELS, CellInfo, MacSpec, NodeType, ScanEntry
 
 PRESET_NAMES = ("table1_inh", "table1_diffusion", "figure3_collision",
                 "figure4_coexistence")
@@ -53,6 +58,14 @@ def _check_cw(cw_min: int, cw_max: int) -> None:
             raise ValueError(f"cw {cw} must have the 2^k - 1 form")
     if cw_min > cw_max:
         raise ValueError(f"cw_min {cw_min} exceeds cw_max {cw_max}")
+
+
+def _check_channels(channels: list, name: str) -> None:
+    for channel in channels:
+        if not isinstance(channel, (int, float)) or channel not in VALID_CHANNELS:
+            raise ConfigError(f"{name}: channel {channel!r} is not in the unlicensed channel set")
+    if len(set(channels)) < len(channels):
+        raise ConfigError(f"{name} must not repeat a channel: {channels}")
 
 
 @dataclass(frozen=True)
@@ -170,9 +183,9 @@ class PhyConfig:
     def __post_init__(self) -> None:
         if self.fading_branches < 1:
             raise ValueError("fading_branches must be at least 1")
-        self.wifi_rates = [(_finite(t, "phy.wifi_rates"), _finite(r, "phy.wifi_rates"))
+        self.wifi_rates = [(_typed(t, float, "phy.wifi_rates"), _typed(r, float, "phy.wifi_rates"))
                            for t, r in self.wifi_rates]
-        self.lte_rates = [(_finite(t, "phy.lte_rates"), _finite(r, "phy.lte_rates"))
+        self.lte_rates = [(_typed(t, float, "phy.lte_rates"), _typed(r, float, "phy.lte_rates"))
                           for t, r in self.lte_rates]
 
 
@@ -184,8 +197,7 @@ class ClientGenConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("fixed", "poisson"):
             raise ValueError(f"unknown client generation mode {self.mode!r}")
-        if self.per_base < 0 or (self.mode == "fixed"
-                                 and not float(self.per_base).is_integer()):
+        if self.per_base < 0 or (self.mode == "fixed" and self.per_base % 1):
             raise ValueError("per_base must be >= 0, and a whole number under mode: fixed")
 
 
@@ -233,6 +245,7 @@ class Scenario:
         for node in self.nodes:
             if not self.building.contains(node.position):
                 raise ValueError(f"node {node.id} lies outside the building")
+            _check_channels([node.channel], f"node {node.id}")
             # a base's own threshold is its adaptation ceiling
             t_min = self.adapt_for(node.technology).t_min_dbm
             if node.ed_threshold_dbm is not None and node.ed_threshold_dbm < t_min:
@@ -384,40 +397,58 @@ def _reading(name: str):
         raise ConfigError(f"{name}: {detail}") from exc
 
 
-def _finite(value, key: str) -> float:
-    """``value`` (a number, or text float() reads) as a finite float, else fail naming ``key``."""
+def _typed(value, default, key: str):
+    """``value`` read as the type of ``default`` (or as ``default``, a type), else fail
+    naming ``key``: the one place a config value gets its type."""
+    kind = default if isinstance(default, type) else type(default)
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, not {value!r}")
+        return value
+    if kind is int and isinstance(value, int):
+        return int(value)
+    if kind is str:
+        return str(value)
+    if issubclass(kind, Enum):
+        try:
+            return kind[str(value).upper()]
+        except KeyError:
+            raise ConfigError(f"{key} must be one of {', '.join(m.name.lower() for m in kind)}, "
+                              f"not {value!r}") from None
+    if kind not in (int, float) and not isinstance(value, float):
+        return value
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be a finite number, not {value!r}")
-    return number
-
-
-def _whole(value, key: str) -> int:
-    """``value`` as an int when it is a whole number, else fail naming ``key``."""
-    number = value if isinstance(value, int) else _finite(value, key)
-    if number != int(number):
+    if kind is int and number != int(number):
         raise ConfigError(f"{key} must be a whole number, not {value!r}")
-    return int(number)
+    return int(number) if kind is int else number
+
+
+def _read(data, section: str, defaults: dict) -> dict:
+    """``defaults`` with each key ``data`` gives (no other) read over it by ``_typed``; a
+    type as default marks a key ``data`` must give, a ``MISSING`` one is left out if not."""
+    data = _section(data, defaults, section)
+    out = {}
+    for key, default in defaults.items():
+        name = f"{section}.{key}" if section else key
+        if key in data:
+            out[key] = _typed(data[key], default, name)
+        elif isinstance(default, type):
+            raise ConfigError(f"missing config key: {name}")
+        elif default is not MISSING:
+            out[key] = default
+    return out
 
 
 def _build(cls, data, section: str, **defaults):
-    """Construct a dataclass from a mapping, rejecting unknown keys and non-finite numbers.
-
-    A field whose default is a number is read as one: an int default takes
-    only a whole number, read as an int, and a float default a float.
-    """
-    data = dict(_section(data, [f.name for f in fields(cls)], section))
-    kinds = {f.name: type(f.default) for f in fields(cls)}
-    for key, value in data.items():
-        if kinds[key] is int:
-            data[key] = _whole(value, f"{section}.{key}")
-        elif kinds[key] is float or isinstance(value, float):
-            data[key] = _finite(value, f"{section}.{key}")
+    """A ``cls`` from the mapping ``data``, each field read as its default's type."""
     with _reading(section):
-        return cls(**{**defaults, **data})
+        return cls(**_read(data, section, {**{f.name: f.default for f in fields(cls)},
+                                           **defaults}))
 
 
 def _build_propagation(data, section: str = "propagation") -> PropagationModel:
@@ -427,15 +458,10 @@ def _build_propagation(data, section: str = "propagation") -> PropagationModel:
     return _build(PropagationModel, data, section)
 
 
-def _build_macs(cfg: dict) -> tuple:
-    return (_build(WifiMacConfig, cfg.get("wifi_mac"), "wifi_mac"),
-            _build(LteMacConfig, cfg.get("lte_mac"), "lte_mac"))
-
-
 def _position(pos, owner: str) -> Position:
     if pos is None or len(pos) != 2:
         raise ConfigError(f"{owner} needs position: [x, y]")
-    return Position(_finite(pos[0], f"{owner} position"), _finite(pos[1], f"{owner} position"))
+    return Position(*(_typed(v, float, f"{owner} position") for v in pos))
 
 
 @_reading("nodes")
@@ -454,61 +480,51 @@ def _build_links(data) -> dict:
             for b, gain in _section(peers, None, f"links.{a}").items()}
 
 
-@_reading("simulate")
-def _build_run(data) -> dict:
-    sim = _section(data, ("duration_s", "warmup_s", "adaptive_ed"), "simulate")
-    return {"duration_s": _finite(sim.get("duration_s", 1.0), "simulate.duration_s"),
-            "warmup_s": _finite(sim.get("warmup_s", 0.0), "simulate.warmup_s"),
-            "adaptive_ed": bool(sim.get("adaptive_ed", False))}
-
-
-def _build_coordination(cfg: dict, wifi_mac: WifiMacConfig, lte_mac: LteMacConfig) -> tuple:
-    """The Wi-Fi and LTE AdaptiveEdConfig and the ChannelSelectConfig.
+def _build_coordination(cfg: dict) -> tuple:
+    """The Wi-Fi and LTE MAC and AdaptiveEdConfig, and the ChannelSelectConfig.
 
     An unset ``t_default_dbm`` is the MAC's configured ED threshold.
     """
-    data = _section(cfg.get("coordination"), ("wifi", "lte", "select"), "coordination")
-    return (_build(AdaptiveEdConfig, data.get("wifi"), "coordination.wifi",
+    wifi_mac = _build(WifiMacConfig, cfg["wifi_mac"], "wifi_mac")
+    lte_mac = _build(LteMacConfig, cfg["lte_mac"], "lte_mac")
+    data = _section(cfg["coordination"], ("wifi", "lte", "select"), "coordination")
+    return (wifi_mac, lte_mac,
+            _build(AdaptiveEdConfig, data.get("wifi"), "coordination.wifi",
                    t_default_dbm=wifi_mac.ed_threshold_dbm),
             _build(AdaptiveEdConfig, data.get("lte"), "coordination.lte",
                    t_default_dbm=lte_mac.ed_threshold_dbm),
             _build(ChannelSelectConfig, data.get("select"), "coordination.select"))
 
 
-@_reading("seed")
-def _seed(cfg: dict) -> int:
-    return _whole(cfg.get("seed", 1), "seed")
-
-
-TOP_LEVEL_KEYS = {
-    "seed", "building", "propagation", "coverage", "simulate", "nodes",
-    "links", "traffic", "wifi_mac", "lte_mac", "phy", "coordination",
-    "relay", "channels", "clients", "scan", "select", "adapt", "cell",
-}
+# every top-level key and its default: the sections read on as their own
+TOP_LEVEL = {**dict.fromkeys(("building", "propagation", "coverage", "simulate", "nodes", "links",
+                              "traffic", "wifi_mac", "lte_mac", "phy", "coordination", "relay",
+                              "channels", "clients", "scan", "select", "adapt", "cell")),
+             "seed": Scenario.seed}
 
 
 @_reading("scenario")
 def build_scenario(cfg: dict) -> Scenario:
     """Assemble a simulator Scenario from a raw config dict."""
-    _section(cfg, TOP_LEVEL_KEYS, "")
-    wifi_mac, lte_mac = _build_macs(cfg)
-    adapt_wifi, adapt_lte, _ = _build_coordination(cfg, wifi_mac, lte_mac)
+    cfg = _read(cfg, "", TOP_LEVEL)
+    wifi_mac, lte_mac, adapt_wifi, adapt_lte, _ = _build_coordination(cfg)
     scenario = Scenario(
-        building=_build(Building, cfg.get("building"), "building"),
-        nodes=_build_nodes(cfg.get("nodes")),
-        propagation=_build_propagation(cfg.get("propagation")),
-        traffic=_build(TrafficConfig, cfg.get("traffic"), "traffic"),
-        seed=_seed(cfg),
+        building=_build(Building, cfg["building"], "building"),
+        nodes=_build_nodes(cfg["nodes"]),
+        propagation=_build_propagation(cfg["propagation"]),
+        traffic=_build(TrafficConfig, cfg["traffic"], "traffic"),
+        seed=cfg["seed"],
         wifi_mac=wifi_mac,
         lte_mac=lte_mac,
-        phy=_build(PhyConfig, cfg.get("phy"), "phy"),
+        phy=_build(PhyConfig, cfg["phy"], "phy"),
         adapt_wifi=adapt_wifi,
         adapt_lte=adapt_lte,
-        relay=_build(RelayConfig, cfg.get("relay"), "relay"),
-        link_gains=_build_links(cfg.get("links")),
-        **_build_run(cfg.get("simulate")),
+        relay=_build(RelayConfig, cfg["relay"], "relay"),
+        link_gains=_build_links(cfg["links"]),
+        **_read(cfg["simulate"], "simulate",
+                {k: getattr(Scenario, k) for k in ("duration_s", "warmup_s", "adaptive_ed")}),
     )
-    if cfg.get("clients"):
+    if cfg["clients"]:
         return generate_topology(scenario, _build(ClientGenConfig, cfg["clients"], "clients"),
                                  np.random.default_rng([scenario.seed, 42]))
     scenario.validate()
@@ -517,130 +533,113 @@ def build_scenario(cfg: dict) -> Scenario:
 
 @dataclass
 class CoverageSpec:
-    """Inputs for the coverage analytics command."""
+    """Inputs for the coverage command: the ``coverage`` section with the building and seed."""
 
     building: Building
-    models: list
+    models: list  # one PropagationModel per table row
+    seed: int
     base_position: Position
     tx_power_dbm: float
-    cells: list  # (name, min_sensitivity_dbm)
-    thresholds_dbm: list
-    samples: int
-    include_shadow: bool
-    margin_db: float
-    cdf_bin_db: float
-    seed: int
+    cells: list = field(default_factory=lambda: [("wifi", -87.5), ("ulte", -100.0)])
+    thresholds_dbm: list = field(default_factory=lambda: [WifiMacConfig.ed_threshold_dbm,
+                                                          LteMacConfig.ed_threshold_dbm])
+    samples: int = 100_000
+    include_shadow: bool = True
+    margin_db: float = 0.0
+    cdf_bin_db: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.models:
+            raise ConfigError("coverage.models must list at least one model")
+        self.thresholds_dbm = [_typed(t, float, "coverage.thresholds_dbm")
+                               for t in self.thresholds_dbm]
+        if self.samples < 1000:
+            raise ConfigError("coverage.samples must be at least 1000")
+        if not self.cdf_bin_db > 0:
+            raise ConfigError("coverage.cdf_bin_db must be positive")
+        if not self.building.contains(self.base_position):
+            raise ConfigError("coverage.base.position lies outside the building")
 
 
 @_reading("coverage")
 def build_coverage_spec(cfg: dict) -> CoverageSpec:
-    _section(cfg, TOP_LEVEL_KEYS, "")
-    cov = _section(cfg.get("coverage"), ("samples", "include_shadow", "margin_db", "base", "cells",
-                                         "thresholds_dbm", "cdf_bin_db", "models"), "coverage")
-    base = _section(cov.get("base"), ("position", "tx_power_dbm"), "coverage.base")
+    cfg = _read(cfg, "", TOP_LEVEL)
+    cov = dict(_section(cfg["coverage"], ("samples", "include_shadow", "margin_db", "base",
+                                          "cells", "thresholds_dbm", "cdf_bin_db", "models"),
+                        "coverage"))
+    base = _read(cov.pop("base", None), "coverage.base",
+                 {"position": [25.0, 30.0], "tx_power_dbm": 20.0})
     if "models" in cov:
         models = [_build_propagation(m, "coverage.models")
-                  for m in _entries(cov["models"], "coverage.models")]
-        if not models:
-            raise ConfigError("coverage.models must list at least one model")
+                  for m in _entries(cov.pop("models"), "coverage.models")]
     else:
-        models = [_build_propagation(cfg.get("propagation"))]
-    cells = [_section(c, ("name", "min_sensitivity_dbm"), "coverage.cells")
-             for c in _entries(cov.get("cells") or [
-                 {"name": "wifi", "min_sensitivity_dbm": -87.5},
-                 {"name": "ulte", "min_sensitivity_dbm": -100.0}], "coverage.cells")]
-    spec = CoverageSpec(
-        building=_build(Building, cfg.get("building"), "building"),
-        models=models,
-        base_position=_position(base.get("position", [25.0, 30.0]), "coverage.base"),
-        tx_power_dbm=_finite(base.get("tx_power_dbm", 20.0), "coverage.base.tx_power_dbm"),
-        cells=[(c["name"], _finite(c["min_sensitivity_dbm"],
-                                   "coverage.cells.min_sensitivity_dbm")) for c in cells],
-        thresholds_dbm=[_finite(t, "coverage.thresholds_dbm") for t in cov.get(
-            "thresholds_dbm", [WifiMacConfig.ed_threshold_dbm, LteMacConfig.ed_threshold_dbm])],
-        samples=_whole(cov.get("samples", 100_000), "coverage.samples"),
-        include_shadow=bool(cov.get("include_shadow", True)),
-        margin_db=_finite(cov.get("margin_db", 0.0), "coverage.margin_db"),
-        cdf_bin_db=_finite(cov.get("cdf_bin_db", 1.0), "coverage.cdf_bin_db"),
-        seed=_seed(cfg),
-    )
-    if spec.samples < 1000:
-        raise ConfigError("coverage.samples must be at least 1000")
-    if not spec.cdf_bin_db > 0:
-        raise ConfigError("coverage.cdf_bin_db must be positive")
-    if not spec.building.contains(spec.base_position):
-        raise ConfigError("coverage.base.position lies outside the building")
-    return spec
+        models = [_build_propagation(cfg["propagation"])]
+    cells = cov.pop("cells", None)
+    if cells:  # an empty or null list reads as omitted
+        cov["cells"] = [tuple(_read(c, "coverage.cells",
+                                    {"name": str, "min_sensitivity_dbm": float}).values())
+                        for c in _entries(cells, "coverage.cells")]
+    return _build(CoverageSpec, cov, "coverage",
+                  building=_build(Building, cfg["building"], "building"), models=models,
+                  seed=cfg["seed"], base_position=_position(base["position"], "coverage.base"),
+                  tx_power_dbm=base["tx_power_dbm"])
 
 
-def _cell_info(data: dict, section: str) -> CellInfo:
-    """A CellInfo from the keys named as its fields; ``node_type``/``mac_spec`` go by name.
-
-    A count that is no whole number fails naming ``section.key``.
-    """
-    counts = {key: _whole(data[key], f"{section}.{key}") for key in
-              ("station_count", "available_admission_capacity", "tx_power_offset_db")
-              if key in data}
-    return CellInfo(
-        operator_cell_id=str(data["operator_cell_id"]),
-        channel=_whole(data["channel"], f"{section}.channel"),
-        channel_utilization=float(data.get("channel_utilization", 0.0)),
-        node_type=NodeType[str(data.get("node_type", "wifi")).upper()],
-        mac_spec=MacSpec[str(data.get("mac_spec", "dcf")).upper()],
-        **counts,
-    )
+# a scan record's keys and defaults (CellInfo's; a type marks a key every record gives)
+SCAN_RECORD = {"cell_id": str, "channel": int, "source": "over_the_air", "rssi_dbm": float,
+               "n_attached": 0, "utilization": 0.0, "node_type": NodeType.WIFI,
+               "mac_spec": MacSpec.DCF, "tx_power_offset_db": 0}
+# the scan keys that CellInfo names otherwise
+SCAN_NAMES = {"cell_id": "operator_cell_id", "n_attached": "station_count",
+              "utilization": "channel_utilization"}
 
 
 @_reading("scan")
 def _build_scan(cfg: dict, missing_utilization: float) -> list:
-    """The scan entries; an omitted ``n_attached`` is 0, an omitted ``utilization`` the default."""
+    """The scan entries; a null ``n_attached`` or ``utilization`` reads as omitted."""
+    defaults = {**SCAN_RECORD, "utilization": missing_utilization}
     entries = []
-    for rec in _entries(cfg.get("scan") or [], "scan"):
-        rec = _section(rec, ("cell_id", "channel", "source", "rssi_dbm", "n_attached",
-                             "utilization", "node_type", "mac_spec", "tx_power_offset_db"), "scan")
-        stations = _whole(rec.get("n_attached") or 0, "scan.n_attached")
-        utilization = rec.get("utilization")
-        entries.append(ScanEntry(
-            source=rec.get("source", "over_the_air"),
-            cell=_cell_info({**rec, "operator_cell_id": rec["cell_id"], "station_count": stations,
-                             "channel_utilization": missing_utilization if utilization is None
-                             else utilization}, "scan"),
-            rssi_dbm=float(rec["rssi_dbm"]),
-        ))
+    for rec in _entries(cfg["scan"] or [], "scan"):
+        rec = _read({key: value for key, value in _section(rec, None, "scan").items()
+                     if value is not None or key not in ("n_attached", "utilization")},
+                    "scan", defaults)
+        source, rssi_dbm = rec.pop("source"), rec.pop("rssi_dbm")
+        cell = CellInfo(**{SCAN_NAMES.get(key, key): value for key, value in rec.items()})
+        entries.append(ScanEntry(source, cell, rssi_dbm))
     return entries
 
 
 @_reading("select")
 def build_select(cfg: dict) -> tuple:
     """The ``select`` inputs: (scan entries, channels, running_on, ChannelSelectConfig)."""
-    _section(cfg, TOP_LEVEL_KEYS, "")
-    running_on = _section(cfg.get("select"), ("running_on",), "select").get(
-        "running_on", "wifi_ap")
+    cfg = _read(cfg, "", TOP_LEVEL)
+    running_on = _read(cfg["select"], "select", {"running_on": "wifi_ap"})["running_on"]
     if running_on not in ("wifi_ap", "lte_enb"):
         raise ConfigError(f"select.running_on must be wifi_ap or lte_enb, not {running_on!r}")
-    channels = [_whole(c, "channels") for c in cfg.get("channels") or []]
+    channels = [_typed(c, int, "channels") for c in cfg["channels"] or []]
     if not channels:
         raise ConfigError("select needs a candidate channels list")
-    _, _, select = _build_coordination(cfg, *_build_macs(cfg))
+    _check_channels(channels, "channels")
+    *_, select = _build_coordination(cfg)
     return _build_scan(cfg, select.missing_utilization_default), channels, running_on, select
 
 
 @_reading("adapt")
 def build_adapt(cfg: dict) -> tuple:
     """The ``adapt`` inputs: (scan entries, AdaptiveEdConfig, own channel or None)."""
-    _section(cfg, TOP_LEVEL_KEYS, "")
-    adapt = _section(cfg.get("adapt"), ("technology", "own_channel"), "adapt")
-    wifi, lte, select = _build_coordination(cfg, *_build_macs(cfg))
-    own_channel = adapt.get("own_channel")
+    cfg = _read(cfg, "", TOP_LEVEL)
+    adapt = _read(cfg["adapt"], "adapt", {"technology": "wifi", "own_channel": None})
+    if adapt["own_channel"] is not None:
+        _check_channels([adapt["own_channel"]], "adapt.own_channel")
+    _, _, wifi, lte, select = _build_coordination(cfg)
     return (_build_scan(cfg, select.missing_utilization_default),
-            {"wifi": wifi, "lte": lte}[adapt.get("technology", "wifi")],
-            None if own_channel is None else _whole(own_channel, "adapt.own_channel"))
+            {"wifi": wifi, "lte": lte}[adapt["technology"]], adapt["own_channel"])
 
 
 @_reading("cell")
 def build_cell(cfg: dict, overrides: dict) -> CellInfo:
     """The ``cell`` section as a CellInfo; ``overrides`` (the CLI flags) replace its keys."""
-    _section(cfg, TOP_LEVEL_KEYS, "")
-    cell = _section(cfg.get("cell"), [f.name for f in fields(CellInfo)], "cell")
-    return _cell_info({"operator_cell_id": "", "channel": 36, "node_type": "rel13_laa",
-                       "mac_spec": "lbt_cat4", **cell, **overrides}, "cell")
+    cfg = _read(cfg, "", TOP_LEVEL)
+    return _build(CellInfo, {**_section(cfg["cell"], None, "cell"), **overrides}, "cell",
+                  operator_cell_id="", channel=36, node_type=NodeType.REL13_LAA,
+                  mac_spec=MacSpec.LBT_CAT4)

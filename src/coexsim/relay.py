@@ -65,6 +65,14 @@ class MacSpec(IntEnum):
     DCF = 4
 
 
+# vendor subtype -> (CellInfo field, its name in errors, value byte -> field value)
+VENDOR_FIELDS = {
+    SUBTYPE_NODE_TYPE: ("node_type", "node type", NodeType),
+    SUBTYPE_MAC_SPEC: ("mac_spec", "mac spec", MacSpec),
+    SUBTYPE_TX_OFFSET: ("tx_power_offset_db", "tx offset", lambda b: b - 256 if b > 127 else b),
+}
+
+
 class BeaconDecodeError(ValueError):
     """Malformed information element; carries the offending element id."""
 
@@ -204,7 +212,7 @@ def decode_pseudo_beacon(ies: list[InformationElement]) -> CellInfo:
             station_count, util_byte, admission = struct.unpack("<HBH", ie.payload)
             utilization = util_byte / 255.0
         elif ie.element_id == IE_VENDOR:
-            if ie.length >= 4 and ie.payload[:3] == VENDOR_OUI:
+            if ie.length >= 4 and ie.payload[:3] == VENDOR_OUI and ie.payload[3] in VENDOR_FIELDS:
                 vendor[ie.payload[3]] = ie.payload[4:]
 
     if ssid is None or ds_channel is None:
@@ -218,29 +226,16 @@ def decode_pseudo_beacon(ies: list[InformationElement]) -> CellInfo:
     if ds_channel not in VALID_CHANNELS:
         raise BeaconDecodeError(f"element 3: channel {ds_channel} not in unlicensed set", 3)
 
-    node_type = NodeType.WIFI
-    mac_spec = MacSpec.DCF
-    tx_offset = 0
-    if vendor.keys() >= {SUBTYPE_NODE_TYPE, SUBTYPE_MAC_SPEC, SUBTYPE_TX_OFFSET}:
+    extras = {}
+    if vendor.keys() >= VENDOR_FIELDS.keys():
         for subtype, value in vendor.items():
-            if subtype == SUBTYPE_NODE_TYPE:
-                if len(value) != 1:
-                    raise BeaconDecodeError("element 221: bad node-type value", 221)
-                try:
-                    node_type = NodeType(value[0])
-                except ValueError as exc:
-                    raise BeaconDecodeError(f"element 221: unknown node type {value[0]}", 221) from exc
-            elif subtype == SUBTYPE_MAC_SPEC:
-                if len(value) != 1:
-                    raise BeaconDecodeError("element 221: bad mac-spec value", 221)
-                try:
-                    mac_spec = MacSpec(value[0])
-                except ValueError as exc:
-                    raise BeaconDecodeError(f"element 221: unknown mac spec {value[0]}", 221) from exc
-            elif subtype == SUBTYPE_TX_OFFSET:
-                if len(value) != 1:
-                    raise BeaconDecodeError("element 221: bad tx-offset value", 221)
-                tx_offset = struct.unpack("b", value)[0]
+            name, what, convert = VENDOR_FIELDS[subtype]
+            if len(value) != 1:
+                raise BeaconDecodeError(f"element 221: bad {what.replace(' ', '-')} value", 221)
+            try:
+                extras[name] = convert(value[0])
+            except ValueError as exc:
+                raise BeaconDecodeError(f"element 221: unknown {what} {value[0]}", 221) from exc
 
     return CellInfo(
         operator_cell_id=ssid,
@@ -248,9 +243,7 @@ def decode_pseudo_beacon(ies: list[InformationElement]) -> CellInfo:
         station_count=station_count,
         channel_utilization=utilization,
         available_admission_capacity=admission,
-        node_type=node_type,
-        mac_spec=mac_spec,
-        tx_power_offset_db=tx_offset,
+        **extras,
     )
 
 

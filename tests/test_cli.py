@@ -537,6 +537,26 @@ class TestInputErrors:
         ("coverage", "table1_inh", ["coverage.base.tx_power_dbm=.nan"],
          "coverage.base.tx_power_dbm"),
         ("coverage", "table1_inh", ["coverage.cdf_bin_db=.inf"], "coverage.cdf_bin_db"),
+        # a bool key takes only true or false: quoted text is no bool
+        ("simulate", {"nodes": TWO_BASES}, ['wifi_mac.rts_cts="off"'], "wifi_mac.rts_cts"),
+        ("simulate", {"nodes": TWO_BASES}, ['relay.enabled="false"'], "relay.enabled"),
+        ("simulate", {"nodes": TWO_BASES}, ['simulate.adaptive_ed="no"'],
+         "simulate.adaptive_ed"),
+        ("coverage", "table1_inh", ['coverage.include_shadow="no"'], "coverage.include_shadow"),
+        ("simulate", {"nodes": TWO_BASES}, ['coordination.select.symmetric_penalty="false"'],
+         "coordination.select.symmetric_penalty"),
+        # every channel is an unlicensed one, relay on or off; a candidate is listed once
+        ("simulate", {"nodes": [{**TWO_BASES[0], "channel": 7}, TWO_BASES[1]]}, [], "node ap1"),
+        ("simulate", {"nodes": [{**TWO_BASES[0], "channel": 7}, TWO_BASES[1]]},
+         ["relay.enabled=false"], "node ap1"),
+        ("select", SCAN_CFG, ["channels=[7, 36, 36]"], "channels"),
+        ("select", SCAN_CFG, ["channels=[36, 40, 36]"], "channels"),
+        ("adapt", SCAN_CFG, ["adapt.own_channel=7"], "adapt.own_channel"),
+        # a key with no default must be given
+        ("select", {**SCAN_CFG, "scan": [{k: v for k, v in SCAN_CFG["scan"][0].items()
+                                          if k != "cell_id"}]}, [], "scan.cell_id"),
+        ("coverage", "table1_inh", ["coverage.cells=[{min_sensitivity_dbm: -87.5}]"],
+         "coverage.cells.name"),
     ], ids=["select_channel_7", "adapt_channel_7", "adapt_rssi_minus_inf",
             "select_rssi_inf", "simulate_link_inf", "scan_n_atached", "scan_utilisation",
             "scan_node_typ", "select_running_onn", "adapt_own_chanel", "select_scan_mapping",
@@ -564,7 +584,11 @@ class TestInputErrors:
             "wifi_slot_nan", "relay_latency_nan", "safety_margin_nan", "wifi_ed_threshold_text",
             "noise_floor_text", "wifi_rate_nan", "lte_rate_inf", "node_ed_threshold_nan",
             "coverage_threshold_nan", "coverage_threshold_inf", "coverage_sensitivity_nan",
-            "coverage_margin_nan", "coverage_tx_power_nan", "coverage_cdf_bin_inf"])
+            "coverage_margin_nan", "coverage_tx_power_nan", "coverage_cdf_bin_inf",
+            "rts_cts_text", "relay_enabled_text", "adaptive_ed_text", "include_shadow_text",
+            "symmetric_penalty_text", "node_channel_7", "node_channel_7_relay_off",
+            "select_candidate_7", "select_candidate_twice", "adapt_own_channel_7",
+            "scan_without_cell_id", "coverage_cell_without_name"])
     def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):
         if isinstance(cfg, bytes):
             (tmp_path / "raw.yaml").write_bytes(cfg)

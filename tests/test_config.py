@@ -3,8 +3,11 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -14,12 +17,24 @@ import coexsim
 import coexsim.cli
 from coexsim import config
 from coexsim.config import (
+    ClientGenConfig,
     ConfigError,
+    CoverageSpec,
+    LteMacConfig,
+    Node,
+    PhyConfig,
+    RelayConfig,
+    TrafficConfig,
+    WifiMacConfig,
     apply_overrides,
+    build_cell,
     build_coverage_spec,
     build_scenario,
     load_config,
 )
+from coexsim.coordination import AdaptiveEdConfig, ChannelSelectConfig
+from coexsim.propagation import Building, PropagationModel
+from coexsim.relay import CellInfo
 
 
 class TestLoadConfig:
@@ -164,6 +179,47 @@ class TestScenarioAssembly:
         scenario = build_scenario(cfg)
         assert scenario.adapt_lte.t_default_dbm == -78.0
         assert scenario.adapt_wifi.t_default_dbm == -65.0
+
+
+# every dataclass a config section is read into, and that section
+SECTIONS = [(Building, "building"), (PropagationModel, "propagation"), (TrafficConfig, "traffic"),
+            (WifiMacConfig, "wifi_mac"), (LteMacConfig, "lte_mac"), (PhyConfig, "phy"),
+            (ClientGenConfig, "clients"), (RelayConfig, "relay"),
+            (AdaptiveEdConfig, "coordination.wifi"), (AdaptiveEdConfig, "coordination.lte"),
+            (ChannelSelectConfig, "coordination.select"), (CellInfo, "cell"),
+            (CoverageSpec, "coverage"), (Node, "nodes")]
+
+
+def bad_value(default):
+    """YAML text no key with this default takes; None where the default's type reads anything."""
+    if isinstance(default, Enum):
+        return "bogus"
+    return {int: "2.5", float: ".nan", bool: '"off"'}.get(type(default))
+
+
+TYPED_KEYS = [(section, f.name, bad_value(f.default)) for cls, section in SECTIONS
+              for f in fields(cls) if bad_value(f.default) is not None]
+
+
+class TestTypedKeys:
+    """Every key reads as its default's type; a value of another type fails naming the key."""
+
+    def test_every_kind_of_default_is_covered(self):
+        assert {value for _, _, value in TYPED_KEYS} == {"2.5", ".nan", '"off"', "bogus"}
+
+    @pytest.mark.parametrize("section, key, value", TYPED_KEYS,
+                             ids=[f"{section}.{key}" for section, key, _ in TYPED_KEYS])
+    def test_wrong_type_is_named(self, section, key, value):
+        node = {"id": "ap1", "kind": "wifi_ap", "position": [10.0, 10.0]}
+        cfg = {"nodes": [node]}
+        if section == "nodes":
+            cfg["nodes"] = [{**node, key: yaml.safe_load(value)}]
+        else:
+            apply_overrides(cfg, [f"{section}.{key}={value}"])
+        build = {"cell": lambda c: build_cell(c, {}), "coverage": build_coverage_spec}.get(
+            section, build_scenario)
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+            build(cfg)
 
 
 class TestDependencyDirection:

@@ -156,6 +156,17 @@ class TestDecode:
         assert err.value.element_id == element_id
 
 
+def test_unknown_vendor_subtype_is_ignored():
+    ies = encode_pseudo_beacon(sample_cell())
+    ies.append(InformationElement(IE_VENDOR, VENDOR_OUI + b"\x09\x01"))
+    assert decode_pseudo_beacon(ies) == sample_cell()
+
+
+def test_scan_entry_rssi_must_be_finite():
+    with pytest.raises(ValueError, match="rssi"):
+        ScanEntry("relayed", sample_cell(), float("nan"))
+
+
 def with_vendor_value(subtype, value):
     """The sample cell's beacon with one vendor element's value bytes replaced."""
     return [InformationElement(IE_VENDOR, VENDOR_OUI + bytes([subtype]) + value)
