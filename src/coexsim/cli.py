@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from enum import Enum
 from pathlib import Path
@@ -190,6 +191,7 @@ def cmd_beacon(args) -> int:
 
 # -- simulate / sweep ------------------------------------------------------------------
 
+TRACE_HEADER = "time_us,node,tech,record,detail"
 SIM_HEADER = [
     "seed", "adaptive", "node", "tech", "role", "files",
     "median_mbps", "mean_mbps", "collisions", "ack_window_collisions",
@@ -223,27 +225,50 @@ def _seeded(cfg: dict, first, runs: int):
         yield cfgmod.build_scenario(cfg)
 
 
+class TraceWriter:
+    """A trace sink that writes each record to ``fh`` as the run makes it."""
+
+    def __init__(self, fh):
+        self.fh, self.records = fh, 0
+        fh.write(TRACE_HEADER + "\n")
+
+    def append(self, line: str) -> None:
+        self.fh.write(line + "\n")
+        self.records += 1
+
+    def __len__(self) -> int:
+        return self.records
+
+
+@contextmanager
+def _trace_sink(path):
+    """The writer of the trace at ``path`` (``-``: standard output, left open), or None."""
+    if path is None:
+        yield None
+    elif path == "-":
+        yield TraceWriter(sys.stdout)
+    else:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield TraceWriter(fh)
+
+
 def _run_batch(scenarios, adaptive_values, pooled=False, trace_path=None):
-    """A row per (seed, adaptive, client), then with ``pooled`` one per (adaptive, client)."""
+    """A row per (seed, adaptive, client), then with ``pooled`` one per (adaptive, client).
+
+    The first run streams its trace to ``trace_path`` while it runs.
+    """
     rows = []
     runs: dict = {}  # (adaptive, client id) -> (node, Metrics of each run it is in)
-    trace_lines = None
-    for seeded in scenarios:
-        clients = sorted((n for n in seeded.nodes if n.attach_to is not None),
-                         key=lambda n: n.id)
-        for adaptive in adaptive_values:
-            want_trace = trace_path is not None and trace_lines is None
-            sim = Simulator(replace(seeded, adaptive_ed=adaptive), collect_trace=want_trace)
-            metrics = sim.run()
-            if want_trace:
-                trace_lines = sim.trace_lines
-            for node in clients:
-                rows.append(_client_row(seeded.seed, adaptive, node, [metrics]))
-                runs.setdefault((adaptive, node.id), (node, []))[1].append(metrics)
-    if trace_path and trace_lines is not None:
-        with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("time_us,node,tech,record,detail\n")
-            fh.writelines(line + "\n" for line in trace_lines)
+    with _trace_sink(trace_path) as sink:
+        for seeded in scenarios:
+            clients = sorted((n for n in seeded.nodes if n.attach_to is not None),
+                             key=lambda n: n.id)
+            for adaptive in adaptive_values:
+                metrics = Simulator(replace(seeded, adaptive_ed=adaptive), sink).run()
+                sink = None  # a batch traces only its first run
+                for node in clients:
+                    rows.append(_client_row(seeded.seed, adaptive, node, [metrics]))
+                    runs.setdefault((adaptive, node.id), (node, []))[1].append(metrics)
     if pooled:
         rows += [_client_row("pooled", adaptive, node, node_runs)
                  for (adaptive, _), (node, node_runs) in sorted(runs.items())]
@@ -322,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--runs", type=int, default=1, help="number of seeds")
     p_sim.add_argument("--compare-adaptive", action="store_true",
                        help="run each seed with adaptation off and on")
-    p_sim.add_argument("--trace", default=None, help="per-event trace output path")
+    p_sim.add_argument("--trace", default=None,
+                       help="per-event trace output path (- for stdout)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="multi-seed scenario sweep")

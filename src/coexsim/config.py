@@ -4,13 +4,14 @@ The dataclasses below define and check every scenario the simulator
 runs.  Config files are nested YAML mirroring the dataclass tree.  Only
 this module reads a raw config dict, and ``_typed`` reads every key as
 the type of its default: an int default takes a whole number, a float
-default a finite one, a bool default only ``true`` or ``false``, a str
-default text and an Enum default a member name in any case; any other
-default passes the value through, a float only if finite.  Every section
-passes one key check (a misspelled key fails with its exact name) and one
-error mapping (a wrong type or shape raises ``ConfigError`` naming the
-section), and each dataclass checks its own values.  ``--set a.b.c=value`` overrides walk
-the raw dictionary before construction; values parse as YAML.
+default a finite one (neither takes a bool), a bool default only ``true``
+or ``false``, a str default text and an Enum default a member name in
+any case; any other default passes the value through, a float only if
+finite.  Every section passes one key check (a misspelled key fails
+with its exact name) and one error mapping (a wrong type or shape raises
+``ConfigError`` naming the section), and each dataclass checks its own
+values.  ``--set a.b.c=value`` overrides walk the raw dictionary before
+construction; values parse as YAML.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import yaml
 
 from .coordination import AdaptiveEdConfig, ChannelSelectConfig
 from .propagation import Building, Position, PropagationModel
-from .relay import VALID_CHANNELS, CellInfo, MacSpec, NodeType, ScanEntry
+from .relay import SSID_MAX_BYTES, VALID_CHANNELS, CellInfo, MacSpec, NodeType, ScanEntry
 
 PRESET_NAMES = ("table1_inh", "table1_diffusion", "figure3_collision",
                 "figure4_coexistence")
@@ -405,6 +406,8 @@ def _typed(value, default, key: str):
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, not {value!r}")
         return value
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, not {value!r}")
     if kind is int and isinstance(value, int):
         return int(value)
     if kind is str:
@@ -640,6 +643,9 @@ def build_adapt(cfg: dict) -> tuple:
 def build_cell(cfg: dict, overrides: dict) -> CellInfo:
     """The ``cell`` section as a CellInfo; ``overrides`` (the CLI flags) replace its keys."""
     cfg = _read(cfg, "", TOP_LEVEL)
-    return _build(CellInfo, {**_section(cfg["cell"], None, "cell"), **overrides}, "cell",
+    cell = _build(CellInfo, {**_section(cfg["cell"], None, "cell"), **overrides}, "cell",
                   operator_cell_id="", channel=36, node_type=NodeType.REL13_LAA,
                   mac_spec=MacSpec.LBT_CAT4)
+    if len(cell.operator_cell_id.encode("utf-8")) > SSID_MAX_BYTES:
+        raise ConfigError(f"cell.operator_cell_id exceeds the {SSID_MAX_BYTES}-byte SSID limit")
+    return cell

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 
 IE_SSID = 0
+SSID_MAX_BYTES = 32
 IE_DS_PARAMS = 3
 IE_BSS_LOAD = 11
 IE_HT_OPERATION = 61
@@ -149,8 +150,8 @@ def _scale_utilization(utilization: float) -> int:
 def encode_pseudo_beacon(cell: CellInfo) -> list[InformationElement]:
     """Encode a CellInfo into the pseudo-beacon IE list."""
     ssid = cell.operator_cell_id.encode("utf-8")
-    if len(ssid) > 32:
-        raise ValueError("operator/cell id exceeds the 32-byte SSID limit")
+    if len(ssid) > SSID_MAX_BYTES:
+        raise ValueError(f"operator/cell id exceeds the {SSID_MAX_BYTES}-byte SSID limit")
     bss_load = struct.pack(
         "<HBH",
         cell.station_count,

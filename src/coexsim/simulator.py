@@ -566,7 +566,7 @@ _CONTROLLERS = {
 class Simulator:
     """Single-run engine; construct with a Scenario and call run()."""
 
-    def __init__(self, scenario: Scenario, collect_trace: bool = False):
+    def __init__(self, scenario: Scenario, trace_lines=None):
         scenario.validate()
         self.scenario = scenario
         self.now_us = 0.0
@@ -577,9 +577,13 @@ class Simulator:
         self._tx_counter = 0
         self._file_counter = 0
         self.metrics = Metrics()
-        self.trace_lines: list[str] | None = [] if collect_trace else None
+        # the sink each trace record goes to as it is made (anything with
+        # append(line) and len()), or None for no trace
+        self.trace_lines = trace_lines
 
         self.nodes: dict[str, Node] = {n.id: n for n in scenario.nodes}
+        # each node's ",id,tech," columns of a trace record
+        self._trace_cols = {nid: f",{nid},{n.technology}," for nid, n in self.nodes.items()}
         self._attached = Counter(n.attach_to for n in scenario.nodes if n.attach_to)
         self._sorted_ids = sorted(self.nodes)
         self._node_index = {nid: i for i, nid in enumerate(self._sorted_ids)}
@@ -704,9 +708,7 @@ class Simulator:
 
     def trace(self, node: str, record: str, detail: str) -> None:
         if self.trace_lines is not None:
-            self.trace_lines.append(
-                f"{self.now_us:.3f},{node},{self.nodes[node].technology},{record},{detail}"
-            )
+            self.trace_lines.append(f"{self.now_us:.3f}{self._trace_cols[node]}{record},{detail}")
 
     def walk_idle_slots(self, first: _BaseController) -> None:
         """Count down the idle slots of every contender at once.

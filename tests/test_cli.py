@@ -276,6 +276,20 @@ class TestSimulate:
         assert lines[0] == "time_us,node,tech,record,detail"
         assert len(lines) > 10
 
+    def test_trace_dash_streams_to_stdout(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--config", "figure3_collision", "--set", "simulate.duration_s=0.05"]
+        trace = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(tmp_path / "a.csv"), "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "b.csv"), "--trace", "-"]) == 0
+        assert capsys.readouterr().out.encode() == trace.read_bytes()
+        assert not (tmp_path / "-").exists()
+        # with the rows on stdout too, the trace comes first
+        assert main(argv + ["--out", "-", "--trace", "-"]) == 0
+        rows = (tmp_path / "a.csv").read_bytes()
+        assert capsys.readouterr().out.encode() == trace.read_bytes() + rows
+
     def test_repeat_identical_bytes(self, tmp_path):
         argv = ["simulate", "--config", "figure3_collision",
                 "--set", "simulate.duration_s=0.2"]
@@ -545,6 +559,11 @@ class TestInputErrors:
         ("coverage", "table1_inh", ['coverage.include_shadow="no"'], "coverage.include_shadow"),
         ("simulate", {"nodes": TWO_BASES}, ['coordination.select.symmetric_penalty="false"'],
          "coordination.select.symmetric_penalty"),
+        # a number key takes no bool, though a bool is an int
+        ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.cw_min=true"], "wifi_mac.cw_min"),
+        ("simulate", {"nodes": TWO_BASES}, ["simulate.duration_s=true"], "simulate.duration_s"),
+        # a cell id must fit the pseudo beacon's SSID
+        ("beacon encode --cell-id " + "x" * 40, {"cell": {}}, [], "cell.operator_cell_id"),
         # every channel is an unlicensed one, relay on or off; a candidate is listed once
         ("simulate", {"nodes": [{**TWO_BASES[0], "channel": 7}, TWO_BASES[1]]}, [], "node ap1"),
         ("simulate", {"nodes": [{**TWO_BASES[0], "channel": 7}, TWO_BASES[1]]},
@@ -586,7 +605,8 @@ class TestInputErrors:
             "coverage_threshold_nan", "coverage_threshold_inf", "coverage_sensitivity_nan",
             "coverage_margin_nan", "coverage_tx_power_nan", "coverage_cdf_bin_inf",
             "rts_cts_text", "relay_enabled_text", "adaptive_ed_text", "include_shadow_text",
-            "symmetric_penalty_text", "node_channel_7", "node_channel_7_relay_off",
+            "symmetric_penalty_text", "cw_min_bool", "duration_bool", "cell_id_over_32_bytes",
+            "node_channel_7", "node_channel_7_relay_off",
             "select_candidate_7", "select_candidate_twice", "adapt_own_channel_7",
             "scan_without_cell_id", "coverage_cell_without_name"])
     def test_exits_with_config_error(self, tmp_path, capsys, command, cfg, overrides, named):

@@ -3,6 +3,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -175,11 +176,11 @@ class TestDeterminism:
         cfg = load_config("figure4_coexistence")
         cfg["simulate"]["duration_s"] = 2.0
         sc = build_scenario(cfg)
-        sim_a = Simulator(sc, collect_trace=True)
+        sim_a = Simulator(sc, trace_lines=[])
         m_a = sim_a.run()
         cfg_b = load_config("figure4_coexistence")
         cfg_b["simulate"]["duration_s"] = 2.0
-        sim_b = Simulator(build_scenario(cfg_b), collect_trace=True)
+        sim_b = Simulator(build_scenario(cfg_b), trace_lines=[])
         m_b = sim_b.run()
         assert dataclasses.asdict(m_a) == dataclasses.asdict(m_b)
         assert sim_a.trace_lines == sim_b.trace_lines
@@ -191,6 +192,44 @@ class TestDeterminism:
         cfg["seed"] = 99
         m_b = Simulator(build_scenario(cfg)).run()
         assert dataclasses.asdict(m_a) != dataclasses.asdict(m_b)
+
+
+def figure3(duration_s):
+    return build_scenario(apply_overrides(load_config("figure3_collision"),
+                                          [f"simulate.duration_s={duration_s}"]))
+
+
+class TestStreamingTrace:
+    def test_file_writer_writes_the_list_sinks_lines(self, tmp_path):
+        lines = []
+        Simulator(figure3(0.3), lines).run()
+        path = tmp_path / "trace.csv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            writer = cli.TraceWriter(fh)
+            Simulator(figure3(0.3), writer).run()
+        assert len(lines) > 1000
+        assert len(writer) == len(lines)
+        assert path.read_bytes() == (cli.TRACE_HEADER + "\n" + "\n".join(lines) + "\n").encode()
+
+    def test_file_writer_holds_no_records(self, tmp_path):
+        # a run's tracemalloc peak grows with its length only by what the
+        # sink keeps: a list keeps every record, a file writer none
+        def peak_mb(duration_s, sink_for):
+            scenario = figure3(duration_s)
+            with open(tmp_path / "trace.csv", "w", encoding="utf-8", newline="\n") as fh:
+                tracemalloc.start()
+                try:
+                    Simulator(scenario, sink_for(fh)).run()
+                    return tracemalloc.get_traced_memory()[1] / 1e6
+                finally:
+                    tracemalloc.stop()
+
+        def growth_mb(sink_for):
+            return peak_mb(4.0, sink_for) - peak_mb(0.5, sink_for)
+
+        peak_mb(0.05, cli.TraceWriter)  # first-run caches out of the way
+        assert growth_mb(cli.TraceWriter) < 0.5
+        assert growth_mb(lambda fh: []) > 1.0
 
 
 SIXTEEN_LINKS = {("n00", "n03"): -70.0, ("n07", "n02"): -88.5, ("n10", "n15"): -60.0}
@@ -351,7 +390,7 @@ def two_bss_scenario(duration_s=0.2, seed=21, cross_db=-55.0):
 
 class TestMutuallyAudibleCells:
     def test_no_collisions_without_tied_starts(self):
-        sim = Simulator(two_bss_scenario(), collect_trace=True)
+        sim = Simulator(two_bss_scenario(), trace_lines=[])
         m = sim.run()
         # both APs hear each other at -35 dBm >> -62: DCF must prevent any
         # collision except exact same-instant counter expiry; with this
@@ -366,7 +405,7 @@ class TestMutuallyAudibleCells:
         assert m.collision_count == 0
 
     def test_frozen_counter_never_decrements_under_foreign_tx(self):
-        sim = Simulator(two_bss_scenario(duration_s=0.1), collect_trace=True)
+        sim = Simulator(two_bss_scenario(duration_s=0.1), trace_lines=[])
         sim.run()
         active_foreign = {"ap1": 0, "ap2": 0}
         intervals = []  # (start, end, src)
@@ -423,7 +462,7 @@ class TestNavDeferral:
         monkeypatch.setattr(_WifiApController, "overheard", recording)
         sc = dataclasses.replace(two_bss_scenario(duration_s=0.5, cross_db=-90.0),
                                  traffic=traffic, wifi_mac=WifiMacConfig(rts_cts=True))
-        sim = Simulator(sc, collect_trace=True)
+        sim = Simulator(sc, trace_lines=[])
         sim.run()
         assert all(windows.values())
         # windows open in time order; t lies strictly inside one iff some
@@ -524,8 +563,8 @@ class TestMediumPerChannel:
             monkeypatch.setattr(Simulator, name, wrap(getattr(Simulator, name), label))
         return calls
 
-    def run_cells(self, collect_trace=False):
-        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)), collect_trace)
+    def run_cells(self, trace_lines=None):
+        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)), trace_lines)
         return sim, sim.run()
 
     def test_frame_edge_senses_only_its_channel(self, monkeypatch):
@@ -556,7 +595,7 @@ class TestMediumPerChannel:
         ticks = self.spy(monkeypatch, {
             "_handle_adapt_tick": lambda sim, base_id: (f"{sim.now_us:.3f}", base_id),
         })
-        sim, _ = self.run_cells(collect_trace=True)
+        sim, _ = self.run_cells(trace_lines=[])
         changed = {tuple(line.split(",")[:2]) for line in sim.trace_lines
                    if ",threshold," in line}
         assert changed and len(ticks) > len(changed)
@@ -615,7 +654,7 @@ class TestRtsBeforeData:
     def test_every_data_frame_preceded_by_rts_cts(self):
         cfg = load_config("figure4_coexistence")
         cfg["simulate"]["duration_s"] = 5.0
-        sim = Simulator(build_scenario(cfg), collect_trace=True)
+        sim = Simulator(build_scenario(cfg), trace_lines=[])
         sim.run()
         # every data frame rides on a completed RTS/CTS handshake in the
         # same attempt: in the AP's own frame sequence each data frame is
@@ -645,7 +684,7 @@ class TestEdPoliteness:
         # this live and would raise SimulationError)
         cfg = load_config("figure3_collision")
         cfg["simulate"]["duration_s"] = 0.5
-        sim = Simulator(build_scenario(cfg), collect_trace=True)
+        sim = Simulator(build_scenario(cfg), trace_lines=[])
         sim.run()  # SimulationError here would fail the test
 
     def test_politeness_violation_detected(self):
@@ -662,7 +701,7 @@ class TestBelowFloor:
         # 1.5 dB above the -87.5 dBm decode floor, so a deeper fade drops
         # the frame before any SINR test
         sim = Simulator(wifi_pair_scenario(link_gains={("ap1", "sta1"): -106.0}),
-                        collect_trace=True)
+                        trace_lines=[])
         sim.run()
         records = [line.split(",", 3)[1:] for line in sim.trace_lines]
         assert ["sta1", "wifi", "rx_fail,below_floor;from=ap1"] in records
@@ -848,7 +887,7 @@ class TestBeaconSchedule:
     def test_beacons_emitted_each_interval(self):
         cfg = load_config("figure3_collision")
         cfg["simulate"]["duration_s"] = 0.45
-        sim = Simulator(build_scenario(cfg), collect_trace=True)
+        sim = Simulator(build_scenario(cfg), trace_lines=[])
         sim.run()
         beacons = [float(line.split(",", 1)[0]) for line in sim.trace_lines
                    if ",tx_start,kind=beacon" in line]
@@ -869,7 +908,7 @@ class TestSkipIdleSlots:
     SLOT = 9.0
 
     def sim_at(self, now_us=1000.0, end_us=1e6):
-        sim = Simulator(full_buffer_figure4(), collect_trace=True)
+        sim = Simulator(full_buffer_figure4(), trace_lines=[])
         sim.now_us = now_us
         sim.end_us = end_us
         return sim
@@ -994,7 +1033,7 @@ class TestSkipIdleSlots:
 
     def test_live_ticks_on_either_channel_join(self):
         # ap2 sits on channel 40 of two_channel_cells; its tick joins ap1's walk
-        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)), collect_trace=True)
+        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)), trace_lines=[])
         sim.now_us = 1000.0
         ap2 = self.contend(sim, "ap2", 3)
         self.tick(sim, ap2, 4.0)
@@ -1033,7 +1072,7 @@ class TestSkipIdleSlots:
         assert self.queued(sim) == [(1034.0, "timer", None), (1036.0, "slot_tick", "enb1")]
 
     def test_first_decrement_one_slot_after_difs(self):
-        sim = Simulator(full_buffer_figure4(), collect_trace=True)
+        sim = Simulator(full_buffer_figure4(), trace_lines=[])
         sim._schedule_first_traffic()
         ap = sim.controllers["ap1"]
         ap.maybe_start()
@@ -1062,7 +1101,7 @@ class TestCreditFrame:
 
 
 def run_with_trace(scenario):
-    sim = Simulator(scenario, collect_trace=True)
+    sim = Simulator(scenario, trace_lines=[])
     return dataclasses.asdict(sim.run()), sim.trace_lines
 
 
