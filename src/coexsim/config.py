@@ -82,7 +82,10 @@ class Node:
     def __post_init__(self) -> None:
         if self.kind not in ("wifi_ap", "wifi_sta", "lte_enb", "lte_ue"):
             raise ValueError(f"unknown node kind {self.kind!r}")
-        if self.ed_threshold_dbm is not None and not self.is_base:
+        threshold = self.ed_threshold_dbm
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float, type(None))):
+            raise ValueError(f"node {self.id}: ed_threshold_dbm is no number: {threshold!r}")
+        if threshold is not None and not self.is_base:
             raise ValueError(f"{self.kind} {self.id}: only bases sense, so only bases "
                              "take ed_threshold_dbm")
 

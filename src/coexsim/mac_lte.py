@@ -14,12 +14,12 @@ which serves both machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .mac_wifi import ProtocolViolation, check_window, count_slot, redraw
+from .mac_wifi import ProtocolViolation, _checked, check_window, count_slot, redraw
 
 
 class LbtPhase(str, Enum):
@@ -67,4 +67,4 @@ def lbt_step(state: LbtState, event: str, rng: np.random.Generator) -> LbtState:
         raise ProtocolViolation(f"{event} is illegal in phase {phase.value}")
     if event == "collision_feedback":
         return redraw(state, rng)
-    return replace(state, phase=LbtPhase.IDLE, cw=state.cw_min)
+    return _checked(state, phase=LbtPhase.IDLE, cw=state.cw_min)

@@ -19,7 +19,7 @@ and ``BACKOFF``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TypeVar
 
@@ -47,11 +47,18 @@ def _next(state: State, **changes) -> State:
     """``replace`` without ``__post_init__``, for a step that keeps the window valid.
 
     Only steps that leave ``cw`` as it is and never raise the counter
-    use it; ``start_access``, ``redraw`` and the constructors still run
-    ``check_window``.
+    use it; a step that draws a counter or sets the window takes
+    ``_checked``.
     """
     new = object.__new__(type(state))
     new.__dict__.update(state.__dict__, **changes)
+    return new
+
+
+def _checked(state: State, **changes) -> State:
+    """``_next`` plus the ``check_window`` that ``replace`` runs through ``__post_init__``."""
+    new = _next(state, **changes)
+    check_window(new)
     return new
 
 
@@ -65,7 +72,7 @@ def start_access(state: State, rng: np.random.Generator) -> State:
     if state.phase != phases.IDLE:
         raise ProtocolViolation(f"cannot start access from phase {state.phase.value}")
     counter = int(rng.integers(0, state.cw + 1))
-    return replace(state, phase=phases.BACKOFF, backoff_counter=counter)
+    return _checked(state, phase=phases.BACKOFF, backoff_counter=counter)
 
 
 def idle_slots(state: State, n: int) -> State:
@@ -97,8 +104,8 @@ def redraw(state: State, rng: np.random.Generator, **changes) -> State:
     """A failed attempt: double the window up to ``cw_max``, draw a counter in ``BACKOFF``."""
     cw = min(2 * state.cw + 1, state.cw_max)
     counter = int(rng.integers(0, cw + 1))
-    return replace(state, phase=type(state.phase).BACKOFF, cw=cw, backoff_counter=counter,
-                   **changes)
+    return _checked(state, phase=type(state.phase).BACKOFF, cw=cw, backoff_counter=counter,
+                    **changes)
 
 
 class DcfPhase(str, Enum):
@@ -161,6 +168,6 @@ def dcf_step(state: DcfState, event: str, rng: np.random.Generator) -> DcfState:
     if event == "rts_cts_fail" and phase != DcfPhase.TX_DATA:
         raise ProtocolViolation(f"rts_cts_fail is illegal in phase {phase.value}")
     if event == "ack_received" or state.retry_count >= state.retry_limit:
-        return replace(state, phase=DcfPhase.IDLE, cw=state.cw_min, retry_count=0)
+        return _checked(state, phase=DcfPhase.IDLE, cw=state.cw_min, retry_count=0)
     # ack_timeout / rts_cts_fail: binary exponential backoff
     return redraw(state, rng, retry_count=state.retry_count + 1)

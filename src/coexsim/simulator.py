@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -55,9 +56,11 @@ from .relay import (
 )
 
 
-# frames whose fades one ``fast_fades`` call draws; the stream is the same
-# for any block size, so outputs do not depend on it
+# one ``fast_fades`` call draws at most FADE_BLOCK_FRAMES frames (little waste in
+# a short run) and FADE_BLOCK_FLOATS exponentials (about 256 KB at any N), but one
+# frame at least; the stream is the same for any block size, so outputs are too
 FADE_BLOCK_FRAMES = 256
+FADE_BLOCK_FLOATS = 2 ** 15
 
 # what the air carries between two frame edges, over all channels
 AIRTIME_KEYS = ("wifi", "lte", "overlap", "idle")
@@ -154,6 +157,7 @@ class Transmission:
     nav_duration_us: float = 0.0
     frame_key: tuple | None = None
     fades: np.ndarray | None = None  # linear fade factor per node, in sorted id order
+    rx_lin: array | None = None  # linear mean power each node receives, in sorted id order
     overlaps: list = field(default_factory=list)  # (co-channel Transmission, start, end)
 
 
@@ -296,7 +300,7 @@ class _BaseController(_Controller):
         if not self.contending():
             self.end_countdown()
             return
-        self.sim.trace(self.node.id, "decrement", str(self.mac.backoff_counter))
+        self.sim.trace(self.node.id, "decrement", "%s", self.mac.backoff_counter)
         self.sim.walk_idle_slots(self)
 
 
@@ -459,7 +463,7 @@ class _WifiApController(_BaseController):
 
 
 class _WifiStaController(_Controller):
-    """Responds with CTS/ACK and tracks the NAV."""
+    """Responds with CTS/ACK and, in a traced run, tracks the NAV."""
 
     def __init__(self, sim: "Simulator", node: Node):
         super().__init__(sim, node)
@@ -493,9 +497,11 @@ class _WifiStaController(_Controller):
                            tx.src, tx.frame_key, tx.bits)
 
     def overheard(self, tx: Transmission) -> None:
-        # frames addressed elsewhere set the NAV (max rule)
+        # frames addressed elsewhere set the NAV (max rule); a station never
+        # contends, so its NAV feeds only this record, and an untraced run
+        # makes no call
         self.nav_until_us = max(self.nav_until_us, self.sim.now_us + tx.nav_duration_us)
-        self.sim.trace(self.node.id, "nav", f"{self.nav_until_us:.1f}")
+        self.sim.trace(self.node.id, "nav", "%.1f", self.nav_until_us)
 
 
 class _LteEnbController(_BaseController):
@@ -578,7 +584,8 @@ class Simulator:
         self._file_counter = 0
         self.metrics = Metrics()
         # the sink each trace record goes to as it is made (anything with
-        # append(line) and len()), or None for no trace
+        # append(line) and len()), or None for no trace; fixed here, as an
+        # untraced run skips the work that only feeds the trace
         self.trace_lines = trace_lines
 
         self.nodes: dict[str, Node] = {n.id: n for n in scenario.nodes}
@@ -591,13 +598,17 @@ class Simulator:
         self.rng_links = np.random.default_rng([scenario.seed, 1])
         self.rng_fades = np.random.default_rng([scenario.seed, 2])
         # the current block of frames' fades and the next row to hand out
-        self._fade_block = np.empty((0, len(self._sorted_ids)))
+        n, branches = len(self._sorted_ids), scenario.phy.fading_branches
+        self._fade_frames = max(1, min(FADE_BLOCK_FRAMES, FADE_BLOCK_FLOATS // (n * branches)))
+        self._fade_block = np.empty((0, n))
         self._fade_row = 0
+        # the link tables hold one row of doubles per source, indexed by
+        # _node_index like the columns; a node's own entry is NaN
         self.gains = self._build_gain_matrix()
-        # linear mean received power, rx_lin[src][dst], summed by carrier sensing
-        self.rx_lin = {src: {dst: _lin(self.nodes[src].tx_power_dbm + g)
-                             for dst, g in row.items()}
-                       for src, row in self.gains.items()}
+        # linear mean received power, summed by carrier sensing
+        powers = [self.nodes[nid].tx_power_dbm for nid in self._sorted_ids]
+        self.rx_lin = [array("d", [_lin(p + g) for g in row])
+                       for p, row in zip(powers, self.gains)]
         self._rate_cache: dict[tuple, tuple] = {}
 
         self.controllers: dict[str, _Controller] = {
@@ -619,6 +630,11 @@ class Simulator:
                                 and self.nodes[nid].channel == self.nodes[src].channel
                                 and self.mean_rssi(src, nid) >= floor]
                           for src in wifi}
+        # those that act on an overheard frame: a station's NAV feeds only
+        # its trace record, so an untraced run leaves the stations out
+        self._overhearers = {src: [self.controllers[nid] for nid in decoders
+                                   if trace_lines is not None or self.nodes[nid].is_base]
+                             for src, decoders in self._decoders.items()}
         # airtime so far, credited at frame edges to what was on the air
         self._on_air = {"wifi": 0, "lte": 0}
         self._airtime_us = dict.fromkeys(AIRTIME_KEYS, 0.0)
@@ -626,7 +642,8 @@ class Simulator:
         self.completed_files: list[FileJob] = []
         self.delivered_after_warmup: defaultdict[str, float] = defaultdict(float)
         self.relayed: dict[str, CellInfo] = {}  # every base's cell off the relay bus
-        self._air_scans: dict[str, list[ScanEntry]] = {}  # _scan_at's over-the-air half
+        # per base, _scan_at's over-the-air half and its relayed sources
+        self._scan_sources: dict[str, tuple] = {}
 
     # -- randomness ------------------------------------------------------
 
@@ -644,38 +661,34 @@ class Simulator:
 
     # -- static link model -------------------------------------------------
 
-    def _build_gain_matrix(self) -> dict[str, dict[str, float]]:
-        """Symmetric per-source gain tables in dB, read as ``gains[src][dst]``.
+    def _build_gain_matrix(self) -> list[array]:
+        """The symmetric gain table in dB, one row per source:
+        ``gains[i][j]`` links the i-th and j-th node in sorted id order.
 
         ``links`` entries are taken as given; every other pair is drawn
         in a single ``sample_link_gains`` call, in (i < j, sorted id)
         pair order.
         """
-        overrides = {}
+        index = self._node_index
+        table = np.full((len(index), len(index)), math.nan)
         for (a, b), g in self.scenario.link_gains.items():
-            overrides[(a, b)] = overrides[(b, a)] = float(g)
-        ids = self._sorted_ids
-        gains: dict[str, dict[str, float]] = {nid: {} for nid in ids}
-        xy = [(self.nodes[nid].position.x, self.nodes[nid].position.y) for nid in ids]
-        pairs, dists = [], []
-        for i, (a, (xa, ya)) in enumerate(zip(ids, xy)):
-            for b, (xb, yb) in zip(ids[i + 1:], xy[i + 1:]):
-                g = overrides.get((a, b))
-                if g is None:
-                    pairs.append((a, b))
-                    # Position.distance_to; co-located nodes take the 1 m
-                    # value (distance 0 is rejected)
-                    d = math.hypot(xa - xb, ya - yb)
-                    dists.append(d if d > 1.0 else 1.0)
-                else:
-                    gains[a][b] = gains[b][a] = g
-        drawn = sample_link_gains(np.array(dists), self.scenario.propagation, self.rng_links)
-        for (a, b), g in zip(pairs, drawn.tolist()):
-            gains[a][b] = gains[b][a] = g
-        return gains
+            table[index[a], index[b]] = table[index[b], index[a]] = g
+        rows, cols = np.triu_indices(len(index), 1)
+        free = np.isnan(table[rows, cols])
+        rows, cols = rows[free], cols[free]
+        xy = [self.nodes[nid].position for nid in self._sorted_ids]
+        # Position.distance_to; co-located nodes take the 1 m value
+        # (distance 0 is rejected)
+        dists = np.array([math.hypot(xy[i].x - xy[j].x, xy[i].y - xy[j].y)
+                          for i, j in zip(rows.tolist(), cols.tolist())])
+        gains = sample_link_gains(np.maximum(dists, 1.0), self.scenario.propagation,
+                                  self.rng_links)
+        table[rows, cols] = table[cols, rows] = gains
+        return [array("d", row.tobytes()) for row in table]
 
     def mean_rssi(self, src: str, dst: str) -> float:
-        return self.nodes[src].tx_power_dbm + self.gains[src][dst]
+        index = self._node_index
+        return self.nodes[src].tx_power_dbm + self.gains[index[src]][index[dst]]
 
     def link_rate(self, src: str, dst: str) -> tuple[float, float]:
         """The link's PHY rate in Mbps and the SINR in dB that rate requires."""
@@ -706,9 +719,12 @@ class Simulator:
             self._heap, SimEvent(self.now_us + delay_us, self._seq, kind, handler, args)
         )
 
-    def trace(self, node: str, record: str, detail: str) -> None:
+    def trace(self, node: str, record: str, detail: str, *args) -> None:
+        """Send a record with last column ``detail % args`` to the sink, if one is
+        set.  Node ids are user text: one is always in ``args``, never in ``detail``."""
         if self.trace_lines is not None:
-            self.trace_lines.append(f"{self.now_us:.3f}{self._trace_cols[node]}{record},{detail}")
+            self.trace_lines.append(
+                f"{self.now_us:.3f}{self._trace_cols[node]}{record},{detail % args}")
 
     def walk_idle_slots(self, first: _BaseController) -> None:
         """Count down the idle slots of every contender at once.
@@ -759,7 +775,7 @@ class Simulator:
                 rank += 1
                 heapq.heappush(walk, (head + ctrl.slot_us, rank, [ctrl, counter - 1], head))
                 if tracing:
-                    self.trace(ctrl.node.id, "decrement", str(counter - 1))
+                    self.trace(ctrl.node.id, "decrement", "%s", counter - 1)
                 continue
             ctrl, counter = walker
             if counter <= 1 or t > end_us:
@@ -772,7 +788,7 @@ class Simulator:
                 counter -= 1
                 if tracing:
                     self.now_us = t
-                    self.trace(ctrl.node.id, "decrement", str(counter))
+                    self.trace(ctrl.node.id, "decrement", "%s", counter)
                 after = t + slot_us
                 if counter <= 1 or after >= limit or after > end_us:
                     break
@@ -791,10 +807,11 @@ class Simulator:
 
     def sensed_power_dbm(self, node_id: str) -> float:
         """Total mean power from other nodes' frames on the node's channel."""
+        col = self._node_index[node_id]
         total = 0.0
         for tx in self.active[self.nodes[node_id].channel].values():
             if tx.src != node_id:
-                total += self.rx_lin[tx.src][node_id]
+                total += tx.rx_lin[col]
         return _dbm(total)
 
     def recompute_busy(self, channel: int, rising: bool) -> None:
@@ -829,7 +846,7 @@ class Simulator:
         # one draw serves a block of frames; a frame takes the next row,
         # entry i for the i-th node in sorted id order
         if self._fade_row == len(self._fade_block):
-            self._fade_block = fast_fades(self.rng_fades, FADE_BLOCK_FRAMES,
+            self._fade_block = fast_fades(self.rng_fades, self._fade_frames,
                                           len(self._sorted_ids),
                                           self.scenario.phy.fading_branches)
             self._fade_row = 0
@@ -840,6 +857,7 @@ class Simulator:
             start_us=self.now_us, end_us=self.now_us + duration_us,
             req_sinr_db=req_sinr_db, bits=bits,
             nav_duration_us=nav_duration_us, frame_key=frame_key, fades=fades,
+            rx_lin=self.rx_lin[self._node_index[src]],
         )
         node = self.nodes[src]
         active = self.active[node.channel]
@@ -852,7 +870,7 @@ class Simulator:
         active[tx.tx_id] = tx
         self._count_airtime()
         self._on_air[node.technology] += 1
-        self.trace(src, "tx_start", f"kind={kind};dst={dst};dur={duration_us:.1f}")
+        self.trace(src, "tx_start", "kind=%s;dst=%s;dur=%.1f", kind, dst, duration_us)
         self._push(duration_us, "tx_end", self._finish_transmission, tx)
         self.recompute_busy(node.channel, True)
         return tx
@@ -862,17 +880,20 @@ class Simulator:
         del self.active[node.channel][tx.tx_id]
         self._count_airtime()
         self._on_air[node.technology] -= 1
-        self.trace(tx.src, "tx_end", f"kind={tx.kind};dst={tx.dst}")
+        self.trace(tx.src, "tx_end", "kind=%s;dst=%s", tx.kind, tx.dst)
         self.recompute_busy(node.channel, False)
         src_ctrl = self.controllers[tx.src]
         src_ctrl.handle_own_tx_end(tx)
         if tx.dst is not None:
             success = self._evaluate_reception(tx)
             self.controllers[tx.dst].handle_rx(tx, success)
+        # drop the frame's side of each overlap pair, so that reference
+        # counting frees it (and its fade block) when its partners end
+        tx.overlaps.clear()
         if tx.nav_duration_us > 0:  # only Wi-Fi frames carry a NAV
-            for nid in self._decoders[tx.src]:
-                if nid != tx.dst:
-                    self.controllers[nid].overheard(tx)
+            for ctrl in self._overhearers[tx.src]:
+                if ctrl.node.id != tx.dst:
+                    ctrl.overheard(tx)
         src_ctrl.maybe_start()
 
     def _evaluate_reception(self, tx: Transmission) -> bool:
@@ -882,7 +903,7 @@ class Simulator:
         row = self._node_index[dst]
         signal_db = self.mean_rssi(tx.src, dst) + 10.0 * math.log10(tx.fades[row])
         if signal_db < self.controllers[dst].cfg.decode_floor_dbm:
-            self.trace(dst, "rx_fail", f"below_floor;from={tx.src}")
+            self.trace(dst, "rx_fail", "below_floor;from=%s", tx.src)
             return False
         noise_lin = _lin(phy.noise_floor_dbm)
         required = tx.req_sinr_db
@@ -905,17 +926,17 @@ class Simulator:
             clean_sinr = signal_db - phy.noise_floor_dbm
             if tx.overlaps and clean_sinr >= tx.req_sinr_db:
                 self.metrics.collision_count += 1
-                detail = f"from={tx.src};kind={tx.kind}"
+                window = ""
                 if tx.kind == "ack":
                     for other, _, _ in tx.overlaps:
                         if (other.kind == "burst"
                                 and tx.start_us <= other.start_us < tx.end_us):
                             self.metrics.ack_window_collisions += 1
-                            detail += ";ack_window"
+                            window = ";ack_window"
                             break
-                self.trace(dst, "collision", detail)
+                self.trace(dst, "collision", "from=%s;kind=%s%s", tx.src, tx.kind, window)
             else:
-                self.trace(dst, "rx_fail", f"fade;from={tx.src}")
+                self.trace(dst, "rx_fail", "fade;from=%s", tx.src)
         return success
 
     # -- traffic ---------------------------------------------------------------
@@ -933,7 +954,7 @@ class Simulator:
             job.complete_us = self.now_us
             self.completed_files.append(job)
             ctrl.files.popleft()
-            self.trace(base_id, "file_done", f"client={job.client};id={job.file_id}")
+            self.trace(base_id, "file_done", "client=%s;id=%s", job.client, job.file_id)
 
     def _schedule_first_traffic(self) -> None:
         traffic = self.scenario.traffic
@@ -959,7 +980,7 @@ class Simulator:
                       self.scenario.traffic.size_bits_for(client_id), self.now_us)
         base_ctrl = self.controllers[self.nodes[client_id].attach_to]
         base_ctrl.files.append(job)
-        self.trace(client_id, "file_arrival", f"id={job.file_id}")
+        self.trace(client_id, "file_arrival", "id=%s", job.file_id)
         self._schedule_arrival(client_id)
         base_ctrl.maybe_start()
 
@@ -982,23 +1003,24 @@ class Simulator:
     def _scan_at(self, base_id: str) -> list[ScanEntry]:
         """The APs whose beacons the base decodes, fused with the relayed cells.
 
-        The over-the-air half reads only what a run never changes, so it
-        is built once per base.
+        The over-the-air half and the bases measured at or above
+        ``measurement_floor_dbm`` (and their RSSI) never change in a run, so
+        they are found once per base; a scan adds the cells relayed from them.
         """
-        ota = self._air_scans.get(base_id)
-        if ota is None:
-            ota = self._air_scans[base_id] = []
+        sources = self._scan_sources.get(base_id)
+        if sources is None:
+            ota = []
             for ap in self._base_ids:
                 if base_id in self._decoders.get(ap, ()):
                     cell = CellInfo(ap, self.nodes[ap].channel, self.attached_count(ap))
                     ota.append(ScanEntry("over_the_air", cell, self.mean_rssi(ap, base_id)))
-        relayed = []
-        for src_base, cell in sorted(self.relayed.items()):
-            if src_base == base_id:
-                continue
-            rssi = self.mean_rssi(src_base, base_id)
-            if rssi >= self.scenario.phy.measurement_floor_dbm:
-                relayed.append(ScanEntry("relayed", cell, rssi))
+            rssis = [(src, self.mean_rssi(src, base_id)) for src in self._base_ids
+                     if src != base_id]
+            floor = self.scenario.phy.measurement_floor_dbm
+            sources = self._scan_sources[base_id] = (ota, [e for e in rssis if e[1] >= floor])
+        ota, measured = sources
+        relayed = [ScanEntry("relayed", self.relayed[src], rssi)
+                   for src, rssi in measured if src in self.relayed]
         return merge_scans(ota, relayed)
 
     def _handle_adapt_tick(self, base_id: str) -> None:
@@ -1007,7 +1029,7 @@ class Simulator:
         new_threshold = adapt_ed_threshold(scan, ctrl.adapt, own_channel=ctrl.node.channel)
         if new_threshold != ctrl.ed_threshold_dbm:
             ctrl.ed_threshold_dbm = new_threshold
-            self.trace(base_id, "threshold", f"{new_threshold:.2f}")
+            self.trace(base_id, "threshold", "%.2f", new_threshold)
             ctrl.sense()
         period_us = ctrl.adapt.update_period_s * 1e6
         if self.now_us + period_us <= self.end_us:

@@ -562,6 +562,11 @@ class TestInputErrors:
         # a number key takes no bool, though a bool is an int
         ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.cw_min=true"], "wifi_mac.cw_min"),
         ("simulate", {"nodes": TWO_BASES}, ["simulate.duration_s=true"], "simulate.duration_s"),
+        # so does a node's own threshold, whose default is None; text is no number
+        ("simulate", {"nodes": [{**TWO_BASES[0], "ed_threshold_dbm": True}, TWO_BASES[1]]}, [],
+         "ed_threshold_dbm"),
+        ("simulate", {"nodes": [{**TWO_BASES[0], "ed_threshold_dbm": "abc"}, TWO_BASES[1]]}, [],
+         "ed_threshold_dbm"),
         # a cell id must fit the pseudo beacon's SSID
         ("beacon encode --cell-id " + "x" * 40, {"cell": {}}, [], "cell.operator_cell_id"),
         # every channel is an unlicensed one, relay on or off; a candidate is listed once
@@ -605,7 +610,8 @@ class TestInputErrors:
             "coverage_threshold_nan", "coverage_threshold_inf", "coverage_sensitivity_nan",
             "coverage_margin_nan", "coverage_tx_power_nan", "coverage_cdf_bin_inf",
             "rts_cts_text", "relay_enabled_text", "adaptive_ed_text", "include_shadow_text",
-            "symmetric_penalty_text", "cw_min_bool", "duration_bool", "cell_id_over_32_bytes",
+            "symmetric_penalty_text", "cw_min_bool", "duration_bool",
+            "node_ed_threshold_bool", "node_ed_threshold_text", "cell_id_over_32_bytes",
             "node_channel_7", "node_channel_7_relay_off",
             "select_candidate_7", "select_candidate_twice", "adapt_own_channel_7",
             "scan_without_cell_id", "coverage_cell_without_name"])

@@ -1,9 +1,11 @@
 import bisect
 import dataclasses
+import gc
 import heapq
 import itertools
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from coexsim.simulator import (
     Simulator,
     Transmission,
     _WifiApController,
+    _WifiStaController,
     jain_index,
     median,
     rate_from_sinr,
@@ -231,6 +234,33 @@ class TestStreamingTrace:
         assert growth_mb(cli.TraceWriter) < 0.5
         assert growth_mb(lambda fh: []) > 1.0
 
+    def test_node_ids_are_written_verbatim(self):
+        # ids holding format fields of both styles; each sorts where its
+        # plain id does, so the run is the same and only the ids differ
+        names = {"ap1": "ap1{}", "ap2": "ap2}{", "sta1": "sta1{0}", "sta2": "sta2{:.1f}%s"}
+
+        def traced(rename):
+            sc = dataclasses.replace(two_bss_scenario(duration_s=0.05),
+                                     wifi_mac=WifiMacConfig(rts_cts=True))
+            sc = dataclasses.replace(
+                sc, nodes=[dataclasses.replace(n, id=rename(n.id), attach_to=n.attach_to
+                                               and rename(n.attach_to)) for n in sc.nodes],
+                link_gains={(rename(a), rename(b)): g for (a, b), g in sc.link_gains.items()})
+            sim = Simulator(sc, trace_lines=[])
+            sim.run()
+            return sim.trace_lines
+
+        plain, odd = traced(lambda nid: nid), traced(names.get)
+        assert len(odd) == len(plain) > 100
+        for name in names.values():
+            assert any(f",{name},wifi," in line for line in odd)
+        renamed = []
+        for line in odd:
+            for nid, name in names.items():
+                line = line.replace(name, nid)
+            renamed.append(line)
+        assert renamed == plain
+
 
 SIXTEEN_LINKS = {("n00", "n03"): -70.0, ("n07", "n02"): -88.5, ("n10", "n15"): -60.0}
 
@@ -273,10 +303,16 @@ class TestBatchedDraws:
             expected[(a, b)] = expected[(b, a)] = float(sample_link_gains(d, model, rng))
         for (a, b), g in SIXTEEN_LINKS.items():
             expected[(a, b)] = expected[(b, a)] = g
-        assert {(a, b): g for a, row in sim.gains.items() for b, g in row.items()} == expected
+        ids, index = sim._sorted_ids, sim._node_index
+        assert {(a, b): sim.gains[index[a]][index[b]]
+                for a in ids for b in ids if a != b} == expected
+        # a node's own entry is NaN, so a read of it cannot pass silently
+        assert all(math.isnan(sim.gains[i][i]) and math.isnan(sim.rx_lin[i][i])
+                   for i in range(len(ids)))
         # carrier sensing reads the same mean received power, in linear units
         for (a, b), g in expected.items():
-            assert sim.rx_lin[a][b] == 10.0 ** ((sim.nodes[a].tx_power_dbm + g) / 10.0)
+            power = sim.nodes[a].tx_power_dbm
+            assert sim.rx_lin[index[a]][index[b]] == 10.0 ** ((power + g) / 10.0)
 
     def test_bernoulli_gains_are_one_batched_draw(self):
         # bernoulli draws every LOS uniform before any shadow normal, so its
@@ -286,7 +322,8 @@ class TestBatchedDraws:
         pairs, dists = drawn_pairs(sim)
         drawn = sample_link_gains(np.array(dists), model,
                                   np.random.default_rng([sim.scenario.seed, 1]))
-        assert [sim.gains[a][b] for a, b in pairs] == drawn.tolist()
+        index = sim._node_index
+        assert [sim.gains[index[a]][index[b]] for a, b in pairs] == drawn.tolist()
 
     @pytest.mark.parametrize("branches", [1, 4])
     def test_frame_fades_equal_per_node_draws(self, branches):
@@ -320,6 +357,58 @@ class TestBatchedDraws:
         assert default[1].count(b",tx_start,") > simulator.FADE_BLOCK_FRAMES
         monkeypatch.setattr(simulator, "FADE_BLOCK_FRAMES", 1)
         assert run("per_frame") == default
+
+    def test_fade_block_holds_a_budget_of_floats(self, monkeypatch):
+        def run():
+            sim = Simulator(dataclasses.replace(two_bss_scenario(duration_s=0.05),
+                                                phy=PhyConfig(fading_branches=4)))
+            frames, blocks = [], set()
+            start = sim.start_transmission
+
+            def recording(*args, **kwargs):
+                frames.append(start(*args, **kwargs).fades.tolist())
+                blocks.add(sim._fade_block.shape)
+                return frames[-1]
+
+            sim.start_transmission = recording
+            sim.run()
+            return frames, blocks
+
+        default, blocks = run()
+        assert blocks == {(simulator.FADE_BLOCK_FRAMES, 4)}
+        # 4 nodes x 4 branches: a budget of 100 draws makes 6-frame blocks
+        monkeypatch.setattr(simulator, "FADE_BLOCK_FLOATS", 100)
+        frames, blocks = run()
+        assert blocks == {(6, 4)}
+        assert len(frames) > 6
+        assert frames == default
+
+    def test_ended_frames_are_freed_by_reference_counting(self):
+        # an ended frame drops its side of each overlap pair, so it (and the
+        # fade block its row views) goes once its partners end, with no
+        # cycle collection; only frames on the air and their partners stay
+        sim = Simulator(figure3(0.3))
+        frames = []
+        start = sim.start_transmission
+
+        def recording(*args, **kwargs):
+            tx = start(*args, **kwargs)
+            frames.append(weakref.ref(tx))
+            return tx
+
+        sim.start_transmission = recording
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            m = sim.run()
+            alive = {id(tx) for tx in (ref() for ref in frames) if tx is not None}
+        finally:
+            if enabled:
+                gc.enable()
+        on_air = [tx for txs in sim.active.values() for tx in txs.values()]
+        assert m.collision_count > 0
+        assert alive <= {id(tx) for tx in on_air} | {id(o) for tx in on_air
+                                                     for o, _, _ in tx.overlaps}
 
 
 class TestScenarioValidation:
@@ -435,6 +524,27 @@ FILE_TRAFFIC = TrafficConfig(model="file_transfer", file_size_bytes=20000,
 
 
 class TestNavDeferral:
+    def test_stations_overhear_only_in_a_traced_run(self, monkeypatch):
+        # a station's NAV feeds only its trace record
+        calls = []
+        overheard = _WifiStaController.overheard
+
+        def counting(ctrl, tx):
+            calls.append(ctrl.node.id)
+            overheard(ctrl, tx)
+
+        monkeypatch.setattr(_WifiStaController, "overheard", counting)
+        sc = dataclasses.replace(two_bss_scenario(duration_s=0.1, cross_db=-90.0),
+                                 wifi_mac=WifiMacConfig(rts_cts=True))
+        untraced = Simulator(sc)
+        untraced.run()
+        assert calls == []
+        traced = Simulator(sc, trace_lines=[])
+        traced.run()
+        assert set(calls) == {"sta1", "sta2"}
+        assert len(calls) == sum(",nav," in line for line in traced.trace_lines)
+        assert untraced.metrics == traced.metrics
+
     @pytest.mark.parametrize("rts_cts", [True, False], ids=["rts", "no_rts"])
     def test_idle_ap_survives_overheard_nav(self, rts_cts):
         # an AP that is idle with an empty queue when it overhears a NAV
@@ -856,6 +966,43 @@ class TestRelayInVivo:
             # the -40 dB cross-channel links put every other channel's base in view
             assert any(e.source == "relayed" for e in scan)
             assert base_id not in [e.cell.operator_cell_id for e in scan]
+
+    def test_scan_equals_the_per_tick_formula_under_a_measurement_floor(self, monkeypatch):
+        # at a -75 dBm floor, enb1 no longer measures ap1 (-81.8 dBm) or
+        # ap3 (-90 dBm), nor they it; every other base pair is in view
+        def per_tick(sim, base_id):
+            ota = [relay.ScanEntry("over_the_air",
+                                   relay.CellInfo(ap, sim.nodes[ap].channel,
+                                                  sim.attached_count(ap)),
+                                   sim.mean_rssi(ap, base_id))
+                   for ap in sim._base_ids if base_id in sim._decoders.get(ap, ())]
+            relayed = []
+            for src_base, cell in sorted(sim.relayed.items()):
+                if src_base == base_id:
+                    continue
+                rssi = sim.mean_rssi(src_base, base_id)
+                if rssi >= sim.scenario.phy.measurement_floor_dbm:
+                    relayed.append(relay.ScanEntry("relayed", cell, rssi))
+            return relay.merge_scans(ota, relayed)
+
+        cfg = apply_overrides(load_config(TWO_CHANNEL_CELLS), ["phy.measurement_floor_dbm=-75"])
+        sim = Simulator(build_scenario(cfg))
+        scans = []
+        scan_at = sim._scan_at
+
+        def checking(base_id):
+            scan = scan_at(base_id)
+            assert scan == per_tick(sim, base_id)
+            scans.append((base_id, scan))
+            return scan
+
+        monkeypatch.setattr(sim, "_scan_at", checking)
+        sim.run()
+        assert len(scans) == 3 * 5
+        relayed = {(base_id, e.cell.operator_cell_id) for base_id, scan in scans
+                   for e in scan if e.source == "relayed"}
+        assert ("enb1", "ap2") in relayed and ("ap1", "enb2") in relayed
+        assert not {("enb1", "ap1"), ("enb1", "ap3"), ("ap1", "enb1"), ("ap3", "enb1")} & relayed
 
     def test_decoded_aps_are_scanned_with_the_relay_off(self):
         # ap1 and ap3 decode each other's beacons at -70 dBm, so they adapt
