@@ -12,12 +12,16 @@ lognormal shadowing), once per link; ``fast_fades`` draws the linear
 fast-fade factors the simulator applies per frame and receiver.  The
 random functions take an injected ``numpy.random.Generator``, so
 identical seeds reproduce identical sample streams.  The gain laws
-accept scalars or numpy arrays.
+accept scalars or numpy arrays.  A large draw does its elementwise work
+in cache-sized blocks, shared with a helper thread (``blockwise``),
+while its random numbers are drawn whole, in order, on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,10 @@ DB_PER_NEPER = 10.0 / math.log(10.0)
 # LOS-assignment modes for the inh model (how the LOS probability curve
 # is turned into a per-link LOS/NLOS decision).
 LOS_MODES = ("range", "bernoulli", "nlos", "los")
+
+# Elementwise work on a sample runs in blocks of this many floats (256 KiB),
+# so that every pass over a block finds it in the core's cache.
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -93,12 +101,68 @@ def _check_distance(d, out: np.ndarray | None = None) -> np.ndarray:
     arr = np.asarray(d, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError(f"distance must be finite and positive, got {d!r}")
+    # ``out`` is cut into blocks through a flat view, which only a contiguous
+    # array has: ``reshape`` of any other would copy and drop the writes
     if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
-                                and out.shape == arr.shape):
-        raise ValueError("out must be a float array of the distances' shape")
+                                and out.shape == arr.shape and out.flags.c_contiguous):
+        raise ValueError("out must be a contiguous float array of the distances' shape")
     # below-1m distances clamp to the 1 m value to avoid gain divergence; the
     # clamped array (a copy, or ``out``) is at least 1-d and the caller's to overwrite
     return np.atleast_1d(np.maximum(arr, 1.0, out=out))
+
+
+def blockwise(step, n: int, beside=None):
+    """Call ``step(s)`` once for each ``BLOCK``-long slice ``s`` of ``range(n)``.
+
+    ``beside()`` (a random draw) runs first on the calling thread, and its
+    value is returned.  From two full blocks on, a helper thread takes
+    blocks from the start while it runs, and the calling thread then takes
+    what is left, so the draws keep their order on one thread; a shorter
+    run would not repay the thread's start.  Each slice is written by one
+    thread only, and elementwise work gives the same bits on either, so
+    the result does not depend on which thread took a block.
+
+    The helper is joined before this returns, also when the calling
+    thread raises, and an exception raised on it is raised here: a bare
+    thread would swallow it and leave a sample half built.  ``step`` must
+    call no function the benchmark's span tracer wraps, as the tracer is
+    not thread-safe.
+    """
+    starts = iter(range(0, n, BLOCK))
+    lock = threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                i = next(starts, None)
+            if i is None:
+                return
+            step(slice(i, i + BLOCK))
+
+    def work():
+        result = beside() if beside is not None else None
+        take()
+        return result
+
+    if n < 2 * BLOCK:
+        return work()
+    failed = []
+
+    def helper():
+        try:
+            take()
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="coexsim-blocks")
+    thread.start()
+    try:
+        result = work()
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return result
 
 
 def _inh_loss(logd: np.ndarray, fc_ghz: float, los: bool, out: np.ndarray) -> np.ndarray:
@@ -172,14 +236,18 @@ def fast_fades(rng: np.random.Generator, frames: int, nodes: int, branches: int)
     return rng.exponential(1.0, size=(frames, nodes, branches)).mean(axis=2)
 
 
-def _los_flags(dists: np.ndarray, model: PropagationModel, rng: np.random.Generator) -> np.ndarray:
-    if model.los_mode == "range":
-        return dists <= model.los_range_m
-    if model.los_mode == "bernoulli":
-        return rng.random(dists.shape) < los_probability_inh(dists)
-    if model.los_mode == "los":
-        return np.ones(dists.shape, dtype=bool)
-    return np.zeros(dists.shape, dtype=bool)
+def _inh_gain(d: np.ndarray, fc_ghz: float, los) -> np.ndarray:
+    """Indoor-hotspot gain (dB) of the clamped distances ``d``, written over them.
+
+    ``los`` is one bool for every link, or a bool array that picks the
+    law per link; ``np.where`` picks the same doubles as a masked copy.
+    """
+    logd = np.log10(d, out=d)
+    if isinstance(los, bool):
+        return np.negative(_inh_loss(logd, fc_ghz, los, out=logd), out=d)
+    los_loss = _inh_loss(logd, fc_ghz, True, out=np.empty_like(logd))
+    nlos_loss = _inh_loss(logd, fc_ghz, False, out=logd)
+    return np.negative(np.where(los, los_loss, nlos_loss), out=d)
 
 
 def sample_link_gains(
@@ -196,32 +264,62 @@ def sample_link_gains(
     single law and uses the NLOS sigma.  Fast fading is never included
     here -- callers add it per transmission attempt.
 
-    The gains are built in place, with one ``log10`` over the whole
-    array: in the clamped copy of ``dists``, or in ``out`` when given.
-    ``out`` is a float64 array of ``dists``' shape, and may be ``dists``
-    itself; it is returned, holding the same floats as the copying call.
-    Without ``out``, ``dists`` is never written.
+    The gains are built in place: in the clamped copy of ``dists``, or in
+    ``out`` when given.  ``out`` is a contiguous float64 array of
+    ``dists``' shape, and may be ``dists`` itself; it is returned, holding
+    the same floats as the copying call.  Without ``out``, ``dists`` is
+    never written.
+
+    The random draws are taken whole, in a fixed order, on the calling
+    thread: the LOS uniforms (``bernoulli``), then the unit normals of the
+    shadowing.  Everything else is elementwise and runs in cache-sized
+    blocks (``blockwise``); the gain laws run beside the normal draw.
     """
     gain = _check_distance(dists, out)
+    flat = gain.reshape(-1)  # a view: ``gain`` is contiguous
+    n = flat.size
+    sigma_los, sigma_nlos = model.shadow_sigma_los_db, model.shadow_sigma_nlos_db
     if model.variant == "diffusion":
-        _diffusion_gain(gain, model)
+        def law(s):
+            _diffusion_gain(flat[s], model)
+
+        def sigma(s):
+            return sigma_nlos
+    elif model.los_mode in ("los", "nlos"):
+        los = model.los_mode == "los"
+
+        def law(s):
+            _inh_gain(flat[s], model.carrier_freq_ghz, los)
+
+        def sigma(s):
+            return sigma_los if los else sigma_nlos
     else:
-        los = _los_flags(gain, model, rng)
-        logd = np.log10(gain, out=gain)
-        los_loss = _inh_loss(logd, model.carrier_freq_ghz, True, out=np.empty_like(logd))
-        _inh_loss(logd, model.carrier_freq_ghz, False, out=gain)
-        np.copyto(gain, los_loss, where=los)
-        del los_loss
-        np.negative(gain, out=gain)
+        # the flags are kept for the shadow sigmas; under ``range`` the law
+        # sets them, under ``bernoulli`` they are drawn first
+        los = np.empty(n, dtype=bool)
+        if model.los_mode == "bernoulli":
+            draws = rng.random(n)
+            blockwise(lambda s: np.less(draws[s], los_probability_inh(flat[s]), out=los[s]), n)
+            del draws
+
+        def law(s):
+            if model.los_mode == "range":
+                np.less_equal(flat[s], model.los_range_m, out=los[s])
+            _inh_gain(flat[s], model.carrier_freq_ghz, los[s])
+
+        def sigma(s):
+            return np.where(los[s], sigma_los, sigma_nlos)
     if include_shadow:
-        shadow = rng.normal(0.0, 1.0, size=gain.shape)
-        if model.variant == "diffusion":
-            shadow *= model.shadow_sigma_nlos_db
-        else:
-            np.multiply(shadow, model.shadow_sigma_los_db, out=shadow, where=los)
-            np.logical_not(los, out=los)
-            np.multiply(shadow, model.shadow_sigma_nlos_db, out=shadow, where=los)
-        gain += shadow
+        shadow = blockwise(law, n, beside=lambda: rng.standard_normal(n))
+
+        def add_shadow(s):
+            draws = shadow[s]
+            draws *= sigma(s)
+            flat[s] += draws
+
+        blockwise(add_shadow, n)
+    else:
+        blockwise(law, n)
     if out is not None:
         return out
     return float(gain[0]) if np.ndim(dists) == 0 else gain

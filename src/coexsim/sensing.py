@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import Building, PropagationModel, sample_link_gains
+from .propagation import Building, PropagationModel, blockwise, sample_link_gains
 
 
 @dataclass
@@ -89,19 +89,36 @@ def sample_rssi_dbm(
     pos = base.position
     if not building.contains(pos):
         raise ValueError("base position lies outside the building")
-    # the distances are formed in the x draw, the y draw is freed before the
-    # gains are drawn, and the gains are built over the distances, so about
-    # two sample arrays are alive at once
-    dists = rng.uniform(0.0, building.width_m, n_samples)
-    ys = rng.uniform(0.0, building.depth_m, n_samples)
-    dists -= pos.x
-    ys -= pos.y
-    np.hypot(dists, ys, out=dists)
+    # the draws come whole and in order on this thread (x, y, then those of
+    # sample_link_gains), while the elementwise work runs in blocks beside
+    # them (see ``blockwise``); the distances are formed in the x draw and
+    # the gains built over them, so about two sample arrays are alive at once
+    dists = rng.random(n_samples)
+
+    def scale_x(s):
+        xs = dists[s]
+        xs *= building.width_m
+        xs -= pos.x
+
+    ys = blockwise(scale_x, n_samples, beside=lambda: rng.random(n_samples))
+
+    def distance(s):
+        y = ys[s]
+        y *= building.depth_m
+        y -= pos.y
+        d = np.hypot(dists[s], y, out=dists[s])
+        np.maximum(d, 1.0, out=d)
+
+    blockwise(distance, n_samples)
     del ys
-    np.maximum(dists, 1.0, out=dists)
     rssis = sample_link_gains(dists, model, rng, include_shadow=include_shadow, out=dists)
-    rssis += base.tx_power_dbm
-    rssis -= margin_db
+
+    def offset(s):
+        r = rssis[s]
+        r += base.tx_power_dbm
+        r -= margin_db
+
+    blockwise(offset, n_samples)
     return rssis
 
 
@@ -112,11 +129,11 @@ def coverage_of(rssis: np.ndarray, ed: EdConfig) -> CoverageResult:
     ``ed.min_sensitivity_dbm``; the ED fraction is the share of cell
     points whose RSSI also reaches the threshold.
     """
-    in_cell = rssis >= ed.min_sensitivity_dbm
-    n_cell = int(np.count_nonzero(in_cell))
+    n_cell = int(np.count_nonzero(rssis >= ed.min_sensitivity_dbm))
     if n_cell == 0:
         raise ValueError("degenerate cell: no sampled point reaches the decode floor")
-    above = np.count_nonzero(in_cell & (rssis >= ed.threshold_dbm))
+    # a point reaching both levels reaches the higher one: one comparison
+    above = np.count_nonzero(rssis >= max(ed.threshold_dbm, ed.min_sensitivity_dbm))
     return CoverageResult(
         cell_fraction=n_cell / rssis.size,
         ed_fraction=above / n_cell,

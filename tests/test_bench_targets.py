@@ -11,6 +11,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import yaml
 
 from coexsim import cli, mac_lte, mac_wifi
 from coexsim.config import apply_overrides, build_scenario, load_config
+from coexsim.propagation import BLOCK
 from coexsim.simulator import SimEvent, Simulator
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,6 +50,36 @@ def test_every_span_target_resolves(monkeypatch):
     targets = [target for target, _ in child.BOUNDARY + child.LAYERS]
     assert "coexsim.simulator:Simulator.run" in targets
     assert [t for t in targets if resolve(t) is None] == []
+
+
+def test_no_span_target_runs_on_a_helper_thread(tmp_path, monkeypatch):
+    # the span tracer keeps one stack and is not thread-safe; a coverage draw
+    # of several blocks starts a helper thread, which must call no target
+    child = load_child(monkeypatch)
+    calls = Counter()
+    for target, name in child.BOUNDARY + child.LAYERS:
+        module_name, _, attr_path = target.partition(":")
+        owner = importlib.import_module(module_name)
+        *owner_path, attr = attr_path.split(".")
+        for part in owner_path:
+            owner = getattr(owner, part)
+        original = getattr(owner, attr)
+
+        def recording(*args, _name=name, _fn=original, **kwargs):
+            calls[_name, threading.current_thread() is threading.main_thread()] += 1
+            return _fn(*args, **kwargs)
+
+        # as the tracer does: a function in every coexsim module that imported it
+        owners = [owner] if owner_path else [
+            mod for mod_name, mod in list(sys.modules.items())
+            if mod_name.split(".")[0] == "coexsim" and getattr(mod, attr, None) is original]
+        for mod in owners:
+            monkeypatch.setattr(mod, attr, recording)
+    rc = cli.main(["coverage", "--config", "table1_inh",
+                   "--set", f"coverage.samples={3 * BLOCK + 7}", "--out", str(tmp_path / "cov.csv")])
+    assert rc == 0
+    assert calls["propagation.sample_link_gains", True] == 2
+    assert [key for key in calls if not key[1]] == []
 
 
 def test_dispatch_probe_reads_event_kind():

@@ -1,13 +1,17 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coexsim.propagation import (
+    BLOCK,
     Building,
     Position,
     PropagationModel,
+    blockwise,
     fast_fades,
     los_probability_inh,
     path_gain_diffusion,
@@ -248,14 +252,18 @@ MODEL_IDS = ["inh_range", "inh_bernoulli", "inh_nlos", "inh_los", "diffusion"]
 # links of 0.3 m to 130 m: clamped, LOS, around los_range_m and NLOS; 1,001
 # links so the vector loops run a ragged tail
 LINKS = np.random.default_rng(21).uniform(0.3, 130.0, 1001)
+# three blocks and a ragged tail, so the work crosses block edges and a
+# helper thread takes part
+MANY_LINKS = np.random.default_rng(22).uniform(0.3, 130.0, 3 * BLOCK + 7)
 
 
 class TestSampleLinkGainsBitwise:
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     @pytest.mark.parametrize("include_shadow", [True, False], ids=["shadow", "no_shadow"])
     @pytest.mark.parametrize("dists", [float(LINKS[7]), np.float64(0.5), np.array(31.0), LINKS,
-                                       LINKS[:9].reshape(3, 3)],
-                             ids=["scalar", "np_scalar", "0d", "1d", "2d"])
+                                       LINKS[:9].reshape(3, 3), MANY_LINKS,
+                                       MANY_LINKS[:3 * BLOCK + 6].reshape(-1, 2)],
+                             ids=["scalar", "np_scalar", "0d", "1d", "2d", "blocks_1d", "blocks_2d"])
     def test_equals_where_form(self, model, include_shadow, dists):
         rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
         got = sample_link_gains(dists, model, rng_a, include_shadow)
@@ -292,8 +300,9 @@ class TestSampleLinkGainsBitwise:
         assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("out", [np.empty(1000), np.empty((1001, 1)),
-                                     np.empty(1001, dtype=np.float32), [0.0] * 1001],
-                             ids=["short", "2d", "float32", "list"])
+                                     np.empty(1001, dtype=np.float32), [0.0] * 1001,
+                                     np.empty((1001, 2))[:, 0]],
+                             ids=["short", "2d", "float32", "list", "strided"])
     def test_bad_out_rejected(self, out):
         with pytest.raises(ValueError, match="out must be"):
             sample_link_gains(LINKS, MODELS[0], np.random.default_rng(0), out=out)
@@ -318,6 +327,90 @@ class TestSampleLinkGainsBitwise:
         assert np.array_equal(bits(path_gain_diffusion(d, model)), bits(
             model.diffusion_ref_gain_db - 10.0 * np.log10(dd)
             - 10.0 / math.log(10.0) * dd / model.diffusion_length_m))
+
+
+class TestBlockwise:
+    """The helper thread of ``blockwise``: when it starts, and how it ends."""
+
+    @staticmethod
+    def on_main():
+        return threading.current_thread() is threading.main_thread()
+
+    def test_under_two_blocks_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        seen = []
+        assert blockwise(lambda s: seen.append((s.start, s.stop, self.on_main())), 2 * BLOCK - 1,
+                         beside=lambda: "drawn") == "drawn"
+        assert seen == [(0, BLOCK, True), (BLOCK, 2 * BLOCK, True)]
+
+    def test_helper_takes_blocks_beside_the_draw(self):
+        before = threading.active_count()
+        seen, helper_ran = [], threading.Event()
+
+        def step(s):
+            seen.append(s.start)
+            if not self.on_main():
+                helper_ran.set()
+
+        def beside():
+            # the draw runs on the calling thread while the helper takes blocks
+            assert self.on_main()
+            assert helper_ran.wait(10.0)
+            return "drawn"
+
+        assert blockwise(step, 3 * BLOCK + 7, beside) == "drawn"
+        assert sorted(seen) == [0, BLOCK, 2 * BLOCK, 3 * BLOCK]
+        assert threading.active_count() == before
+
+    def test_helper_error_reaches_the_caller(self):
+        before = threading.active_count()
+        helper_failed = threading.Event()
+
+        def step(s):
+            if not self.on_main():
+                helper_failed.set()
+                raise ZeroDivisionError("block failed")
+
+        with pytest.raises(ZeroDivisionError, match="block failed"):
+            blockwise(step, 3 * BLOCK + 7, beside=lambda: helper_failed.wait(10.0))
+        assert helper_failed.is_set()
+        assert threading.active_count() == before
+
+    def test_every_block_taken_once_under_fast_switching(self):
+        # four concurrent calls, eight threads on two cores, switching every
+        # microsecond: a block handed out twice or lost breaks the count
+        blocks = 500
+        seen = [[] for _ in range(4)]
+
+        def call(k):
+            blockwise(lambda s: seen[k].append(s.start), blocks * BLOCK)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for starts in seen:
+            assert sorted(starts) == list(range(0, blocks * BLOCK, BLOCK))
+
+    def test_caller_error_joins_the_helper(self):
+        before = threading.active_count()
+
+        def beside():
+            raise KeyError("draw failed")
+
+        with pytest.raises(KeyError, match="draw failed"):
+            blockwise(lambda s: None, 3 * BLOCK + 7, beside)
+        assert threading.active_count() == before
 
 
 class TestGeometry:

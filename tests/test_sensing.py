@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coexsim.cli import main
 from coexsim.config import Node, apply_overrides, build_coverage_spec, load_config
 from coexsim.propagation import (
+    BLOCK,
     LOS_MODES,
     Building,
     Position,
@@ -53,6 +54,18 @@ class TestDetect:
 
     def test_below(self):
         assert not self.detected(-73.0, -72.0)
+
+    @pytest.mark.parametrize("threshold", [-np.inf, -95.0, -87.5, -80.0, -62.0])
+    def test_ed_count_equals_two_mask_form(self, threshold):
+        # the ED count compares once against the higher level, which counts
+        # the cell points that also reach the threshold; the sample has
+        # points on both levels
+        rssis = np.concatenate([np.random.default_rng(3).uniform(-110.0, -40.0, 5_000),
+                                [-95.0, -87.5, -80.0, -62.0]])
+        ed = EdConfig(threshold_dbm=threshold, min_sensitivity_dbm=-87.5)
+        in_cell = rssis >= ed.min_sensitivity_dbm
+        above = np.count_nonzero(in_cell & (rssis >= threshold))
+        assert coverage_of(rssis, ed).ed_fraction == above / np.count_nonzero(in_cell)
 
 
 @pytest.mark.parametrize("make, message", [
@@ -181,12 +194,14 @@ class TestFractionalEdCoverage:
 RSSI_MODELS = [PropagationModel(los_mode=mode) for mode in LOS_MODES] + [
     PropagationModel(variant="diffusion")]
 RSSI_MODEL_IDS = ["inh" if mode == "range" else f"inh_{mode}" for mode in LOS_MODES] + ["diffusion"]
-# every model with shadowing on and off, at 20,001 and 1,000 samples; an id
-# names only what differs from shadowing on at 20,001 samples
+# every model with shadowing on and off, at 20,001 and 1,000 samples, and at
+# three blocks and a ragged tail, which crosses block edges and starts the
+# helper thread; an id names only what differs from shadowing on at 20,001
+# samples
 RSSI_CASES = [pytest.param(model, shadow, n, id=name + ("" if n == 20_001 else f"-{n}")
                            + ("" if shadow else "-no_shadow"))
               for model, name in zip(RSSI_MODELS, RSSI_MODEL_IDS)
-              for shadow in (True, False) for n in (20_001, 1_000)]
+              for shadow in (True, False) for n in (20_001, 1_000, 3 * BLOCK + 7)]
 
 
 class TestSampleRssi:
@@ -210,11 +225,11 @@ class TestSampleRssi:
         (PropagationModel(los_mode="bernoulli"), 3.5),
     ], ids=["inh", "diffusion", "inh_bernoulli"])
     def test_peak_memory_is_a_few_sample_arrays(self, model, arrays):
-        # the gains are built in the distance array itself, so the traced peak
-        # is about two float arrays of the sample size (2.1-2.6), and about
-        # three under bernoulli, which also holds the uniform draw and the LOS
-        # probabilities; building the gains in a copy of the distances takes
-        # one array more (3.1-3.6, and 5.25 under bernoulli)
+        # the gains are built in the distance array itself, in blocks, so the
+        # traced peak is about two float arrays of the sample size plus a few
+        # blocks (2.2-2.5, bernoulli too, as its LOS flags are set before the
+        # normal draw); building the gains in a copy of the distances takes
+        # one array more
         n = 200_000
         # the generator is made before tracing: its first construction in a
         # process imports modules worth about 0.4 arrays, which no draw holds
