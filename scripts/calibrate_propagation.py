@@ -15,10 +15,15 @@ Run:  python scripts/calibrate_propagation.py
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from coexsim.propagation import PropagationModel, path_gain_diffusion, path_gain_inh
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from coexsim.propagation import PropagationModel, path_gain_diffusion, path_gain_inh  # noqa: E402
 
 TX_DBM = 20.0
 WIFI_SENS = -87.5

@@ -10,10 +10,14 @@ Wi-Fi (sta1; acceptance 7 asks for at least 2.0) and LTE (ue1; at least
     python scripts/claim_margins.py
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
-from run_coexistence_experiment import pooled_rows
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from run_coexistence_experiment import pooled_rows  # noqa: E402
 
 
 def main() -> None:

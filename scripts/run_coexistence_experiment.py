@@ -11,10 +11,14 @@ file throughput per technology from the CSV's pooled rows.
 
 import argparse
 import csv
+import sys
 from pathlib import Path
 
-from coexsim.cli import main as cli_main
-from coexsim.simulator import jain_index
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from coexsim.cli import main as cli_main  # noqa: E402
+from coexsim.simulator import jain_index  # noqa: E402
 
 
 def pooled_rows(seed: int, runs: int, out: Path) -> dict:

@@ -209,7 +209,8 @@ class _BaseController(_Controller):
     transmits.  A slot that decrements and the end of DIFS start the
     engine's joint walk (``Simulator.walk_idle_slots``), which counts
     the idle slots of all contenders up to the next other event or the
-    next slot that ends a countdown; that slot is a real tick.
+    next slot that ends a countdown; that slot is a real tick.  Bases
+    whose boundaries meet on one ``slot_us`` walk as one cohort.
     A busy medium only cancels the pending wait or slot, which freezes
     the counter; it is no machine event.  A node's own
     ``ed_threshold_dbm`` is also its adaptation ceiling
@@ -721,7 +722,10 @@ class Simulator:
 
     def trace(self, node: str, record: str, detail: str, *args) -> None:
         """Send a record with last column ``detail % args`` to the sink, if one is
-        set.  Node ids are user text: one is always in ``args``, never in ``detail``."""
+        set.  Node ids are user text: one is always in ``args``, never in ``detail``.
+
+        ``walk_idle_slots`` is the one other writer: it appends the
+        ``decrement`` records of the slots it walks to the sink itself."""
         if self.trace_lines is not None:
             self.trace_lines.append(
                 f"{self.now_us:.3f}{self._trace_cols[node]}{record},{detail % args}")
@@ -737,28 +741,36 @@ class Simulator:
         defer is one) joins the walk when it is reached.  From then on,
         each base's next boundary lies ``slot_us`` on by ``+=`` (the float
         path ``_push`` takes) and ranks after every queued event, in the
-        order its previous boundary was taken.  The walk stops at the
-        first of: a boundary that would end a countdown, a queued event
-        that is not a live tick (a stale tick or a DIFS included) and a
-        boundary after ``end_us``.
-        Each boundary taken emits its ``decrement`` record at its time.
-        A slot changes only its own base's counter, so outputs are those
-        of one event per slot.  At the stop, each base's counter drops by
-        the slots it took, in one ``idle_slots`` call, and each base
-        pushes its next tick, in the order its last boundary was taken.
-        The queued ticks the walk takes are the heap's first events, so
-        they are popped as they are taken.
+        order its previous boundary was taken.
+        Bases whose next boundaries are one float on one ``slot_us`` stay
+        on one path, so they walk as a cohort: its members take each
+        boundary in turn, the older rank first, with one ``+=`` per
+        boundary, up to the next queued event or walk entry.
+        The walk stops at the first of: a boundary that would end a
+        countdown (the members ahead of that base still take it), a
+        queued event that is not a live tick (a stale tick or a DIFS
+        included) and a boundary after ``end_us``.
+        Each boundary taken appends its ``decrement`` records to the sink
+        at its time; the walk is the one writer of records besides
+        ``trace``.  A slot changes only its own base's counter, so outputs
+        are those of one event per slot.  At the stop, each base's counter
+        drops by the slots it took, in one ``idle_slots`` call, and each
+        base pushes its next tick, in the order its last boundary was
+        taken.  The queued ticks the walk takes are the heap's first
+        events, so they are popped as they are taken.
         """
         heap = self._heap
         end_us = self.end_us
-        tracing = self.trace_lines is not None
-        # (next boundary, rank, [base, its counter before that boundary],
-        # last boundary taken); ranks are unique, so no list is compared
-        walk = [(self.now_us + first.slot_us, 0, [first, first.mac.backoff_counter],
+        sink = self.trace_lines
+        cols = self._trace_cols
+        # (next boundary, rank, members, last boundary taken), a member
+        # being [base, its counter before that boundary], in the order the
+        # members take each boundary; ranks are unique, so no list is compared
+        walk = [(self.now_us + first.slot_us, 0, [[first, first.mac.backoff_counter]],
                  self.now_us)]
         rank = 0
         while True:
-            t, _, walker, _ = walk[0]
+            t, old, members, last = walk[0]
             head = heap[0].time_us if heap else math.inf
             if head <= t:
                 # the queued head is older: it joins if it is a live tick
@@ -768,40 +780,73 @@ class Simulator:
                     break
                 ctrl = event.handler.__self__
                 self.now_us = head
-                counter = ctrl.mac.backoff_counter
-                if not ctrl.counts_slot(*event.args) or counter <= 1:
+                counter = ctrl.mac.backoff_counter - 1
+                if not ctrl.counts_slot(*event.args) or counter < 1:
                     break
                 heapq.heappop(heap)
-                rank += 1
-                heapq.heappush(walk, (head + ctrl.slot_us, rank, [ctrl, counter - 1], head))
-                if tracing:
-                    self.trace(ctrl.node.id, "decrement", "%s", counter - 1)
+                if sink is not None:
+                    sink.append(f"{head:.3f}{cols[ctrl.node.id]}decrement,{counter}")
+                after = head + ctrl.slot_us
+                if len(walk) == 1 and after == t and ctrl.slot_us == members[0][0].slot_us:
+                    members.append([ctrl, counter])  # after the lone entry's members
+                else:
+                    rank += 1
+                    heapq.heappush(walk, (after, rank, [[ctrl, counter]], head))
                 continue
-            ctrl, counter = walker
-            if counter <= 1 or t > end_us:
+            if t > end_us:
                 break
-            # the base takes t, then each boundary before the next base's
-            # (whose rank is now older) and before the queued head
-            limit = min([head] + [entry[0] for entry in walk[1:3]])
-            slot_us = ctrl.slot_us
-            while True:
-                counter -= 1
-                if tracing:
-                    self.now_us = t
-                    self.trace(ctrl.node.id, "decrement", "%s", counter)
-                after = t + slot_us
-                if counter <= 1 or after >= limit or after > end_us:
+            slot_us = members[0][0].slot_us
+            limit = head
+            if len(walk) > 1:
+                # the cohort takes each boundary before the next entry's
+                # (whose rank is now older) and before the queued head
+                limit = min([head] + [entry[0] for entry in walk[1:3]])
+                if limit == t:
+                    # the entries next at t on this slot length join the
+                    # cohort, up to the first on another one
+                    heapq.heappop(walk)
+                    while walk and walk[0][0] == t and walk[0][2][0][0].slot_us == slot_us:
+                        members += heapq.heappop(walk)[2]
+                    heapq.heappush(walk, (t, old, members, last))
+                    limit = min([head] + [entry[0] for entry in walk[1:3]])
+            low = members[0][1] if len(members) == 1 else min([m[1] for m in members])
+            taken = 0
+            while low - taken > 1:
+                taken += 1
+                if sink is not None:
+                    stamp = f"{t:.3f}"
+                    for ctrl, counter in members:
+                        sink.append(f"{stamp}{cols[ctrl.node.id]}decrement,{counter - taken}")
+                last, t = t, t + slot_us
+                if t >= limit or t > end_us:
                     break
-                t = after
-            walker[1] = counter
+            else:
+                # a countdown would end at t, so the walk stops there; the
+                # members ahead of that base take t, and the rest keep the
+                # entry's rank (an entry also at t ranks after it)
+                ahead = 0
+                while members[ahead][1] - taken > 1:
+                    ahead += 1
+                for k, member in enumerate(members):
+                    member[1] -= taken + (k < ahead)
+                    if k < ahead and sink is not None:
+                        sink.append(f"{t:.3f}{cols[member[0].node.id]}decrement,{member[1]}")
+                walk[0] = (t, old, members[ahead:], last)
+                if ahead:
+                    walk.append((t + slot_us, rank + 1, members[:ahead], t))
+                break
+            for member in members:
+                member[1] -= taken
             rank += 1
-            heapq.heapreplace(walk, (after, rank, walker, t))
-        for _, _, (ctrl, counter), last in sorted(walk, key=lambda entry: entry[1]):
-            taken = ctrl.mac.backoff_counter - counter
-            if taken:
-                ctrl.mac = idle_slots(ctrl.mac, taken)
+            heapq.heapreplace(walk, (t, rank, members, last))
+        walk.sort(key=lambda entry: entry[1])  # a stop mid-cohort leaves no heap
+        for _, _, members, last in walk:
             self.now_us = last
-            self._push(ctrl.slot_us, "slot_tick", ctrl.on_slot, ctrl.gen)
+            for ctrl, counter in members:
+                taken = ctrl.mac.backoff_counter - counter
+                if taken:
+                    ctrl.mac = idle_slots(ctrl.mac, taken)
+                self._push(ctrl.slot_us, "slot_tick", ctrl.on_slot, ctrl.gen)
 
     # -- sensing ------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coexsim.config import (
     ClientGenConfig,
@@ -1045,6 +1046,102 @@ class TestBeaconSchedule:
             assert gap == pytest.approx(100_000, rel=0.2)
 
 
+def reference_walk(sim, first):
+    """The joint walk one walker at a time, as it was before cohorts.
+
+    Every base is its own walk entry, and each entry takes its boundaries
+    up to the next entry's or the queued head; ``walk_idle_slots`` must
+    leave the same trace, counters and queue.
+    """
+    heap = sim._heap
+    end_us = sim.end_us
+    tracing = sim.trace_lines is not None
+    walk = [(sim.now_us + first.slot_us, 0, [first, first.mac.backoff_counter], sim.now_us)]
+    rank = 0
+    while True:
+        t, _, walker, _ = walk[0]
+        head = heap[0].time_us if heap else math.inf
+        if head <= t:
+            event = heap[0]
+            if event.kind != "slot_tick" or head > end_us:
+                break
+            ctrl = event.handler.__self__
+            sim.now_us = head
+            counter = ctrl.mac.backoff_counter
+            if not ctrl.counts_slot(*event.args) or counter <= 1:
+                break
+            heapq.heappop(heap)
+            rank += 1
+            heapq.heappush(walk, (head + ctrl.slot_us, rank, [ctrl, counter - 1], head))
+            if tracing:
+                sim.trace(ctrl.node.id, "decrement", "%s", counter - 1)
+            continue
+        ctrl, counter = walker
+        if counter <= 1 or t > end_us:
+            break
+        limit = min([head] + [entry[0] for entry in walk[1:3]])
+        slot_us = ctrl.slot_us
+        while True:
+            counter -= 1
+            if tracing:
+                sim.now_us = t
+                sim.trace(ctrl.node.id, "decrement", "%s", counter)
+            after = t + slot_us
+            if counter <= 1 or after >= limit or after > end_us:
+                break
+            t = after
+        walker[1] = counter
+        rank += 1
+        heapq.heapreplace(walk, (after, rank, walker, t))
+    for _, _, (ctrl, counter), last in sorted(walk, key=lambda entry: entry[1]):
+        taken = ctrl.mac.backoff_counter - counter
+        if taken:
+            ctrl.mac = simulator.idle_slots(ctrl.mac, taken)
+        sim.now_us = last
+        sim._push(ctrl.slot_us, "slot_tick", ctrl.on_slot, ctrl.gen)
+
+
+FOUR_BASES = ("ap1", "enb1", "ap2", "enb2")
+
+
+def four_bases_scenario():
+    """Two APs and two eNBs with a client each, on one channel."""
+    nodes = []
+    for k, base in enumerate(FOUR_BASES):
+        wifi = base.startswith("ap")
+        nodes.append(Node(id=base, kind="wifi_ap" if wifi else "lte_enb",
+                          position=Position(10.0 + 10.0 * k, 30.0)))
+        nodes.append(Node(id=f"c{k}", kind="wifi_sta" if wifi else "lte_ue",
+                          position=Position(10.0 + 10.0 * k, 34.0), attach_to=base))
+    return Scenario(nodes=nodes, traffic=TrafficConfig(model="full_buffer"), seed=3)
+
+
+# a delay that lands on a 9, 7.5 or 0.7 us grid, one slot length short of
+# another (so that the two grids meet one slot on), or between grids
+WALK_DELAYS = st.one_of(
+    st.builds(lambda j, slot: j * slot, st.integers(0, 6), st.sampled_from([9.0, 9.0, 7.5, 0.7])),
+    st.sampled_from([1.5, 8.3, 6.8, 0.35, 4.0, 13.0, 22.5]),
+)
+
+
+@st.composite
+def walk_setups(draw):
+    """The first walker, the other contenders and the queue of a walk."""
+    bases = draw(st.permutations(FOUR_BASES))[:draw(st.integers(1, 4))]
+    counters = {b: draw(st.integers(0, 20)) for b in bases}
+    slots = {b: draw(st.sampled_from([9.0, 9.0, 7.5, 0.7])) for b in bases}
+    # each other base queues one tick: live, or stale by an old gen, a busy
+    # medium or no countdown; plain timers go in between
+    queue = [("tick", b, draw(st.sampled_from(["live", "live", "old_gen", "busy", "idle"])),
+              draw(WALK_DELAYS)) for b in bases[1:]]
+    queue += [("timer", None, None, draw(WALK_DELAYS))
+              for _ in range(draw(st.integers(0, 2)))]
+    queue = draw(st.permutations(queue))
+    now_us = draw(st.sampled_from([1000.0, 1000.1, 0.3, 4567.891]))
+    end_us = now_us + draw(st.sampled_from([0.0, 5.0, 40.0, 100.0, 1e6]))
+    return bases, counters, slots, queue, now_us, end_us
+
+
 class TestSkipIdleSlots:
     """The joint walk over every contender's idle slots (``walk_idle_slots``).
 
@@ -1233,6 +1330,155 @@ class TestSkipIdleSlots:
             f"{ap.cfg.difs_us + 18.0:.3f},ap1,wifi,decrement,1",
         ]
         assert self.queued(sim)[-1] == (ap.cfg.difs_us + 27.0, "slot_tick", "ap1")
+
+
+    def test_bases_in_lockstep_walk_as_one_cohort(self):
+        # enb1's queued tick shares ap1's grid: at every boundary enb1,
+        # the older, counts first, for 14 boundaries until enb1 expires
+        sim = self.sim_at()
+        enb = self.contend(sim, "enb1", 15)
+        self.tick(sim, enb, self.SLOT)
+        ap = self.walk(sim, "ap1", 20)
+        want = []
+        for j in range(14):
+            time = f"{1009.0 + j * self.SLOT:.3f}"
+            want += [f"{time},enb1,lte,decrement,{14 - j}", f"{time},ap1,wifi,decrement,{19 - j}"]
+        assert sim.trace_lines == want
+        assert (enb.mac.backoff_counter, ap.mac.backoff_counter) == (1, 6)
+        assert self.queued(sim) == [(1135.0, "slot_tick", "enb1"),
+                                    (1135.0, "slot_tick", "ap1")]
+
+    def test_walker_at_zero_after_difs_takes_no_slot(self):
+        # ap1's DIFS ends with a counter drawn 0; enb1's tick at now joins
+        # the boundary at 1009, where ap1 transmits: nobody takes it
+        sim = self.sim_at()
+        enb = self.contend(sim, "enb1", 10)
+        self.tick(sim, enb, 0.0)
+        ap = self.walk(sim, "ap1", 0)
+        assert sim.trace_lines == ["1000.000,enb1,lte,decrement,9"]
+        assert (enb.mac.backoff_counter, ap.mac.backoff_counter) == (9, 0)
+        assert self.queued(sim) == [(1009.0, "slot_tick", "ap1"),
+                                    (1009.0, "slot_tick", "enb1")]
+
+    def cells_at(self):
+        """two_channel_cells parked at 1000 us: ap1, enb1 and ap2 are bases."""
+        sim = Simulator(build_scenario(load_config(TWO_CHANNEL_CELLS)), trace_lines=[])
+        sim.now_us = 1000.0
+        return sim
+
+    def test_stop_mid_cohort(self):
+        # the cohort ap2, enb1, ap1 reaches 1027, where enb1 expires: ap2,
+        # ahead of it, takes 1027; enb1 and ap1 keep their order there
+        sim = self.cells_at()
+        ap2, enb = self.contend(sim, "ap2", 10), self.contend(sim, "enb1", 3)
+        self.tick(sim, ap2, self.SLOT)
+        self.tick(sim, enb, self.SLOT)
+        ap1 = self.walk(sim, "ap1", 10)
+        assert sim.trace_lines == [
+            "1009.000,ap2,wifi,decrement,9", "1009.000,enb1,lte,decrement,2",
+            "1009.000,ap1,wifi,decrement,9", "1018.000,ap2,wifi,decrement,8",
+            "1018.000,enb1,lte,decrement,1", "1018.000,ap1,wifi,decrement,8",
+            "1027.000,ap2,wifi,decrement,7",
+        ]
+        assert [c.mac.backoff_counter for c in (ap2, enb, ap1)] == [7, 1, 8]
+        assert self.queued(sim) == [(1027.0, "slot_tick", "enb1"), (1027.0, "slot_tick", "ap1"),
+                                    (1036.0, "slot_tick", "ap2")]
+
+    @pytest.mark.parametrize("delay", [7.5, 1.5])
+    def test_equal_times_on_other_slot_lengths_stay_apart(self, delay):
+        # enb1 on 7.5 us slots meets ap1's 9 us grid (at 1045 and 1090, or
+        # at 1009 just after joining and at 1054); there ap1, whose last
+        # boundary is older, counts first, and each goes on by its own slot
+        sim = self.sim_at(end_us=1095.0)
+        enb = self.contend(sim, "enb1", 20)
+        enb.slot_us = 7.5
+        self.tick(sim, enb, delay)
+        ap = self.walk(sim, "ap1", 20)
+        enb_times = [1000.0 + delay + 7.5 * j for j in range(13) if delay + 7.5 * j <= 95.0]
+        want = sorted([(1000.0 + 9.0 * j, "ap1") for j in range(1, 11)]
+                      + [(time, "enb1") for time in enb_times],
+                      key=lambda pair: (pair[0], pair[1] != "ap1"))
+        assert [(float(line.split(",")[0]), line.split(",")[1])
+                for line in sim.trace_lines] == want
+        assert (enb.mac.backoff_counter, ap.mac.backoff_counter) == (20 - len(enb_times), 10)
+        assert self.queued(sim) == sorted([(enb_times[-1] + 7.5, "slot_tick", "enb1"),
+                                           (1099.0, "slot_tick", "ap1")],
+                                          key=lambda item: (item[0], item[2] != "ap1"))
+
+    def test_joined_tick_ranks_ahead_of_the_cohort_it_lands_on(self):
+        # ap2's tick queued at 1027 is older than the enb1-ap1 cohort's
+        # boundary there, so ap2 counts first at 1027 and at every boundary after
+        sim = self.cells_at()
+        enb, ap2 = self.contend(sim, "enb1", 20), self.contend(sim, "ap2", 10)
+        self.tick(sim, enb, self.SLOT)
+        self.tick(sim, ap2, 3 * self.SLOT)
+        ap1 = self.walk(sim, "ap1", 20)
+        order = [line.split(",")[1] for line in sim.trace_lines]
+        assert order == ["enb1", "ap1"] * 2 + ["ap2", "enb1", "ap1"] * 9
+        assert sim.trace_lines[-3:] == ["1099.000,ap2,wifi,decrement,1",
+                                        "1099.000,enb1,lte,decrement,9",
+                                        "1099.000,ap1,wifi,decrement,9"]
+        assert [c.mac.backoff_counter for c in (ap2, enb, ap1)] == [1, 9, 9]
+        assert self.queued(sim) == [(1108.0, "slot_tick", "ap2"), (1108.0, "slot_tick", "enb1"),
+                                    (1108.0, "slot_tick", "ap1")]
+
+    def test_a_joined_tick_follows_every_entry_at_its_boundary(self):
+        # ap1 (9 us) and enb1 (7.5 us, joined at 1001.5) are two entries at
+        # 1009; ap2 (4.5 us) joins at 1004.5 and counts after both there
+        sim = self.cells_at()
+        enb, ap2 = self.contend(sim, "enb1", 5), self.contend(sim, "ap2", 5)
+        enb.slot_us, ap2.slot_us = 7.5, 4.5
+        self.tick(sim, enb, 1.5)
+        self.tick(sim, ap2, 4.5)
+        self.walk(sim, "ap1", 5)
+        assert [line.split(",")[:2] for line in sim.trace_lines[:5]] == [
+            ["1001.500", "enb1"], ["1004.500", "ap2"],
+            ["1009.000", "ap1"], ["1009.000", "enb1"], ["1009.000", "ap2"]]
+
+    def test_a_join_on_a_lone_entry_only(self):
+        # at 1e6 us, 9 us and 9 us + 2^-40 add up to one float, so enb1's
+        # joined boundary equals ap1's on another slot length: a separate
+        # entry; ap2 then joins on ap1's slot length and counts after both
+        sim = self.cells_at()
+        sim.now_us, sim.end_us = 1e6, 2e6
+        enb, ap2 = self.contend(sim, "enb1", 5), self.contend(sim, "ap2", 5)
+        enb.slot_us = self.SLOT + 2.0 ** -40
+        assert sim.now_us + enb.slot_us == sim.now_us + self.SLOT
+        self.tick(sim, enb, 0.0)
+        self.tick(sim, ap2, 0.0)
+        self.walk(sim, "ap1", 5)
+        assert [line.split(",")[:2] for line in sim.trace_lines[:5]] == [
+            ["1000000.000", "enb1"], ["1000000.000", "ap2"],
+            ["1000009.000", "ap1"], ["1000009.000", "enb1"], ["1000009.000", "ap2"]]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(walk_setups())
+    def test_matches_the_walk_one_base_at_a_time(self, setup):
+        bases, counters, slots, queue, now_us, end_us = setup
+
+        def walked(walk):
+            sim = Simulator(four_bases_scenario(), trace_lines=[])
+            sim.now_us, sim.end_us = now_us, end_us
+            ctrls = {b: self.contend(sim, b, counters[b]) for b in bases}
+            for b in bases:
+                ctrls[b].slot_us = slots[b]
+            for kind, b, state, delay in queue:
+                if kind == "timer":
+                    self.queue(sim, delay)
+                    continue
+                ctrl = ctrls[b]
+                self.tick(sim, ctrl, delay)
+                ctrl.gen += state == "old_gen"
+                ctrl.busy = state == "busy"
+                if state == "idle":
+                    ctrl.mac = dataclasses.replace(ctrl.mac, phase=ctrl.IDLE)
+            walk(sim, ctrls[bases[0]])
+            # the heap in pop order: seq numbers may differ only between
+            # events at different times, which never compare them
+            return (sim.trace_lines, {b: c.mac for b, c in ctrls.items()},
+                    self.queued(sim), sim._seq)
+
+        assert walked(Simulator.walk_idle_slots) == walked(reference_walk)
 
 
 class TestCreditFrame:
