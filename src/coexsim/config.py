@@ -53,12 +53,19 @@ LTE_RATE_TABLE = [
 ]
 
 
+# the widest contention window: a backoff draw covers at most 2^32 values,
+# numpy's 32-bit bounded path, which the simulator's draw source reproduces
+CW_LIMIT = 2 ** 32 - 1
+
+
 def _check_cw(cw_min: int, cw_max: int) -> None:
     for cw in (cw_min, cw_max):
         if cw < 0 or (cw + 1) & cw:
             raise ValueError(f"cw {cw} must have the 2^k - 1 form")
     if cw_min > cw_max:
         raise ValueError(f"cw_min {cw_min} exceeds cw_max {cw_max}")
+    if cw_max > CW_LIMIT:
+        raise ValueError(f"cw_max {cw_max} exceeds 2^32 - 1")
 
 
 def _check_channels(channels: list, name: str) -> None:

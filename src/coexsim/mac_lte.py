@@ -9,7 +9,8 @@ Contention is one ``BACKOFF`` phase: energy above the threshold is no
 event, the caller freezes the counter by delivering no slots until the
 channel clears.  HARQ feedback ends a burst.  The window check, slot
 step and collision redraw are the contention core in ``mac_wifi``,
-which serves both machines.
+which serves both machines; a redraw takes its counter from a draw
+source that needs only ``integers(low, high)`` (``mac_wifi.Draws``).
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .mac_wifi import ProtocolViolation, _checked, check_window, count_slot, redraw
+from .mac_wifi import Draws, ProtocolViolation, _checked, check_window, count_slot, redraw
 
 
 class LbtPhase(str, Enum):
@@ -47,7 +46,7 @@ class LbtState:
         check_window(self)
 
 
-def lbt_step(state: LbtState, event: str, rng: np.random.Generator) -> LbtState:
+def lbt_step(state: LbtState, event: str, rng: Draws) -> LbtState:
     """Advance the LBT machine by one event; returns the next state.
 
     Leaving ``BACKOFF`` on ``energy_below_slot`` means the counter

@@ -15,15 +15,18 @@ core (``check_window``, ``start_access``, ``idle_slots``,
 ``count_slot`` and ``redraw``) serves this machine and the Cat-4 LBT
 machine in ``mac_lte`` alike, because both name their phases ``IDLE``
 and ``BACKOFF``.
+
+A backoff counter comes from a draw source: anything with
+``integers(low, high)`` as ``np.random.Generator`` has it (``Draws``).
+The simulator gives each base a ``BlockDraws``, which returns
+Generator's values bit for bit at a fraction of the cost per draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TypeVar
-
-import numpy as np
+from typing import Protocol, TypeVar
 
 
 class ProtocolViolation(Exception):
@@ -31,6 +34,60 @@ class ProtocolViolation(Exception):
 
 
 State = TypeVar("State")  # a DcfState or a mac_lte.LbtState
+
+# raw 64-bit outputs a BlockDraws takes from its bit generator at a time
+RAW_BLOCK = 64
+_U32 = 0xFFFFFFFF
+
+
+class Draws(Protocol):
+    """A draw source: ``integers(low, high)``, uniform on [low, high), as
+    ``np.random.Generator.integers`` returns it."""
+
+    def integers(self, low: int, high: int) -> int: ...
+
+
+class BlockDraws:
+    """``Generator.integers(low, high)`` bit for bit, from raw outputs in blocks.
+
+    ``bit_generator`` is a PCG64 whose stream feeds these draws and no
+    other.  Its raw 64-bit outputs come ``RAW_BLOCK`` at a time
+    (``random_raw``), and each draw is bounded as numpy bounds one of at
+    most 2^32 values: from 32-bit words, PCG64 handing out the low half of
+    an output first and the high half next; a range of one value takes no
+    word, and any other Lemire's multiply-and-reject with numpy's
+    threshold (D. Lemire, "Fast Random Integer Generation in an Interval",
+    ACM TOMACS 29(1), 2019), which takes a range of 2^32 as one word as it
+    is.  A wider range is rejected.
+    """
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self._words = iter(())
+
+    def _word(self) -> int:
+        """The next 32-bit word of the stream."""
+        word = next(self._words, None)
+        if word is None:
+            raw = self._bit_generator.random_raw(RAW_BLOCK)
+            self._words = iter(raw.astype("<u8", copy=False).view("<u4").tolist())
+            word = next(self._words)
+        return word
+
+    def integers(self, low: int, high: int) -> int:
+        rng = high - low - 1  # numpy's inclusive range
+        if rng == 0:
+            return low
+        if not 0 < rng <= _U32:
+            raise ValueError(f"integers({low}, {high}) needs 1 to 2^32 values")
+        # for 2^32 values numpy returns the word as it is, which this gives too
+        span = rng + 1
+        m = self._word() * span
+        if m & _U32 < span:
+            threshold = (_U32 - rng) % span
+            while m & _U32 < threshold:
+                m = self._word() * span
+        return low + (m >> 32)
 
 
 def check_window(state: State) -> None:
@@ -62,7 +119,7 @@ def _checked(state: State, **changes) -> State:
     return new
 
 
-def start_access(state: State, rng: np.random.Generator) -> State:
+def start_access(state: State, rng: Draws) -> State:
     """Begin a channel-access attempt: draw a backoff counter.
 
     Caller invokes this when a frame becomes pending while the machine
@@ -100,7 +157,7 @@ def count_slot(state: State, tx_phase) -> State:
     return _next(state, phase=tx_phase, backoff_counter=0)
 
 
-def redraw(state: State, rng: np.random.Generator, **changes) -> State:
+def redraw(state: State, rng: Draws, **changes) -> State:
     """A failed attempt: double the window up to ``cw_max``, draw a counter in ``BACKOFF``."""
     cw = min(2 * state.cw + 1, state.cw_max)
     counter = int(rng.integers(0, cw + 1))
@@ -139,7 +196,7 @@ class DcfState:
         check_window(self)
 
 
-def dcf_step(state: DcfState, event: str, rng: np.random.Generator) -> DcfState:
+def dcf_step(state: DcfState, event: str, rng: Draws) -> DcfState:
     """Advance the DCF machine by one event; returns the next state.
 
     Leaving ``BACKOFF`` on ``medium_idle_slot`` means the counter

@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
+from bisect import insort
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -43,7 +44,7 @@ from . import mac_lte, mac_wifi
 from .config import Node, PhyConfig, Scenario
 from .coordination import adapt_ed_threshold
 from .mac_lte import LbtPhase, LbtState
-from .mac_wifi import DcfPhase, DcfState, idle_slots, start_access
+from .mac_wifi import BlockDraws, DcfPhase, DcfState, idle_slots, start_access
 from .propagation import fast_fades, sample_link_gains
 from .relay import (
     CellInfo,
@@ -96,6 +97,11 @@ class SimEvent(NamedTuple):
     args: tuple
 
 
+# ``_new_event(SimEvent, fields)`` builds the event without SimEvent's
+# Python-level ``__new__``
+_new_event = tuple.__new__
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -106,6 +112,37 @@ def _lin(dbm: float) -> float:
 
 def _dbm(linear: float) -> float:
     return 10.0 * math.log10(linear) if linear > 0 else -math.inf
+
+
+def peak_interference(overlaps: list, powers: list) -> float:
+    """The largest summed power of overlaps on the air together, or 0.0 with none.
+
+    ``overlaps`` holds (frame, start, end) with start < end, ``powers`` each
+    one's linear power.  Between each two consecutive distinct bounds the
+    powers of the overlaps covering that segment are summed in overlap
+    order, starting from 0.0, so the value is bit for bit that of summing
+    every overlap's test over every segment; one overlap is its own power.
+    A sweep over the sorted bounds keeps the overlaps on the air.
+    """
+    if len(overlaps) == 1:
+        return powers[0]
+    marks = sorted([(s, 1, i) for i, (_, s, _) in enumerate(overlaps)]
+                   + [(e, 0, i) for i, (_, _, e) in enumerate(overlaps)])
+    on_air: list[int] = []  # indices into overlaps, in overlap order
+    peak = 0.0
+    last = len(marks) - 1
+    for n, (t, opens, i) in enumerate(marks):
+        if opens:
+            insort(on_air, i)
+        else:
+            on_air.remove(i)
+        if n < last and marks[n + 1][0] != t:  # a segment from t to the next bound
+            seg = 0.0
+            for j in on_air:
+                seg += powers[j]
+            if seg > peak:
+                peak = seg
+    return peak
 
 
 def rate_from_sinr(sinr_db: float, technology: str, phy: PhyConfig) -> float:
@@ -144,21 +181,37 @@ def jain_index(values) -> float:
 # transmissions and files
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Transmission:
-    tx_id: int
-    src: str
-    dst: str | None
-    kind: str  # data | ack | rts | cts | beacon | burst
-    start_us: float
-    end_us: float
-    req_sinr_db: float
-    bits: float
-    nav_duration_us: float = 0.0
-    frame_key: tuple | None = None
-    fades: np.ndarray | None = None  # linear fade factor per node, in sorted id order
-    rx_lin: array | None = None  # linear mean power each node receives, in sorted id order
-    overlaps: list = field(default_factory=list)  # (co-channel Transmission, start, end)
+    """One frame on the air.
+
+    ``kind`` is data | ack | rts | cts | beacon | burst; ``fades`` holds the
+    linear fade factor and ``rx_lin`` the linear mean power each node
+    receives, in sorted id order; ``overlaps`` holds (co-channel
+    Transmission, start, end) per frame it overlaps.  A frame is made once
+    per transmission, so it takes its fields by position into slots.
+    """
+
+    __slots__ = ("tx_id", "src", "dst", "kind", "start_us", "end_us", "req_sinr_db", "bits",
+                 "nav_duration_us", "frame_key", "fades", "rx_lin", "overlaps",
+                 "__weakref__")
+
+    def __init__(self, tx_id: int, src: str, dst: str | None, kind: str, start_us: float,
+                 end_us: float, req_sinr_db: float, bits: float,
+                 nav_duration_us: float = 0.0, frame_key: tuple | None = None,
+                 fades: np.ndarray | None = None, rx_lin: array | None = None):
+        self.tx_id = tx_id
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.start_us = start_us
+        self.end_us = end_us
+        self.req_sinr_db = req_sinr_db
+        self.bits = bits
+        self.nav_duration_us = nav_duration_us
+        self.frame_key = frame_key
+        self.fades = fades
+        self.rx_lin = rx_lin
+        self.overlaps: list = []
 
 
 @dataclass
@@ -268,7 +321,8 @@ class _BaseController(_Controller):
         if self.mac.phase == self.IDLE and self.files:
             self.mac = start_access(self.mac, self.rng)
             # a new attempt, its backoff drawn; pinned traces keep the name
-            self.sim.trace(self.node.id, "phase", "defer")
+            if self.sim.trace_lines is not None:
+                self.sim.trace(self.node.id, "phase", "defer")
         if self.wants_medium() and not self.blocked():
             self.gen += 1
             self.sim._push(*self.wait, self.gen)
@@ -301,7 +355,8 @@ class _BaseController(_Controller):
         if not self.contending():
             self.end_countdown()
             return
-        self.sim.trace(self.node.id, "decrement", "%s", self.mac.backoff_counter)
+        if self.sim.trace_lines is not None:
+            self.sim.trace(self.node.id, "decrement", "%s", self.mac.backoff_counter)
         self.sim.walk_idle_slots(self)
 
 
@@ -606,20 +661,28 @@ class Simulator:
         # the link tables hold one row of doubles per source, indexed by
         # _node_index like the columns; a node's own entry is NaN
         self.gains = self._build_gain_matrix()
-        # linear mean received power, summed by carrier sensing
+        # mean received power in dB (mean_rssi, read by reception), and
+        # linear, summed by carrier sensing
         powers = [self.nodes[nid].tx_power_dbm for nid in self._sorted_ids]
-        self.rx_lin = [array("d", [_lin(p + g) for g in row])
-                       for p, row in zip(powers, self.gains)]
+        self.rx_db = [array("d", [p + g for g in row]) for p, row in zip(powers, self.gains)]
+        self.rx_lin = [array("d", [_lin(db) for db in row]) for row in self.rx_db]
+        self._noise_lin = _lin(scenario.phy.noise_floor_dbm)
+        self._tech = {nid: n.technology for nid, n in self.nodes.items()}
         self._rate_cache: dict[tuple, tuple] = {}
 
         self.controllers: dict[str, _Controller] = {
             node.id: _CONTROLLERS[node.kind](self, node) for node in scenario.nodes
         }
+        self._decode_floor = {nid: ctrl.cfg.decode_floor_dbm
+                              for nid, ctrl in self.controllers.items()}
 
         # one medium per channel: its frames on the air by tx_id in start
         # order, its bases (the only nodes that sense) in id order
         channels = {n.channel for n in scenario.nodes}
         self.active: dict[int, dict[int, Transmission]] = {ch: {} for ch in channels}
+        # what a node senses: its column of the link tables and its medium
+        self._sensing = {nid: (self._node_index[nid], self.active[n.channel])
+                         for nid, n in self.nodes.items()}
         self._base_ids = [nid for nid in self._sorted_ids if self.nodes[nid].is_base]
         self._bases_on = {ch: [self.controllers[nid] for nid in self._base_ids
                                if self.nodes[nid].channel == ch] for ch in channels}
@@ -648,8 +711,10 @@ class Simulator:
 
     # -- randomness ------------------------------------------------------
 
-    def node_rng(self, node_id: str) -> np.random.Generator:
-        return np.random.default_rng([self.scenario.seed, 100 + self._node_index[node_id]])
+    def node_rng(self, node_id: str) -> BlockDraws:
+        """The node's backoff draws, from its own stream ``[seed, 100 + index]``."""
+        stream = np.random.default_rng([self.scenario.seed, 100 + self._node_index[node_id]])
+        return BlockDraws(stream.bit_generator)
 
     def traffic_rng(self, node_id: str) -> np.random.Generator:
         # one persistent stream per client; a fresh generator per call
@@ -689,7 +754,7 @@ class Simulator:
 
     def mean_rssi(self, src: str, dst: str) -> float:
         index = self._node_index
-        return self.nodes[src].tx_power_dbm + self.gains[index[src]][index[dst]]
+        return self.rx_db[index[src]][index[dst]]
 
     def link_rate(self, src: str, dst: str) -> tuple[float, float]:
         """The link's PHY rate in Mbps and the SINR in dB that rate requires."""
@@ -715,10 +780,9 @@ class Simulator:
     def _push(self, delay_us: float, kind: str, handler: Callable[..., None],
               *args) -> None:
         """Queue ``handler(*args)`` to run ``delay_us`` from now."""
-        self._seq += 1
-        heapq.heappush(
-            self._heap, SimEvent(self.now_us + delay_us, self._seq, kind, handler, args)
-        )
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap,
+                       _new_event(SimEvent, (self.now_us + delay_us, seq, kind, handler, args)))
 
     def trace(self, node: str, record: str, detail: str, *args) -> None:
         """Send a record with last column ``detail % args`` to the sink, if one is
@@ -852,9 +916,9 @@ class Simulator:
 
     def sensed_power_dbm(self, node_id: str) -> float:
         """Total mean power from other nodes' frames on the node's channel."""
-        col = self._node_index[node_id]
+        col, medium = self._sensing[node_id]
         total = 0.0
-        for tx in self.active[self.nodes[node_id].channel].values():
+        for tx in medium.values():
             if tx.src != node_id:
                 total += tx.rx_lin[col]
         return _dbm(total)
@@ -897,15 +961,12 @@ class Simulator:
             self._fade_row = 0
         fades = self._fade_block[self._fade_row]
         self._fade_row += 1
-        tx = Transmission(
-            tx_id=self._tx_counter, src=src, dst=dst, kind=kind,
-            start_us=self.now_us, end_us=self.now_us + duration_us,
-            req_sinr_db=req_sinr_db, bits=bits,
-            nav_duration_us=nav_duration_us, frame_key=frame_key, fades=fades,
-            rx_lin=self.rx_lin[self._node_index[src]],
-        )
-        node = self.nodes[src]
-        active = self.active[node.channel]
+        now = self.now_us
+        tx = Transmission(self._tx_counter, src, dst, kind, now, now + duration_us,
+                          req_sinr_db, bits, nav_duration_us, frame_key, fades,
+                          self.rx_lin[self._node_index[src]])
+        channel = self.nodes[src].channel
+        active = self.active[channel]
         for other in active.values():
             o_start = max(other.start_us, tx.start_us)
             o_end = min(other.end_us, tx.end_us)
@@ -914,20 +975,23 @@ class Simulator:
                 tx.overlaps.append((other, o_start, o_end))
         active[tx.tx_id] = tx
         self._count_airtime()
-        self._on_air[node.technology] += 1
-        self.trace(src, "tx_start", "kind=%s;dst=%s;dur=%.1f", kind, dst, duration_us)
+        self._on_air[self._tech[src]] += 1
+        if self.trace_lines is not None:
+            self.trace(src, "tx_start", "kind=%s;dst=%s;dur=%.1f", kind, dst, duration_us)
         self._push(duration_us, "tx_end", self._finish_transmission, tx)
-        self.recompute_busy(node.channel, True)
+        self.recompute_busy(channel, True)
         return tx
 
     def _finish_transmission(self, tx: Transmission) -> None:
-        node = self.nodes[tx.src]
-        del self.active[node.channel][tx.tx_id]
+        src = tx.src
+        channel = self.nodes[src].channel
+        del self.active[channel][tx.tx_id]
         self._count_airtime()
-        self._on_air[node.technology] -= 1
-        self.trace(tx.src, "tx_end", "kind=%s;dst=%s", tx.kind, tx.dst)
-        self.recompute_busy(node.channel, False)
-        src_ctrl = self.controllers[tx.src]
+        self._on_air[self._tech[src]] -= 1
+        if self.trace_lines is not None:
+            self.trace(src, "tx_end", "kind=%s;dst=%s", tx.kind, tx.dst)
+        self.recompute_busy(channel, False)
+        src_ctrl = self.controllers[src]
         src_ctrl.handle_own_tx_end(tx)
         if tx.dst is not None:
             success = self._evaluate_reception(tx)
@@ -943,32 +1007,25 @@ class Simulator:
 
     def _evaluate_reception(self, tx: Transmission) -> bool:
         dst = tx.dst
-        phy = self.scenario.phy
+        index, rx_db = self._node_index, self.rx_db
         # fades are kept linear and read in dB only here
-        row = self._node_index[dst]
-        signal_db = self.mean_rssi(tx.src, dst) + 10.0 * math.log10(tx.fades[row])
-        if signal_db < self.controllers[dst].cfg.decode_floor_dbm:
+        row = index[dst]
+        signal_db = rx_db[index[tx.src]][row] + 10.0 * math.log10(tx.fades[row])
+        if signal_db < self._decode_floor[dst]:
             self.trace(dst, "rx_fail", "below_floor;from=%s", tx.src)
             return False
-        noise_lin = _lin(phy.noise_floor_dbm)
         required = tx.req_sinr_db
         max_interference = 0.0
         if tx.overlaps:
-            required = max(required, phy.capture_threshold_db)
-            # each overlapping frame's power once, summed per segment in overlap order
-            powers = [_lin(self.mean_rssi(other.src, dst) + 10.0 * math.log10(other.fades[row]))
+            required = max(required, self.scenario.phy.capture_threshold_db)
+            # each overlapping frame's power once
+            powers = [_lin(rx_db[index[other.src]][row] + 10.0 * math.log10(other.fades[row]))
                       for other, _, _ in tx.overlaps]
-            bounds = sorted({b for _, s, e in tx.overlaps for b in (s, e)})
-            for a, b in zip(bounds, bounds[1:]):
-                seg = 0.0
-                for (_, s, e), power in zip(tx.overlaps, powers):
-                    if s <= a and e >= b:
-                        seg += power
-                max_interference = max(max_interference, seg)
-        sinr_db = signal_db - _dbm(noise_lin + max_interference)
+            max_interference = peak_interference(tx.overlaps, powers)
+        sinr_db = signal_db - _dbm(self._noise_lin + max_interference)
         success = sinr_db >= required
         if not success:
-            clean_sinr = signal_db - phy.noise_floor_dbm
+            clean_sinr = signal_db - self.scenario.phy.noise_floor_dbm
             if tx.overlaps and clean_sinr >= tx.req_sinr_db:
                 self.metrics.collision_count += 1
                 window = ""
@@ -1102,16 +1159,18 @@ class Simulator:
         for nid in self._sorted_ids:
             self.controllers[nid].maybe_start()
 
+        heap, pop, end_us, dispatch = self._heap, heapq.heappop, self.end_us, self._dispatch
         last_time = 0.0
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.time_us > self.end_us:
+        while heap:
+            event = pop(heap)
+            time_us = event[0]
+            if time_us > end_us:
                 break
-            if event.time_us < last_time - 1e-9:
+            if time_us < last_time - 1e-9:
                 raise SimulationError("event queue went backwards in time")
-            last_time = event.time_us
-            self.now_us = event.time_us
-            self._dispatch(event)
+            last_time = time_us
+            self.now_us = time_us
+            dispatch(event)
         self.now_us = self.end_us
         return self._finalize()
 

@@ -470,6 +470,9 @@ class TestInputErrors:
         ("coverage", "table1_inh", ["coverage.samples=2000", "coverage.base.position=[999,999]"],
          "coverage.base.position"),
         ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.cw_min=2047"], "wifi_mac"),
+        # a backoff draw covers numpy's 32-bit bounded path only
+        ("simulate", {"nodes": TWO_BASES}, ["wifi_mac.cw_max=8589934591"], "wifi_mac: cw_max"),
+        ("simulate", {"nodes": TWO_BASES}, ["lte_mac.cw_max=8589934591"], "lte_mac: cw_max"),
         ("simulate", {"nodes": TWO_BASES},
          ["nodes=[{id: x, kind: bogus, position: [1, 1]}]"], "nodes"),
         ("simulate", {"nodes": TWO_BASES}, ["traffic.model=bogus"], "traffic"),
@@ -589,7 +592,8 @@ class TestInputErrors:
             "coverage_samples_text", "coverage_seed_text", "nodes_mapping",
             "coverage_cells_mapping", "coverage_models_mapping", "coverage_models_empty",
             "coverage_few_samples", "coverage_zero_cdf_bin", "coverage_base_outside",
-            "wifi_cw_min_above_cw_max", "unknown_node_kind", "unknown_traffic_model",
+            "wifi_cw_min_above_cw_max", "wifi_cw_max_above_2_32", "lte_cw_max_above_2_32",
+            "unknown_node_kind", "unknown_traffic_model",
             "config_root_list", "seed_mapping", "zero_carrier_freq", "negative_shadow_sigma",
             "zero_diffusion_length", "unknown_los_mode", "zero_update_period",
             "negative_select_weight", "timeshare_penalty_below_one", "malformed_yaml_file",

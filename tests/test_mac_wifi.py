@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexsim.config import Node, Scenario, TrafficConfig, WifiMacConfig
+from coexsim.config import CW_LIMIT, Node, Scenario, TrafficConfig, WifiMacConfig
 from coexsim.mac_wifi import (
     DCF_EVENTS,
+    BlockDraws,
     DcfPhase,
     DcfState,
     ProtocolViolation,
@@ -244,3 +245,51 @@ class TestIdleSlots:
             dcf_step(s, "medium_idle_slot", rng())
         with pytest.raises(ProtocolViolation):
             idle_slots(s, 1)
+
+
+def paired_draws(seed):
+    """A plain Generator and a BlockDraws on an equal stream of its own."""
+    return (np.random.default_rng([seed, 100]),
+            BlockDraws(np.random.default_rng([seed, 100]).bit_generator))
+
+
+class TestBlockDraws:
+    """The draw source returns ``Generator.integers(low, high)`` bit for bit."""
+
+    @pytest.mark.parametrize("high", [1, 2, 16, 64, 1024,
+                                      3 * 2 ** 30, 2 ** 31 + 1,  # Lemire rejects often
+                                      2 ** 32],  # one raw 32-bit word per draw
+                             ids=["1", "2", "16", "64", "1024", "3x2^30", "2^31+1", "2^32"])
+    @pytest.mark.parametrize("low", [0, 7])
+    def test_equals_numpy_for_one_bound(self, high, low):
+        for seed in (1, 2):
+            gen, draws = paired_draws(seed)
+            expected = [int(gen.integers(low, low + high)) for _ in range(300)]
+            assert [draws.integers(low, low + high) for _ in range(300)] == expected
+
+    def test_equals_numpy_for_mixed_bounds_across_blocks(self):
+        class CountingBlocks:
+            def __init__(self, bit_generator):
+                self.bit_generator, self.blocks = bit_generator, 0
+
+            def random_raw(self, size):
+                self.blocks += 1
+                return self.bit_generator.random_raw(size)
+
+        bounds = [1, 2, 16, 64, 1024, 3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32]
+        picks = np.random.default_rng(0).integers(0, len(bounds), size=700).tolist()
+        gen = np.random.default_rng([3, 100])
+        source = CountingBlocks(np.random.default_rng([3, 100]).bit_generator)
+        draws = BlockDraws(source)
+        expected = [int(gen.integers(0, bounds[k])) for k in picks]
+        assert [draws.integers(0, bounds[k]) for k in picks] == expected
+        assert source.blocks >= 3  # 2 x RAW_BLOCK words a block
+
+    def test_the_widest_window_config_accepts_is_drawn(self):
+        assert WifiMacConfig(cw_max=CW_LIMIT).cw_max == CW_LIMIT
+        gen, draws = paired_draws(4)
+        assert draws.integers(0, CW_LIMIT + 1) == int(gen.integers(0, CW_LIMIT + 1))
+        with pytest.raises(ValueError, match="2\\^32"):
+            draws.integers(0, CW_LIMIT + 2)
+        with pytest.raises(ValueError):
+            draws.integers(5, 5)

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import gc
+from collections import Counter
 import heapq
 import itertools
 import math
@@ -38,6 +39,7 @@ from coexsim.simulator import (
     _WifiStaController,
     jain_index,
     median,
+    peak_interference,
     rate_from_sinr,
 )
 
@@ -1511,3 +1513,100 @@ def test_slot_skipping_changes_no_output(make, monkeypatch):
     monkeypatch.setattr(Simulator, "walk_idle_slots", lambda self, base: self._push(
         base.slot_us, "slot_tick", base.on_slot, base.gen))
     assert run_with_trace(make()) == walked
+
+
+TWO_BSS_RTS = str(Path(__file__).resolve().parent / "two_bss_rts.yaml")
+
+
+def figure4(duration_s, adaptive):
+    """The hidden bases under full buffer, which collide and redraw."""
+    return build_scenario(apply_overrides(load_config("figure4_coexistence"), [
+        "traffic.model=full_buffer", "simulate.warmup_s=0.5",
+        f"simulate.duration_s={duration_s}", f"simulate.adaptive_ed={str(adaptive).lower()}",
+    ]))
+
+
+def generator_stream(sim, node_id):
+    """A base's backoff stream as the plain numpy Generator the draw source stands for."""
+    return np.random.default_rng([sim.scenario.seed, 100 + sim._node_index[node_id]])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: figure4(1.5, adaptive=False),
+    lambda: figure4(1.5, adaptive=True),
+    lambda: figure3(1.0),
+    lambda: build_scenario(load_config(TWO_BSS_RTS)),
+], ids=["figure4_off", "figure4_on", "figure3_collision", "two_bss_rts"])
+def test_block_draws_change_no_output(make, monkeypatch):
+    sim = Simulator(make())
+    assert all(isinstance(sim.controllers[nid].rng, mac_wifi.BlockDraws)
+               for nid in sim._base_ids)
+    drawn = run_with_trace(make())
+    monkeypatch.setattr(Simulator, "node_rng", generator_stream)
+    assert run_with_trace(make()) == drawn
+
+
+def test_untraced_run_makes_no_trace_only_calls(monkeypatch):
+    # tx_start, tx_end, decrement and phase records feed only the trace
+    trace_only = {"tx_start", "tx_end", "decrement", "phase"}
+    traced_before = run_with_trace(figure4(1.5, adaptive=True))
+    calls = Counter()
+    trace = Simulator.trace
+
+    def counting(sim, node, record, detail, *args):
+        calls[record] += 1
+        trace(sim, node, record, detail, *args)
+
+    monkeypatch.setattr(Simulator, "trace", counting)
+    Simulator(figure4(1.5, adaptive=True)).run()
+    assert calls.keys() & trace_only == set()
+    assert run_with_trace(figure4(1.5, adaptive=True)) == traced_before
+    assert trace_only <= calls.keys()
+
+
+def reference_peak_interference(overlaps, powers):
+    """The largest interference as reception summed it before its sweep: every
+    overlap's power tested against every segment between distinct bounds."""
+    max_interference = 0.0
+    bounds = sorted({b for _, s, e in overlaps for b in (s, e)})
+    for a, b in zip(bounds, bounds[1:]):
+        seg = 0.0
+        for (_, s, e), power in zip(overlaps, powers):
+            if s <= a and e >= b:
+                seg += power
+        max_interference = max(max_interference, seg)
+    return max_interference
+
+
+@st.composite
+def overlap_sets(draw):
+    # bounds from a few shared instants, so overlaps share and touch bounds
+    times = draw(st.lists(st.floats(0.0, 5000.0), min_size=2, max_size=12, unique=True))
+    times.sort()
+    spans = draw(st.lists(st.tuples(st.integers(0, len(times) - 2), st.integers(1, 4)),
+                          max_size=40))
+    overlaps = [(None, times[i], times[min(i + d, len(times) - 1)]) for i, d in spans]
+    powers = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-13, 1e-3)),
+                           min_size=len(overlaps), max_size=len(overlaps)))
+    return overlaps, powers
+
+
+class TestPeakInterference:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(overlap_sets())
+    def test_equals_the_all_segments_formula(self, case):
+        overlaps, powers = case
+        peak = peak_interference(overlaps, powers)
+        assert peak.hex() == reference_peak_interference(overlaps, powers).hex()
+
+    def test_one_overlap_is_its_power(self):
+        assert peak_interference([(None, 3.0, 9.0)], [0.25]) == 0.25
+
+    def test_sums_keep_overlap_order(self):
+        # (a + b) + c and a + (b + c) differ in the last bit for these powers
+        a, b, c = 0.1, 0.2, 0.3
+        assert (a + b) + c != a + (b + c)
+        overlaps = [(None, 0.0, 5.0), (None, 0.0, 5.0), (None, 0.0, 5.0)]
+        assert peak_interference(overlaps, [a, b, c]) == (a + b) + c
+        overlaps = [(None, 1.0, 5.0), (None, 0.0, 5.0), (None, 0.0, 5.0)]
+        assert peak_interference(overlaps, [a, b, c]) == (a + b) + c
