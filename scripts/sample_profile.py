@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
 """Where one benchmark job spends its time, by SIGPROF stack sampling.
 
-Builds one ``perfbench/workloads.py`` job (a workload at a seed), runs
-its ``coexsim`` command lines in this process, in order, ``--rounds``
-times, and samples the Python stack each time the process has used
-another millisecond of CPU (``ITIMER_PROF``; the kernel may tick more
-coarsely).  Prints, over all samples, the share of each
-function and of each source line: self (the sampled frame itself) and
-inclusive (anywhere on the stack, counted once per sample).  A sample
-costs the same whatever the program calls, so call-heavy paths read
-their true share; cProfile adds a cost to every call and inflates them.
+Builds one ``perfbench/workloads.py`` job (a workload at benchmark seed
+``SEED``), runs its ``coexsim`` command lines in this process, in order,
+``ROUNDS`` times, and samples the Python stack each time the process has
+used another millisecond of CPU (``ITIMER_PROF``; the kernel may tick
+more coarsely).  Prints, over all samples, the ``TOP`` functions and
+source lines by share: self (the sampled frame itself) and inclusive
+(anywhere on the stack, counted once per sample).  A sample costs the
+same whatever the program calls, so call-heavy paths read their true
+share; cProfile adds a cost to every call and inflates them.
 
 The job's generated configs and outputs go to a temporary directory,
 removed on exit.  ``perfbench/`` is imported, never written.
 
     python scripts/sample_profile.py hidden_base
-    python scripts/sample_profile.py dense_cells --seed 4 --rounds 3 --top 40
 """
 
 from __future__ import annotations
@@ -36,6 +35,9 @@ from coexsim import cli  # noqa: E402
 from workloads import WORKLOADS, build_job  # noqa: E402
 
 INTERVAL_S = 0.001
+SEED = 1
+ROUNDS = 1
+TOP = 25
 
 
 class StackSampler:
@@ -97,10 +99,6 @@ def _print_table(title: str, rank: Counter, own: Counter, incl: Counter, total: 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=WORKLOADS)
-    parser.add_argument("--seed", type=int, default=1, help="benchmark seed (default 1)")
-    parser.add_argument("--rounds", type=int, default=1,
-                        help="times the job's command lines run (default 1)")
-    parser.add_argument("--top", type=int, default=25, help="rows per table (default 25)")
     args = parser.parse_args(argv)
 
     sampler = StackSampler()
@@ -108,10 +106,10 @@ def main(argv=None) -> int:
         work, out = Path(tmp, "work"), Path(tmp, "out")
         work.mkdir()
         out.mkdir()
-        job = build_job(args.workload, args.seed, work, out)
+        job = build_job(args.workload, SEED, work, out)
         cpu_s = time.process_time()
         with sampler:
-            for _ in range(args.rounds):
+            for _ in range(ROUNDS):
                 for argv_, _files in job.runs:
                     rc = cli.main(argv_)
                     if rc != 0:
@@ -123,7 +121,7 @@ def main(argv=None) -> int:
         print("no samples taken")
         return 1
     # the kernel may deliver the timer more coarsely than INTERVAL_S
-    print(f"{args.workload} seed {args.seed}, {args.rounds} round(s): {total} samples "
+    print(f"{args.workload} seed {SEED}, {ROUNDS} round(s): {total} samples "
           f"over {cpu_s:.2f} s of CPU")
 
     def fn_label(key):
@@ -135,10 +133,10 @@ def main(argv=None) -> int:
         return f"{_where(path)}:{line}  {name}"
 
     fns, lines = (sampler.self_fn, sampler.incl_fn), (sampler.self_line, sampler.incl_line)
-    _print_table("by function, ranked by self share", fns[0], *fns, total, args.top, fn_label)
-    _print_table("by function, ranked by inclusive share", fns[1], *fns, total, args.top,
+    _print_table("by function, ranked by self share", fns[0], *fns, total, TOP, fn_label)
+    _print_table("by function, ranked by inclusive share", fns[1], *fns, total, TOP,
                  fn_label)
-    _print_table("by line, ranked by self share", lines[0], *lines, total, args.top,
+    _print_table("by line, ranked by self share", lines[0], *lines, total, TOP,
                  line_label)
     return 0
 

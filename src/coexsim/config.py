@@ -27,6 +27,7 @@ import numpy as np
 import yaml
 
 from .coordination import AdaptiveEdConfig, ChannelSelectConfig
+from .mac_wifi import CW_LIMIT
 from .propagation import Building, Position, PropagationModel
 from .relay import SSID_MAX_BYTES, VALID_CHANNELS, CellInfo, MacSpec, NodeType, ScanEntry
 
@@ -51,11 +52,6 @@ LTE_RATE_TABLE = [
     (-5.0, 2.0), (0.0, 7.0), (5.0, 14.0), (9.0, 21.0),
     (13.0, 28.0), (17.0, 36.0), (21.0, 43.0), (25.0, 50.0),
 ]
-
-
-# the widest contention window: a backoff draw covers at most 2^32 values,
-# numpy's 32-bit bounded path, which the simulator's draw source reproduces
-CW_LIMIT = 2 ** 32 - 1
 
 
 def _check_cw(cw_min: int, cw_max: int) -> None:

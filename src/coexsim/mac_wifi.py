@@ -38,6 +38,8 @@ State = TypeVar("State")  # a DcfState or a mac_lte.LbtState
 # raw 64-bit outputs a BlockDraws takes from its bit generator at a time
 RAW_BLOCK = 64
 _U32 = 0xFFFFFFFF
+# the widest contention window: a BlockDraws bounds at most 2^32 values
+CW_LIMIT = _U32
 
 
 class Draws(Protocol):

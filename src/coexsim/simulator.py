@@ -33,7 +33,6 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from bisect import insort
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -118,30 +117,24 @@ def peak_interference(overlaps: list, powers: list) -> float:
     """The largest summed power of overlaps on the air together, or 0.0 with none.
 
     ``overlaps`` holds (frame, start, end) with start < end, ``powers`` each
-    one's linear power.  Between each two consecutive distinct bounds the
-    powers of the overlaps covering that segment are summed in overlap
-    order, starting from 0.0, so the value is bit for bit that of summing
-    every overlap's test over every segment; one overlap is its own power.
-    A sweep over the sorted bounds keeps the overlaps on the air.
+    one's linear power.  The all-segments formula sums, between each two
+    consecutive distinct bounds, the powers of the overlaps covering that
+    segment in overlap order from 0.0, and takes the largest.  A segment
+    beginning at a start holds every overlap of the segments up to the next
+    start, in the same order, and a float sum of non-negative terms only
+    grows with more of them, so summing at each distinct start gives that
+    value bit for bit; one overlap is its own power.
     """
     if len(overlaps) == 1:
         return powers[0]
-    marks = sorted([(s, 1, i) for i, (_, s, _) in enumerate(overlaps)]
-                   + [(e, 0, i) for i, (_, _, e) in enumerate(overlaps)])
-    on_air: list[int] = []  # indices into overlaps, in overlap order
     peak = 0.0
-    last = len(marks) - 1
-    for n, (t, opens, i) in enumerate(marks):
-        if opens:
-            insort(on_air, i)
-        else:
-            on_air.remove(i)
-        if n < last and marks[n + 1][0] != t:  # a segment from t to the next bound
-            seg = 0.0
-            for j in on_air:
-                seg += powers[j]
-            if seg > peak:
-                peak = seg
+    for t in {s for _, s, _ in overlaps}:
+        seg = 0.0
+        for (_, s, e), power in zip(overlaps, powers):
+            if s <= t < e:
+                seg += power
+        if seg > peak:
+            peak = seg
     return peak
 
 

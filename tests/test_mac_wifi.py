@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coexsim.config import CW_LIMIT, Node, Scenario, TrafficConfig, WifiMacConfig
+from coexsim.config import Node, Scenario, TrafficConfig, WifiMacConfig
 from coexsim.mac_wifi import (
+    CW_LIMIT,
     DCF_EVENTS,
     BlockDraws,
     DcfPhase,
