@@ -1565,9 +1565,8 @@ def test_untraced_run_makes_no_trace_only_calls(monkeypatch):
 
 
 def reference_peak_interference(overlaps, powers):
-    """The largest interference as reception summed it before summing at
-    starts only: every overlap's power tested against every segment between
-    distinct bounds."""
+    """The all-segments formula: every overlap's power tested against every
+    segment between distinct bounds, summed in overlap order."""
     max_interference = 0.0
     bounds = sorted({b for _, s, e in overlaps for b in (s, e)})
     for a, b in zip(bounds, bounds[1:]):
